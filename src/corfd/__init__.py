@@ -21,7 +21,6 @@ from .estimators import (
     estimate_constants,
     opt_cfd,
     optimal_perturbation,
-    r_sweep,
     tra_cfd,
     transform_pilot_sample,
 )
@@ -48,11 +47,9 @@ from .regression import (
 from .sampling import (
     PerturbationGenerator,
     PerturbationSet,
-    difference_sample,
     difference_samples,
     draw_perturbation_set,
     stream,
-    truncated_normal,
 )
 
 __version__ = "0.1.0"

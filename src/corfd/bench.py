@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -127,11 +129,14 @@ def _run_cell_chunk(cfg: ExperimentConfig, method: str, budget: int, cell_index:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("CORFD_THREADS", "1")
+    raw = os.environ.get("CORFD_THREADS") or "1"
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"CORFD_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def run_replications(cfg: ExperimentConfig):
@@ -140,7 +145,8 @@ def run_replications(cfg: ExperimentConfig):
     Returns ``(detail_rows, summary_rows, failures)``: one detail row per
     replication, one summary row per feasible cell when the truth is known,
     and one ``(cell, message)`` entry per infeasible cell.  Infeasible cells
-    are reported and skipped; the rest of the grid still runs.
+    are reported and skipped; the rest of the grid still runs.  With
+    ``CORFD_THREADS`` above one, the cells share one process pool.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -148,37 +154,34 @@ def run_replications(cfg: ExperimentConfig):
     truth = cfg.truth()
     workers = _thread_count()
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
-    for cell_index, (method, budget) in enumerate(cells):
-        label = f"{cfg.problem}/{method}/{budget}"
-        try:
-            # Preflight a single replication so configuration errors surface
-            # once per cell instead of once per worker chunk.
-            results = _run_cell_chunk(cfg, method, budget, cell_index, [0])
-            if cfg.reps > 1:
+    parallel = workers > 1 and cfg.reps > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        for cell_index, (method, budget) in enumerate(cells):
+            label = f"{cfg.problem}/{method}/{budget}"
+            try:
+                # Preflight a single replication so configuration errors
+                # surface once per cell instead of once per worker chunk.
+                results = _run_cell_chunk(cfg, method, budget, cell_index, [0])
                 rest = range(1, cfg.reps)
-                if workers > 1:
-                    chunks = np.array_split(np.asarray(rest), workers)
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        futures = [
-                            pool.submit(_run_cell_chunk, cfg, method, budget, cell_index, chunk.tolist())
-                            for chunk in chunks
-                            if chunk.size
-                        ]
-                        for fut in futures:
-                            results.extend(fut.result())
-                else:
+                if pool is not None:
+                    # ``map`` cancels the cell's queued chunks if one fails.
+                    chunks = [c.tolist() for c in np.array_split(np.asarray(rest), workers) if c.size]
+                    run_chunk = partial(_run_cell_chunk, cfg, method, budget, cell_index)
+                    for chunk_results in pool.map(run_chunk, chunks):
+                        results.extend(chunk_results)
+                elif rest:
                     results.extend(_run_cell_chunk(cfg, method, budget, cell_index, rest))
-        except (BudgetError, ValueError) as exc:
-            failures.append((label, str(exc)))
-            continue
-        results.sort(key=lambda r: r[0])
-        for rep, value, pairs_used, perturbation in results:
-            detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
-        if truth is not None:
-            stats = summarize([r[1] for r in results], truth)
-            summary_rows.append(
-                [cfg.problem, method, budget, stats.reps, stats.bias, stats.variance, stats.mse]
-            )
+            except (BudgetError, ValueError) as exc:
+                failures.append((label, str(exc)))
+                continue
+            results.sort(key=lambda r: r[0])
+            for rep, value, pairs_used, perturbation in results:
+                detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
+            if truth is not None:
+                stats = summarize([r[1] for r in results], truth)
+                summary_rows.append(
+                    [cfg.problem, method, budget, stats.reps, stats.bias, stats.variance, stats.mse]
+                )
     return detail_rows, summary_rows, failures
 
 

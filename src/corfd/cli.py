@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,48 +31,104 @@ DFO_TRACE_HEADER = ["k", "t", "a_k", "T_k", "f_noisy", "f_true"]
 DIAG_HEADER = ["quantity", "value"]
 
 
-def _estimator_config(ns) -> EstimatorConfig:
-    return EstimatorConfig(
-        K=ns.K,
-        pilot_fraction=None if ns.n_b is not None else ns.r,
-        pilot_size=ns.n_b,
-        bootstrap_reps=ns.I,
-        bootstrap_mode=ns.bootstrap_mode,
-        pilot_exponent=ns.gamma,
-        coeff_gen=PerturbationGenerator(ns.mu0, ns.sigma0, ns.L, ns.U),
-        clamp_scale=ns.clamp_scale,
-        weighting=ns.weighting,
-    )
+# Settings that ``estimate`` and ``dfo`` take as flags and ``bench`` takes as
+# config keys: key -> (dataclass field, type).  Every key starts unset, so
+# each default lives only in the dataclass that owns the field.
+_KEYS = {
+    # EstimatorConfig
+    "K": ("K", int),
+    "r": ("pilot_fraction", float),
+    "n_b": ("pilot_size", int),
+    "I": ("bootstrap_reps", int),
+    "gamma": ("pilot_exponent", float),
+    "bootstrap_mode": ("bootstrap_mode", str),
+    "weighting": ("weighting", str),
+    "clamp_scale": ("clamp_scale", float),
+    # PerturbationGenerator
+    "mu0": ("mu0", float),
+    "sigma0": ("sigma0", float),
+    "L": ("lower", float),
+    "U": ("upper", float),
+    # ExperimentConfig
+    "seed": ("seed", int),
+    "kappa": ("kappa", float),
+    "truth": ("truth_override", float),
+    "tra_B": ("tra_bias_const", float),
+    "tra_sigma2": ("tra_noise_var", float),
+    "tra_h": ("tra_perturbation", float),
+    # DfoConfig
+    "T0": ("batch_init", int),
+    "l1": ("l1", float),
+    "l2": ("l2", float),
+    "a0": ("step_init", float),
+    "sigma": ("noise_bound", float),
+    "memory": ("memory_depth", int),
+    "gradient_method": ("gradient_method", str),
+    "armijo_plus_sign": ("armijo_plus_sign", bool),
+}
+_GENERATOR_KEYS = ("mu0", "sigma0", "L", "U")
+_ESTIMATE_KEYS = (
+    "seed", "kappa", "truth", "tra_B", "tra_sigma2", "tra_h",
+    "K", "r", "n_b", "I", "gamma", "bootstrap_mode", "weighting", "clamp_scale",
+) + _GENERATOR_KEYS
+_DFO_KEYS = (
+    "K", "T0", "I", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
+    "armijo_plus_sign",
+) + _GENERATOR_KEYS
+_CHOICES = {
+    "bootstrap_mode": ("mc", "exact"),
+    "weighting": ("wls", "ols"),
+    "gradient_method": ("cor", "tra"),
+}
+_HELP = {
+    "K": "number of pilot perturbations",
+    "r": "budget fraction spent on pilots",
+    "n_b": "pairs per pilot perturbation (overrides --r)",
+    "I": "bootstrap resamples per column",
+    "gamma": "pilot perturbation exponent",
+    "truth": "override the reference derivative",
+    "armijo_plus_sign": "use the plus-sign slope term in the line-search test",
+}
 
 
-def _add_estimator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--K", type=int, default=10, help="number of pilot perturbations")
-    p.add_argument("--r", type=float, default=1.0, help="budget fraction spent on pilots")
-    p.add_argument("--n-b", dest="n_b", type=int, default=None, help="pairs per pilot perturbation (overrides --r)")
-    p.add_argument("--I", type=int, default=1000, help="bootstrap resamples per column")
-    p.add_argument("--gamma", type=float, default=-0.1, help="pilot perturbation exponent")
-    p.add_argument("--bootstrap-mode", choices=["mc", "exact"], default="mc")
-    p.add_argument("--weighting", choices=["wls", "ols"], default="wls")
-    p.add_argument("--clamp-scale", type=float, default=1e-4)
-    p.add_argument("--mu0", type=float, default=0.0)
-    p.add_argument("--sigma0", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=0.1)
-    p.add_argument("--U", type=float, default=np.inf)
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        kind = _KEYS[key][1]
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=_HELP.get(key))
+        else:
+            parser.add_argument(flag, type=kind, choices=_CHOICES.get(key), help=_HELP.get(key))
+
+
+def _kwargs(cls, settings: dict) -> dict:
+    """Keyword arguments of dataclass ``cls`` for the keys set in ``settings``;
+    a ``coeff_gen`` field is built from the generator keys."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {
+        _KEYS[key][0]: value
+        for key, value in settings.items()
+        if key in _KEYS and value is not None and _KEYS[key][0] in names
+    }
+    generator = _kwargs(PerturbationGenerator, settings) if "coeff_gen" in names else {}
+    if generator:
+        kwargs["coeff_gen"] = PerturbationGenerator(**generator)
+    return kwargs
+
+
+def _estimator_config(settings: dict) -> EstimatorConfig:
+    return EstimatorConfig(**_kwargs(EstimatorConfig, settings))
 
 
 def _cmd_estimate(ns) -> int:
+    settings = vars(ns)
     cfg = ExperimentConfig(
         problem=ns.problem,
         methods=(ns.method,),
         budgets=(ns.pairs,),
         reps=ns.reps,
-        seed=ns.seed,
-        kappa=ns.kappa,
-        truth_override=ns.truth,
-        estimator=_estimator_config(ns),
-        tra_bias_const=ns.tra_B,
-        tra_noise_var=ns.tra_sigma2,
-        tra_perturbation=ns.h,
+        estimator=_estimator_config(settings),
+        **_kwargs(ExperimentConfig, settings),
     )
     detail, summary, failures = run_replications(cfg)
     for label, message in failures:
@@ -93,20 +150,7 @@ def _cmd_dfo(ns) -> int:
             raise ValueError(
                 f"--start has {theta0.size} coordinates, problem needs {problem.oracle.dim}"
             )
-    cfg = DfoConfig(
-        budget=ns.budget,
-        K=ns.K,
-        batch_init=ns.T0,
-        bootstrap_reps=ns.I,
-        l1=ns.l1,
-        l2=ns.l2,
-        step_init=ns.a0,
-        noise_bound=ns.sigma,
-        memory_depth=ns.memory,
-        coeff_gen=PerturbationGenerator(ns.mu0, ns.sigma0, ns.L, ns.U),
-        gradient_method=ns.gradient_method,
-        armijo_plus_sign=ns.armijo_plus_sign,
-    )
+    cfg = DfoConfig(budget=ns.budget, **_kwargs(DfoConfig, vars(ns)))
     trace = corcfd_lbfgs(problem.oracle, theta0, cfg, stream(ns.seed))
     rows = [
         [row["k"], row["t"], row.get("step", np.nan), row["batch"],
@@ -138,65 +182,31 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# Keys only ``bench`` has, with their defaults.
 _BENCH_DEFAULTS = {
     "problem": "poly@0",
     "methods": "cor,opt",
     "budgets": "100,1000,10000",
     "reps": "1000",
-    "seed": "0",
-    "kappa": "10.0",
-    "truth": "",
-    "K": "10",
-    "r": "1.0",
-    "n_b": "",
-    "I": "1000",
-    "gamma": "-0.1",
-    "bootstrap_mode": "mc",
-    "weighting": "wls",
-    "clamp_scale": "1e-4",
-    "mu0": "0.0",
-    "sigma0": "1.0",
-    "L": "0.1",
-    "U": "inf",
-    "tra_B": "5.0",
-    "tra_sigma2": "1.0",
-    "tra_h": "",
     "out": "bench_summary.csv",
     "detail_out": "",
 }
 
 
 def _bench_config(values: dict[str, str]) -> tuple[ExperimentConfig, str, str]:
-    unknown = set(values) - set(_BENCH_DEFAULTS)
+    unknown = set(values) - set(_BENCH_DEFAULTS) - set(_ESTIMATE_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     merged = {**_BENCH_DEFAULTS, **values}
-    estimator = EstimatorConfig(
-        K=int(merged["K"]),
-        pilot_fraction=None if merged["n_b"] else float(merged["r"]),
-        pilot_size=int(merged["n_b"]) if merged["n_b"] else None,
-        bootstrap_reps=int(merged["I"]),
-        bootstrap_mode=merged["bootstrap_mode"],
-        pilot_exponent=float(merged["gamma"]),
-        coeff_gen=PerturbationGenerator(
-            float(merged["mu0"]), float(merged["sigma0"]),
-            float(merged["L"]), float(merged["U"]),
-        ),
-        clamp_scale=float(merged["clamp_scale"]),
-        weighting=merged["weighting"],
-    )
+    # An empty value leaves the key unset.
+    settings = {key: _KEYS[key][1](merged[key]) for key in _ESTIMATE_KEYS if merged.get(key)}
     cfg = ExperimentConfig(
         problem=merged["problem"],
         methods=tuple(m.strip() for m in merged["methods"].split(",") if m.strip()),
         budgets=tuple(int(b) for b in merged["budgets"].split(",") if b.strip()),
         reps=int(merged["reps"]),
-        seed=int(merged["seed"]),
-        kappa=float(merged["kappa"]),
-        truth_override=float(merged["truth"]) if merged["truth"] else None,
-        estimator=estimator,
-        tra_bias_const=float(merged["tra_B"]),
-        tra_noise_var=float(merged["tra_sigma2"]),
-        tra_perturbation=float(merged["tra_h"]) if merged["tra_h"] else None,
+        estimator=_estimator_config(settings),
+        **_kwargs(ExperimentConfig, settings),
     )
     return cfg, merged["out"], merged["detail_out"]
 
@@ -253,39 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", choices=["tra", "opt", "boot", "cor"], required=True)
     p_est.add_argument("--pairs", type=int, required=True, help="sample-pair budget n")
     p_est.add_argument("--reps", type=int, default=1)
-    p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--kappa", type=float, default=10.0)
-    p_est.add_argument("--h", type=float, default=None, help="explicit perturbation (tra)")
-    p_est.add_argument("--tra-B", dest="tra_B", type=float, default=5.0)
-    p_est.add_argument("--tra-sigma2", dest="tra_sigma2", type=float, default=1.0)
-    p_est.add_argument("--truth", type=float, default=None, help="override the reference derivative")
+    p_est.add_argument("--h", dest="tra_h", metavar="H", type=float, help="explicit perturbation (tra)")
     p_est.add_argument("--out", default="estimates.csv")
     p_est.add_argument("--summary-out", dest="summary_out", default="estimates_summary.csv")
-    _add_estimator_args(p_est)
+    _add_flags(p_est, [key for key in _ESTIMATE_KEYS if key != "tra_h"])
     p_est.set_defaults(func=_cmd_estimate)
 
     p_dfo = sub.add_parser("dfo", help="run the derivative-free optimizer")
     p_dfo.add_argument("--problem", required=True)
     p_dfo.add_argument("--budget", type=int, required=True, help="total sample-pair budget T")
-    p_dfo.add_argument("--K", type=int, default=5)
-    p_dfo.add_argument("--T0", type=int, default=20)
-    p_dfo.add_argument("--I", type=int, default=100)
-    p_dfo.add_argument("--l1", type=float, default=1e-4)
-    p_dfo.add_argument("--l2", type=float, default=0.5)
-    p_dfo.add_argument("--a0", type=float, default=1.0)
-    p_dfo.add_argument("--sigma", type=float, default=1.0)
-    p_dfo.add_argument("--memory", type=int, default=10)
     p_dfo.add_argument("--seed", type=int, default=0)
     p_dfo.add_argument("--kappa", type=float, default=10.0)
     p_dfo.add_argument("--start", default=None, help="comma-separated starting point")
-    p_dfo.add_argument("--gradient-method", choices=["cor", "tra"], default="cor")
-    p_dfo.add_argument("--armijo-plus-sign", action="store_true",
-                       help="use the plus-sign slope term in the line-search test")
-    p_dfo.add_argument("--mu0", type=float, default=0.0)
-    p_dfo.add_argument("--sigma0", type=float, default=1.0)
-    p_dfo.add_argument("--L", type=float, default=0.1)
-    p_dfo.add_argument("--U", type=float, default=np.inf)
     p_dfo.add_argument("--out", default="dfo_trace.csv")
+    _add_flags(p_dfo, _DFO_KEYS)
     p_dfo.set_defaults(func=_cmd_dfo)
 
     p_bench = sub.add_parser("bench", help="experiment grid from a config file")

@@ -42,7 +42,6 @@ __all__ = [
     "boot_cfd",
     "cor_cfd",
     "estimate_constants",
-    "r_sweep",
 ]
 
 
@@ -144,19 +143,21 @@ def optimal_perturbation(noise_var: float, bias_const: float, n: int) -> float:
 
 
 def transform_pilot_sample(
-    delta: float, h_k: float, h_n: float, deriv: float, bias_const: float
-) -> float:
-    """Map one pilot difference sample to the target perturbation.
+    samples: np.ndarray, h: np.ndarray, h_n: float, deriv: float, bias_const: float
+) -> np.ndarray:
+    """Map pilot difference samples to the target perturbation ``h_n``.
 
-    Centers the sample at its fitted mean, rescales by the perturbation
-    ratio (standard deviations scale like ``1/h``), and recenters at the
-    fitted mean of the target perturbation.
+    Row ``k`` of ``samples`` was drawn at perturbation ``h[k]``.  Each sample
+    is centered at its fitted mean, rescaled by the perturbation ratio
+    (standard deviations scale like ``1/h``), and recentered at the fitted
+    mean of the target perturbation.
     """
     if h_n == 0:
         raise ValueError("target perturbation must be nonzero")
-    fitted_k = deriv + bias_const * h_k * h_k
+    h = np.asarray(h, dtype=float)
+    fitted = deriv + bias_const * h * h
     fitted_n = deriv + bias_const * h_n * h_n
-    return abs(h_k) / abs(h_n) * (delta - fitted_k) + fitted_n
+    return (np.abs(h) / abs(h_n))[:, None] * (samples - fitted[:, None]) + fitted_n
 
 
 def _pilot_matrix(
@@ -183,9 +184,10 @@ def _fit_constants(
     means, variances = column_moments(
         pilot.samples, cfg.bootstrap_mode, cfg.bootstrap_reps, boot_rng
     )
-    # Columns whose spread is pure floating-point rounding count as
-    # deterministic.
-    degenerate = variances <= (1e-12 * np.maximum(1.0, np.abs(means))) ** 2
+    # Only a column of identical samples counts as deterministic.  A
+    # tolerance on the resampling variance would scale with the derivative
+    # and flag honest noise on steep responses.
+    degenerate = np.ptp(pilot.samples, axis=1) == 0
     noise_free = bool(np.all(degenerate))
     if np.any(degenerate) and not noise_free:
         raise EstimationError(
@@ -310,7 +312,6 @@ def cor_cfd(
     n: int,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    constants: ConstantEstimates | None = None,
 ) -> GradientEstimate:
     """Correlation-induced estimator: the full pipeline.
 
@@ -318,25 +319,16 @@ def cor_cfd(
     *full* budget ``n``; every pilot sample is then transformed to that
     perturbation and averaged with the ``n - K*n_b`` fresh pairs.  Spending
     the entire budget on pilots (no fresh pairs) is valid.
-
-    ``constants`` overrides the estimation stage (testing hook); the pilot
-    draws and the transformation still run.
     """
-    n_b = cfg.resolve_pilot_size(n)
     est_rng, fresh_rng = rng.spawn(2)
-    if constants is None:
-        constants, pilot = estimate_constants(oracle, theta0, coord, n, cfg, est_rng, budget=n)
-    else:
-        coeff_rng, pilot_rng, _ = est_rng.spawn(3)
-        pert = draw_perturbation_set(cfg.K, n_b, cfg.coeff_gen, coeff_rng, cfg.pilot_exponent)
-        pilot = PilotData(pert, _pilot_matrix(oracle, theta0, coord, pert, pilot_rng))
+    constants, pilot = estimate_constants(oracle, theta0, coord, n, cfg, est_rng, budget=n)
     h_n = constants.perturbation
     if h_n == 0:
         raise EstimationError("estimated perturbation is zero")
-    h = pilot.perturbations.perturbations
-    fitted = constants.deriv + constants.bias_const * h * h
-    fitted_n = constants.deriv + constants.bias_const * h_n * h_n
-    transformed = (np.abs(h) / abs(h_n))[:, None] * (pilot.samples - fitted[:, None]) + fitted_n
+    transformed = transform_pilot_sample(
+        pilot.samples, pilot.perturbations.perturbations, h_n,
+        constants.deriv, constants.bias_const,
+    )
     n2 = n - pilot.pair_cost
     fresh = (
         difference_samples(oracle, theta0, coord, h_n, fresh_rng, n2)
@@ -345,41 +337,3 @@ def cor_cfd(
     )
     value = (float(transformed.sum()) + float(fresh.sum())) / n
     return GradientEstimate(value, "cor", n, h_n, constants)
-
-
-def r_sweep(
-    oracle: SimulationOracle,
-    theta0,
-    coord: int,
-    truth_deriv: float,
-    n: int,
-    r_grid,
-    cfg: EstimatorConfig,
-    reps: int,
-    rng: np.random.Generator,
-) -> list[dict]:
-    """Replicated error table of the ``cor`` and ``boot`` methods across
-    pilot-budget fractions.
-
-    Rows where a method is infeasible (``boot`` needs at least one fresh
-    pair) are marked invalid instead of aborting the sweep.
-    """
-    rows: list[dict] = []
-    for r in r_grid:
-        sub = replace(cfg, pilot_fraction=float(r), pilot_size=None)
-        n_b = sub.resolve_pilot_size(n)
-        for method, fn in (("cor", cor_cfd), ("boot", boot_cfd)):
-            row = {"r": float(r), "method": method, "reps": reps, "pairs": n}
-            if method == "boot" and n - sub.K * n_b < 1:
-                row.update(valid=False, bias=np.nan, variance=np.nan, mse=np.nan)
-                rows.append(row)
-                continue
-            cell_rng = rng.spawn(1)[0]
-            values = np.array(
-                [fn(oracle, theta0, coord, n, sub, rep_rng).value for rep_rng in cell_rng.spawn(reps)]
-            )
-            bias = float(values.mean() - truth_deriv)
-            variance = float(values.var(ddof=0))
-            row.update(valid=True, bias=bias, variance=variance, mse=bias * bias + variance)
-            rows.append(row)
-    return rows

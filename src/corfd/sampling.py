@@ -2,8 +2,8 @@
 central-difference sampling.
 
 All randomness flows through ``numpy.random.Generator`` objects.  Substreams
-are derived by index (``stream``/``spawn``) so that serial and parallel
-executions of the same experiment consume identical random numbers.
+are derived by index (``stream``, ``Generator.spawn``) so that serial and
+parallel executions of the same experiment consume identical random numbers.
 """
 from __future__ import annotations
 
@@ -17,10 +17,7 @@ __all__ = [
     "PerturbationGenerator",
     "PerturbationSet",
     "stream",
-    "spawn",
-    "truncated_normal",
     "draw_perturbation_set",
-    "difference_sample",
     "difference_samples",
 ]
 
@@ -46,11 +43,6 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     statistically independent sequences.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``n`` independent child generators off ``rng`` (index-addressed)."""
-    return rng.spawn(n)
 
 
 @dataclass(frozen=True)
@@ -117,11 +109,6 @@ class PerturbationGenerator:
             out = self.mu0 + self.sigma0 * ndtri(u)
             np.clip(out, self.lower, self.upper, out=out)
         return float(out[0]) if size is None else out
-
-
-def truncated_normal(gen: PerturbationGenerator, rng: np.random.Generator) -> float:
-    """Single draw from ``gen`` (see :meth:`PerturbationGenerator.sample`)."""
-    return float(gen.sample(rng))
 
 
 @dataclass(frozen=True)
@@ -215,13 +202,3 @@ def difference_samples(
     y_down = oracle.sample(down, rng, size)
     return (y_up - y_down) / (2.0 * h)
 
-
-def difference_sample(
-    oracle,
-    theta0: np.ndarray | float,
-    coord: int,
-    h: float,
-    rng: np.random.Generator,
-) -> float:
-    """One central-difference draw (one sample pair)."""
-    return float(difference_samples(oracle, theta0, coord, h, rng, 1)[0])

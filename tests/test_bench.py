@@ -1,9 +1,8 @@
-import os
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corfd import bench
 from corfd.bench import (
     DETAIL_HEADER,
     SUMMARY_HEADER,
@@ -109,15 +108,31 @@ class TestRunReplications:
         emit_csv(b[0], DETAIL_HEADER, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_parallel_schedule_matches_serial(self, tmp_path):
-        serial = run_replications(small_config())
-        os.environ["CORFD_THREADS"] = "2"
-        try:
-            parallel = run_replications(small_config())
-        finally:
-            del os.environ["CORFD_THREADS"]
+    def test_parallel_schedule_matches_serial(self, monkeypatch):
+        # An infeasible cell (boot at r=1) sits between two feasible ones, so
+        # the grid's one pool keeps serving cells after a failed cell.
+        cfg = small_config(methods=("cor", "boot", "opt"))
+        serial = run_replications(cfg)
+        pools = []
+
+        class CountingPool(bench.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("CORFD_THREADS", "2")
+        parallel = run_replications(cfg)
+        assert len(pools) == 1
+        assert len(serial[2]) == 1 and parallel[2] == serial[2]
         assert serial[0] == parallel[0]
         assert serial[1] == parallel[1]
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1"])
+    def test_bad_thread_count_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv("CORFD_THREADS", raw)
+        with pytest.raises(ValueError, match=f"CORFD_THREADS.*{raw}"):
+            run_replications(small_config())
 
     def test_infeasible_cell_reported_others_run(self):
         cfg = small_config(methods=("boot", "cor"))  # boot needs fresh pairs at r=1

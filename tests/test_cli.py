@@ -1,7 +1,8 @@
 import numpy as np
 
 from corfd.bench import ExperimentConfig, run_replications
-from corfd.cli import main
+from corfd.cli import _bench_config, _estimator_config, _kwargs, build_parser, main
+from corfd.dfo import DfoConfig
 from corfd.estimators import EstimatorConfig
 from corfd.regression import projection_diagnostics
 
@@ -123,6 +124,36 @@ class TestBenchCommand:
 
     def test_bad_problem_is_config_error(self):
         assert main(["bench", "--set", "problem=sphere@3"]) == 1
+
+
+class TestSettings:
+    FLAGS = [
+        "--K", "6", "--r", "0.5", "--n-b", "40", "--I", "200", "--gamma", "-0.2",
+        "--bootstrap-mode", "exact", "--weighting", "ols", "--clamp-scale", "1e-3",
+        "--mu0", "0.5", "--sigma0", "2", "--L", "0.2", "--U", "5",
+    ]
+    ESTIMATE = ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100"]
+
+    def test_estimate_flags_and_bench_keys_agree(self):
+        ns = build_parser().parse_args(self.ESTIMATE + self.FLAGS)
+        keys = {f[2:].replace("-", "_"): v for f, v in zip(self.FLAGS[::2], self.FLAGS[1::2])}
+        estimator = _bench_config(keys)[0].estimator
+        assert _estimator_config(vars(ns)) == estimator
+        assert estimator.coeff_gen.upper == 5.0 and estimator.bootstrap_mode == "exact"
+
+    def test_no_settings_give_dataclass_defaults(self):
+        ns = build_parser().parse_args(self.ESTIMATE)
+        assert _estimator_config(vars(ns)) == EstimatorConfig()
+        cfg = _bench_config({})[0]
+        assert cfg.estimator == EstimatorConfig()
+        assert cfg == ExperimentConfig(cfg.problem, cfg.methods, cfg.budgets, cfg.reps)
+        ns = build_parser().parse_args(["dfo", "--problem", "sin1", "--budget", "10"])
+        assert DfoConfig(budget=10, **_kwargs(DfoConfig, vars(ns))) == DfoConfig(budget=10)
+
+    def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CORFD_THREADS", "two")
+        assert main(["bench", "--set", "reps=2", "--set", f"out={tmp_path / 's.csv'}"]) == 1
+        assert "CORFD_THREADS" in capsys.readouterr().err
 
 
 class TestDiagCommand:

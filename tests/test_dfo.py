@@ -180,6 +180,16 @@ class TestGradient:
             bound = clamp_floor(2.0) * float(np.max(pert.perturbations)) ** 2
             assert gi == pytest.approx(2.0, abs=bound + 1e-9)
 
+    def test_steep_noisy_start_is_not_noise_free(self):
+        # At the 100-d Zakharov start the derivatives are about 3e12, so a
+        # noise-free test scaled by the derivative would flag some honestly
+        # noisy pilot columns and reject the estimate.  This is the first
+        # gradient of ``corfd dfo --problem zakharov@100 --seed 0``.
+        orc = noisy_bench_oracle("zakharov", 100)
+        cfg = DfoConfig(budget=1).estimator_config()
+        g = gradient_via_corcfd(orc, np.ones(100), 20, cfg, stream(0).spawn(2)[0])
+        assert g.shape == (100,) and np.all(np.isfinite(g))
+
     def test_seeded_reproducibility(self):
         orc = noisy_bench_oracle("zakharov", 10)
         cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100)

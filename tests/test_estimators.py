@@ -3,7 +3,6 @@ import pytest
 
 from corfd.estimators import (
     BudgetError,
-    ConstantEstimates,
     EstimationError,
     EstimatorConfig,
     boot_cfd,
@@ -11,7 +10,6 @@ from corfd.estimators import (
     estimate_constants,
     opt_cfd,
     optimal_perturbation,
-    r_sweep,
     tra_cfd,
     transform_pilot_sample,
 )
@@ -85,23 +83,24 @@ class TestOptCfd:
 
 class TestTransform:
     def test_identity_at_equal_perturbations(self):
-        assert transform_pilot_sample(2.7, 0.3, 0.3, 1.0, 5.0) == pytest.approx(2.7, abs=1e-14)
+        got = transform_pilot_sample(np.array([[2.7, -1.3]]), [0.3], 0.3, 1.0, 5.0)
+        np.testing.assert_allclose(got, [[2.7, -1.3]], rtol=0, atol=1e-14)
 
     def test_worked_example(self):
-        # 2 * (2.2 - 2.12) + 2.03 = 2.19
-        got = transform_pilot_sample(2.2, 0.2, 0.1, 2.0, 3.0)
-        assert got == pytest.approx(2.19, abs=1e-12)
+        # Row 0: 2 * (2.2 - 2.12) + 2.03 = 2.19; row 1 sits at the target.
+        got = transform_pilot_sample(np.array([[2.2], [2.5]]), [0.2, 0.1], 0.1, 2.0, 3.0)
+        np.testing.assert_allclose(got, [[2.19], [2.5]], rtol=0, atol=1e-12)
 
     def test_on_model_sample_maps_to_target_fit(self):
         deriv, b = -1.0, 4.0
-        h_k, h_n = 0.5, 0.2
-        on_model = deriv + b * h_k * h_k
-        got = transform_pilot_sample(on_model, h_k, h_n, deriv, b)
-        assert got == pytest.approx(deriv + b * h_n * h_n, abs=1e-12)
+        h, h_n = np.array([0.5, 0.3, 0.1]), 0.2
+        on_model = np.repeat((deriv + b * h * h)[:, None], 4, axis=1)
+        got = transform_pilot_sample(on_model, h, h_n, deriv, b)
+        np.testing.assert_allclose(got, deriv + b * h_n * h_n, rtol=0, atol=1e-12)
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
-            transform_pilot_sample(1.0, 0.1, 0.0, 0.0, 1.0)
+            transform_pilot_sample(np.ones((1, 2)), [0.1], 0.0, 0.0, 1.0)
 
 
 class TestEstimateConstants:
@@ -165,18 +164,17 @@ class TestBootCfd:
 
 
 class TestCorCfd:
-    def test_noise_free_collapse_with_injected_constants(self):
-        # On-model pilots and fresh samples all map to the fitted value at
-        # the target perturbation, so the estimate is it, exactly.
-        h_n = 0.17
-        constants = ConstantEstimates(
-            deriv=2.0, bias_const=1.0, bias_const_raw=1.0,
-            noise_var=1.0, perturbation=h_n, budget=60,
-        )
-        cfg = EstimatorConfig(K=3, pilot_size=10, bootstrap_mode="exact")
-        est = cor_cfd(cubic_oracle(), [0.0], 0, 60, cfg, stream(13), constants=constants)
-        assert est.value == pytest.approx(2.0 + h_n * h_n, abs=1e-12)
-        assert est.pairs_used == 60
+    def test_noise_free_collapse(self):
+        # Noise-free on-model pilots fit the constants exactly and all map
+        # to the fitted value at the target perturbation, so the estimate is
+        # that value up to rounding.
+        for mode in ("mc", "exact"):
+            cfg = EstimatorConfig(K=3, pilot_size=10, bootstrap_mode=mode, bootstrap_reps=100)
+            for seed in range(5):
+                est = cor_cfd(cubic_oracle(), [0.0], 0, 60, cfg, stream(13, seed))
+                assert est.value == pytest.approx(2.0 + est.perturbation**2, abs=1e-12)
+                assert est.pairs_used == 60 and est.constants.noise_var == 0.0
+
 
     def test_full_budget_pilot_mode_uses_no_fresh_draws(self):
         # With r=1 the estimate must be reproducible from the pilot stage
@@ -276,28 +274,6 @@ class TestQueueComparison:
         mse_cor = float(np.mean((cor_vals - truth) ** 2))
         assert mse_cor < mse_tra
         assert mse_cor <= 0.022  # factor 2 of the published 0.011
-
-
-class TestRSweep:
-    def test_table_shape_and_validity_flags(self):
-        cfg = EstimatorConfig(K=10, bootstrap_reps=100)
-        rows = r_sweep(
-            sin_oracle(10, 1), [0.0], 0, 10.0, 200, [0.5, 1.0], cfg, reps=20, rng=stream(21)
-        )
-        by_key = {(r["r"], r["method"]): r for r in rows}
-        assert by_key[(1.0, "boot")]["valid"] is False
-        assert np.isnan(by_key[(1.0, "boot")]["mse"])
-        for key in [(0.5, "cor"), (0.5, "boot"), (1.0, "cor")]:
-            row = by_key[key]
-            assert row["valid"] and row["mse"] == pytest.approx(
-                row["bias"] ** 2 + row["variance"], rel=1e-12
-            )
-
-    def test_deterministic_given_seed(self):
-        cfg = EstimatorConfig(K=5, bootstrap_reps=100)
-        a = r_sweep(sin_oracle(10, 1), [0.0], 0, 10.0, 100, [0.5, 1.0], cfg, 10, stream(22))
-        b = r_sweep(sin_oracle(10, 1), [0.0], 0, 10.0, 100, [0.5, 1.0], cfg, 10, stream(22))
-        assert a == b
 
 
 class TestErrorPaths:

@@ -7,11 +7,9 @@ from corfd.oracle import deterministic_oracle, poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
     PerturbationGenerator,
-    difference_sample,
     difference_samples,
     draw_perturbation_set,
     stream,
-    truncated_normal,
 )
 
 
@@ -66,7 +64,7 @@ class TestTruncatedNormal:
 
     def test_scalar_draw(self):
         gen = PerturbationGenerator(0, 1, 0.1, np.inf)
-        v = truncated_normal(gen, stream(5))
+        v = gen.sample(stream(5))
         assert isinstance(v, float) and v >= 0.1
 
     def test_invalid_bounds_rejected(self):
@@ -119,7 +117,8 @@ class TestPerturbationSet:
 class TestDifferenceSample:
     def test_cubic_noise_free(self):
         cube = deterministic_oracle(lambda t: float(t[0]) ** 3)
-        assert difference_sample(cube, [0.0], 0, 0.5, stream(0)) == pytest.approx(0.25, abs=1e-15)
+        d = difference_samples(cube, [0.0], 0, 0.5, stream(0), 1)[0]
+        assert d == pytest.approx(0.25, abs=1e-15)
 
     def test_poly_surrogate_value(self):
         # Independent oracle: evaluate the mean response at +/-0.2 directly.
@@ -127,7 +126,7 @@ class TestDifferenceSample:
         expected = (orc.mean([0.2]) - orc.mean([-0.2])) / 0.4
         assert expected == pytest.approx(-6.09984, abs=1e-12)
         noise_free = deterministic_oracle(lambda t: orc.mean(t))
-        got = difference_sample(noise_free, [0.0], 0, 0.2, stream(1))
+        got = difference_samples(noise_free, [0.0], 0, 0.2, stream(1), 1)[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_sin_mean_matches_surrogate(self):
@@ -139,7 +138,7 @@ class TestDifferenceSample:
 
     def test_zero_perturbation_rejected(self):
         with pytest.raises(ValueError):
-            difference_sample(poly_oracle(), [0.0], 0, 0.0, stream(3))
+            difference_samples(poly_oracle(), [0.0], 0, 0.0, stream(3), 1)
 
     def test_unbiased_within_monte_carlo_band(self):
         orc = poly_oracle()
@@ -166,7 +165,7 @@ class TestDifferenceSample:
 
     def test_coordinate_selection(self):
         quad2 = deterministic_oracle(lambda t: float(t[0] ** 2 + 10 * t[1] ** 2), dim=2)
-        d0 = difference_sample(quad2, [1.0, 1.0], 0, 0.1, stream(8))
-        d1 = difference_sample(quad2, [1.0, 1.0], 1, 0.1, stream(8))
+        d0 = difference_samples(quad2, [1.0, 1.0], 0, 0.1, stream(8), 1)[0]
+        d1 = difference_samples(quad2, [1.0, 1.0], 1, 0.1, stream(8), 1)[0]
         assert d0 == pytest.approx(2.0, abs=1e-12)
         assert d1 == pytest.approx(20.0, abs=1e-12)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .estimators import (
     BudgetError,
+    EstimationError,
     EstimatorConfig,
     boot_cfd,
     cor_cfd,
@@ -144,9 +145,10 @@ def run_replications(cfg: ExperimentConfig):
 
     Returns ``(detail_rows, summary_rows, failures)``: one detail row per
     replication, one summary row per feasible cell when the truth is known,
-    and one ``(cell, message)`` entry per infeasible cell.  Infeasible cells
-    are reported and skipped; the rest of the grid still runs.  With
-    ``CORFD_THREADS`` above one, the cells share one process pool.
+    and one ``(cell, message)`` entry per cell that is infeasible or whose
+    constant estimation fails.  Such cells are reported and skipped; the rest
+    of the grid still runs.  With ``CORFD_THREADS`` above one, the cells share
+    one process pool.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -171,7 +173,7 @@ def run_replications(cfg: ExperimentConfig):
                         results.extend(chunk_results)
                 elif rest:
                     results.extend(_run_cell_chunk(cfg, method, budget, cell_index, rest))
-            except (BudgetError, ValueError) as exc:
+            except (BudgetError, ValueError, EstimationError) as exc:
                 failures.append((label, str(exc)))
                 continue
             results.sort(key=lambda r: r[0])

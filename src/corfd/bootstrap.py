@@ -2,9 +2,11 @@
 
 Given one pilot column (the difference samples at a single perturbation),
 the resampled estimator is the average of a with-replacement resample of the
-column.  Its moments are available two ways: by Monte Carlo over ``I``
-independent resamples, as run inside the production pipeline, and in closed
-form, used as the test oracle and as a fast path.
+column.  Its moments have a closed form (the column mean, and the plug-in
+variance divided by the column length), which the pipeline uses by default.
+The Monte Carlo estimate over ``I`` independent resamples, as in the paper,
+is kept as an opt-in; it converges to the closed form and only adds
+resampling noise.
 """
 from __future__ import annotations
 
@@ -80,26 +82,26 @@ def column_moments(
     """Per-column moments of a pilot matrix (columns indexed by perturbation,
     one row per sample: shape ``(K, n_b)``).
 
-    Returns (means, variances), each of length ``K``.  Monte Carlo mode
-    consumes the stream column by column in index order, so the result does
-    not depend on any parallel schedule.
+    Returns (means, variances), each of length ``K``.  Exact mode computes
+    the closed form of :func:`bootstrap_moments_exact` for all columns at
+    once.  Monte Carlo mode consumes the stream column by column in index
+    order, so the result does not depend on any parallel schedule.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.ndim != 2:
         raise ValueError(f"pilot matrix must be 2-D, got shape {pilot.shape}")
-    K = pilot.shape[0]
-    means = np.empty(K)
-    variances = np.empty(K)
+    K, n = pilot.shape
     if mode == "exact":
-        for k in range(K):
-            m = bootstrap_moments_exact(pilot[k])
-            means[k], variances[k] = m.mean, m.variance
-    elif mode == "mc":
+        if n < 2:
+            raise ValueError(f"need at least 2 samples per column, got {n}")
+        return pilot.mean(axis=1), (n - 1) / n**2 * pilot.var(axis=1, ddof=1)
+    if mode == "mc":
         if rng is None:
             raise ValueError("Monte Carlo mode requires an RNG stream")
+        means = np.empty(K)
+        variances = np.empty(K)
         for k in range(K):
             m = bootstrap_moments_mc(pilot[k], I, rng)
             means[k], variances[k] = m.mean, m.variance
-    else:
-        raise ValueError(f"unknown bootstrap mode {mode!r}")
-    return means, variances
+        return means, variances
+    raise ValueError(f"unknown bootstrap mode {mode!r}")

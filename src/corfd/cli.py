@@ -3,8 +3,8 @@
 Subcommands: ``estimate`` (replicated gradient estimates on one problem),
 ``dfo`` (run the optimizer and dump its trace), ``bench`` (experiment grid
 from a flat key=value config file), ``diag`` (regression diagnostics for a
-coefficient vector).  Exit codes: 0 success, 1 configuration error, 2 when
-some grid cells failed while others ran.
+coefficient vector).  Exit codes: 0 success, 1 configuration or usage
+error, 2 when some grid cells failed while others ran.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .bench import (
     run_replications,
 )
 from .dfo import DfoConfig, corcfd_lbfgs
-from .estimators import EstimatorConfig
+from .estimators import EstimationError, EstimatorConfig
 from .oracle import parse_problem
 from .regression import projection_diagnostics, theory_constants
 from .sampling import PerturbationGenerator, stream
@@ -72,7 +72,7 @@ _ESTIMATE_KEYS = (
     "K", "r", "n_b", "I", "gamma", "bootstrap_mode", "weighting", "clamp_scale",
 ) + _GENERATOR_KEYS
 _DFO_KEYS = (
-    "K", "T0", "I", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
+    "K", "T0", "I", "bootstrap_mode", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
     "armijo_plus_sign",
 ) + _GENERATOR_KEYS
 _CHOICES = {
@@ -84,7 +84,8 @@ _HELP = {
     "K": "number of pilot perturbations",
     "r": "budget fraction spent on pilots",
     "n_b": "pairs per pilot perturbation (overrides --r)",
-    "I": "bootstrap resamples per column",
+    "I": "bootstrap resamples per column (mc bootstrap mode only)",
+    "bootstrap_mode": "closed-form (exact) or Monte Carlo (mc) bootstrap moments",
     "gamma": "pilot perturbation exponent",
     "truth": "override the reference derivative",
     "armijo_plus_sign": "use the plus-sign slope term in the line-search test",
@@ -200,6 +201,9 @@ def _bench_config(values: dict[str, str]) -> tuple[ExperimentConfig, str, str]:
     merged = {**_BENCH_DEFAULTS, **values}
     # An empty value leaves the key unset.
     settings = {key: _KEYS[key][1](merged[key]) for key in _ESTIMATE_KEYS if merged.get(key)}
+    for key, allowed in _CHOICES.items():
+        if key in settings and settings[key] not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {settings[key]!r}")
     cfg = ExperimentConfig(
         problem=merged["problem"],
         methods=tuple(m.strip() for m in merged["methods"].split(",") if m.strip()),
@@ -254,8 +258,17 @@ def _cmd_diag(ns) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with the configuration-error
+    code 1; argparse's own code 2 means a partial grid failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="corfd", description=__doc__)
+    parser = _Parser(prog="corfd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="replicated gradient estimates on one problem")
@@ -300,7 +313,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,14 +60,17 @@ class EstimatorConfig:
     ``pilot_size`` (per-perturbation pair count) wins over ``pilot_fraction``
     (share of the budget spent on pilots) when both are set.  The default
     spends the whole budget on pilots, which the transformation step then
-    recycles.
+    recycles.  ``bootstrap_mode`` "exact" takes the closed-form bootstrap
+    moments of each pilot column; "mc" estimates them from
+    ``bootstrap_reps`` resamples per column, and only that mode reads
+    ``bootstrap_reps``.
     """
 
     K: int = 10
     pilot_fraction: float | None = 1.0
     pilot_size: int | None = None
     bootstrap_reps: int = 1000
-    bootstrap_mode: str = "mc"
+    bootstrap_mode: str = "exact"
     pilot_exponent: float = DEFAULT_PILOT_EXPONENT
     coeff_gen: PerturbationGenerator = field(default_factory=PerturbationGenerator)
     clamp_scale: float = 1e-4

@@ -107,11 +107,21 @@ class TestMonteCarlo:
 
 class TestColumnMoments:
     def test_exact_mode_matches_per_column(self):
-        pilot = stream(10).standard_normal((4, 15))
-        means, variances = column_moments(pilot, "exact", 0, None)
-        for k in range(4):
-            m = bootstrap_moments_exact(pilot[k])
-            assert means[k] == m.mean and variances[k] == m.variance
+        # The one-pass closed form performs the per-column arithmetic, so the
+        # results are bit-equal, not merely close.
+        rng = stream(10)
+        for K, n_b in [(1, 2), (4, 15), (10, 3), (5, 200), (20, 1000), (3, 4097)]:
+            scale = 10.0 ** rng.uniform(-6, 6)
+            pilot = rng.uniform(-1e3, 1e3) + scale * rng.standard_normal((K, n_b))
+            means, variances = column_moments(pilot, "exact", 0, None)
+            for k in range(K):
+                m = bootstrap_moments_exact(pilot[k])
+                assert means[k] == m.mean and variances[k] == m.variance
+
+    def test_short_columns_rejected(self):
+        for mode in ("exact", "mc"):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                column_moments(np.zeros((3, 1)), mode, 10, stream(14))
 
     def test_mc_mode_deterministic(self):
         pilot = stream(11).standard_normal((3, 10))

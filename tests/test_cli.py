@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from corfd.bench import ExperimentConfig, run_replications
 from corfd.cli import _bench_config, _estimator_config, _kwargs, build_parser, main
@@ -63,6 +64,23 @@ class TestEstimateCommand:
         ])
         assert code == 1
 
+    def test_estimation_error_is_a_cell_failure(self, tmp_path, capsys):
+        # Waiting times at a lightly loaded queue are mostly zero, so some
+        # pilot columns are constant and others are not.
+        problem = "queue@1,100,2,service,wait"
+        code = main([
+            "estimate", "--problem", problem, "--method", "cor", "--pairs", "40",
+            "--reps", "3", "--out", str(tmp_path / "x.csv"),
+            "--summary-out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
+        assert f"error: {problem}/cor/40: a pilot column" in capsys.readouterr().err
+        code = main([
+            "bench", "--set", f"problem={problem}", "--set", "methods=cor,tra",
+            "--set", "budgets=40", "--set", "reps=3", "--set", f"out={tmp_path / 's.csv'}",
+        ])
+        assert code == 2  # tra ran
+
 
 class TestDfoCommand:
     def test_trace_and_summary_line(self, tmp_path, capsys):
@@ -125,6 +143,37 @@ class TestBenchCommand:
     def test_bad_problem_is_config_error(self):
         assert main(["bench", "--set", "problem=sphere@3"]) == 1
 
+    @pytest.mark.parametrize("key,allowed", [("bootstrap_mode", "mc, exact"), ("weighting", "wls, ols")])
+    def test_bad_choice_rejected_before_any_cell(self, key, allowed, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        code = main([
+            "bench", "--set", f"{key}=foo", "--set", "reps=2", "--set", "budgets=100",
+            "--set", f"out={out}",
+        ])
+        assert code == 1 and not out.exists()
+        assert f"{key} must be one of {allowed}" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100",
+         "--bootstrap-mode", "foo"],
+        ["dfo", "--problem", "sin1", "--budget", "10", "--bogus"],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: corfd") and "error:" in err
+        assert "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dfo", "--help"])
+        assert exc.value.code == 0
+        assert "--bootstrap-mode" in capsys.readouterr().out
+
 
 class TestSettings:
     FLAGS = [
@@ -149,6 +198,13 @@ class TestSettings:
         assert cfg == ExperimentConfig(cfg.problem, cfg.methods, cfg.budgets, cfg.reps)
         ns = build_parser().parse_args(["dfo", "--problem", "sin1", "--budget", "10"])
         assert DfoConfig(budget=10, **_kwargs(DfoConfig, vars(ns))) == DfoConfig(budget=10)
+
+    def test_dfo_bootstrap_mode_flag(self):
+        ns = build_parser().parse_args([
+            "dfo", "--problem", "sin1", "--budget", "10", "--bootstrap-mode", "mc", "--I", "100",
+        ])
+        estimator = DfoConfig(budget=10, **_kwargs(DfoConfig, vars(ns))).estimator_config()
+        assert (estimator.bootstrap_mode, estimator.bootstrap_reps) == ("mc", 100)
 
     def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CORFD_THREADS", "two")

@@ -190,6 +190,10 @@ class TestGradient:
         g = gradient_via_corcfd(orc, np.ones(100), 20, cfg, stream(0).spawn(2)[0])
         assert g.shape == (100,) and np.all(np.isfinite(g))
 
+    def test_default_bootstrap_is_exact(self):
+        assert EstimatorConfig().bootstrap_mode == "exact"
+        assert DfoConfig(budget=10).estimator_config().bootstrap_mode == "exact"
+
     def test_seeded_reproducibility(self):
         orc = noisy_bench_oracle("zakharov", 10)
         cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .estimators import (
     BudgetError,
-    EstimationError,
     EstimatorConfig,
     boot_cfd,
     cor_cfd,
@@ -173,7 +172,7 @@ def run_replications(cfg: ExperimentConfig):
                         results.extend(chunk_results)
                 elif rest:
                     results.extend(_run_cell_chunk(cfg, method, budget, cell_index, rest))
-            except (BudgetError, ValueError, EstimationError) as exc:
+            except (BudgetError, ValueError) as exc:
                 failures.append((label, str(exc)))
                 continue
             results.sort(key=lambda r: r[0])

@@ -22,7 +22,7 @@ from .bench import (
     run_replications,
 )
 from .dfo import DfoConfig, corcfd_lbfgs
-from .estimators import EstimationError, EstimatorConfig
+from .estimators import EstimatorConfig
 from .oracle import parse_problem
 from .regression import projection_diagnostics, theory_constants
 from .sampling import PerturbationGenerator, stream
@@ -72,7 +72,7 @@ _ESTIMATE_KEYS = (
     "K", "r", "n_b", "I", "gamma", "bootstrap_mode", "weighting", "clamp_scale",
 ) + _GENERATOR_KEYS
 _DFO_KEYS = (
-    "K", "T0", "I", "bootstrap_mode", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
+    "K", "T0", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
     "armijo_plus_sign",
 ) + _GENERATOR_KEYS
 _CHOICES = {
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, OSError, EstimationError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

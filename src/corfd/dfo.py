@@ -43,16 +43,13 @@ class DfoConfig:
     at least two pilot pairs per perturbation.  ``noise_bound`` is the slack
     of the line-search test, an upper bound on the response's standard
     deviation.  ``gradient_method`` selects the full pipeline ("cor") or the
-    one-pair-per-coordinate baseline ("tra").  ``bootstrap_mode`` and
-    ``bootstrap_reps`` pass to the gradient estimator (see
-    :class:`EstimatorConfig`); the resample count matters only in "mc" mode.
+    one-pair-per-coordinate baseline ("tra").  The gradient estimator takes
+    the closed-form bootstrap moments of its pilot columns.
     """
 
     budget: int
     K: int = 5
     batch_init: int = 20
-    bootstrap_reps: int = 100
-    bootstrap_mode: str = "exact"
     l1: float = 1e-4
     l2: float = 0.5
     step_init: float = 1.0
@@ -86,8 +83,6 @@ class DfoConfig:
         return EstimatorConfig(
             K=self.K,
             pilot_fraction=1.0,
-            bootstrap_reps=self.bootstrap_reps,
-            bootstrap_mode=self.bootstrap_mode,
             coeff_gen=self.coeff_gen,
         )
 

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class EstimationError(RuntimeError):
+class EstimationError(ValueError):
     """The constant-estimation stage produced unusable values."""
 
 

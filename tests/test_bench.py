@@ -82,7 +82,9 @@ def small_config(**overrides):
         budgets=(100,),
         reps=8,
         seed=11,
-        estimator=EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100),
+        # Monte Carlo mode, so that the rerun and schedule tests also cover
+        # the bootstrap stream.
+        estimator=EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100, bootstrap_mode="mc"),
     )
     base.update(overrides)
     return ExperimentConfig(**base)

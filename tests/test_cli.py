@@ -20,6 +20,7 @@ class TestEstimateCommand:
         code = main([
             "estimate", "--problem", "poly@3", "--method", "cor", "--pairs", "100",
             "--reps", "5", "--seed", "3", "--K", "5", "--I", "100",
+            "--bootstrap-mode", "mc",
             "--out", str(out), "--summary-out", str(summary),
         ])
         assert code == 0
@@ -50,6 +51,7 @@ class TestEstimateCommand:
         args = [
             "estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100",
             "--reps", "4", "--seed", "1", "--K", "5", "--I", "100",
+            "--bootstrap-mode", "mc",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(args + ["--out", str(a), "--summary-out", str(tmp_path / "sa.csv")])
@@ -132,7 +134,8 @@ class TestBenchCommand:
         code = main([
             "bench", "--set", "problem=sin1", "--set", "methods=cor,boot",
             "--set", "budgets=100", "--set", "reps=3", "--set", "K=5",
-            "--set", "I=100", "--set", "r=1.0", "--set", f"out={out}",
+            "--set", "I=100", "--set", "bootstrap_mode=mc", "--set", "r=1.0",
+            "--set", f"out={out}",
         ])
         assert code == 2  # boot infeasible at r=1, cor ran
 
@@ -172,7 +175,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["dfo", "--help"])
         assert exc.value.code == 0
-        assert "--bootstrap-mode" in capsys.readouterr().out
+        assert "--budget" in capsys.readouterr().out
 
 
 class TestSettings:
@@ -198,13 +201,6 @@ class TestSettings:
         assert cfg == ExperimentConfig(cfg.problem, cfg.methods, cfg.budgets, cfg.reps)
         ns = build_parser().parse_args(["dfo", "--problem", "sin1", "--budget", "10"])
         assert DfoConfig(budget=10, **_kwargs(DfoConfig, vars(ns))) == DfoConfig(budget=10)
-
-    def test_dfo_bootstrap_mode_flag(self):
-        ns = build_parser().parse_args([
-            "dfo", "--problem", "sin1", "--budget", "10", "--bootstrap-mode", "mc", "--I", "100",
-        ])
-        estimator = DfoConfig(budget=10, **_kwargs(DfoConfig, vars(ns))).estimator_config()
-        assert (estimator.bootstrap_mode, estimator.bootstrap_reps) == ("mc", 100)
 
     def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CORFD_THREADS", "two")

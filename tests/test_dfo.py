@@ -196,10 +196,11 @@ class TestGradient:
 
     def test_seeded_reproducibility(self):
         orc = noisy_bench_oracle("zakharov", 10)
-        cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100)
-        a = gradient_via_corcfd(orc, np.ones(10), 100, cfg, stream(8))
-        b = gradient_via_corcfd(orc, np.ones(10), 100, cfg, stream(8))
-        np.testing.assert_array_equal(a, b)
+        for mode in ("mc", "exact"):
+            cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100, bootstrap_mode=mode)
+            a = gradient_via_corcfd(orc, np.ones(10), 100, cfg, stream(8))
+            b = gradient_via_corcfd(orc, np.ones(10), 100, cfg, stream(8))
+            np.testing.assert_array_equal(a, b)
 
 
 class TestOptimizer:

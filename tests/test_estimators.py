@@ -166,10 +166,11 @@ class TestBootCfd:
         )
 
     def test_seeded_reproducibility(self):
-        cfg = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=100)
-        a = boot_cfd(sin_oracle(10, 1), [0.0], 0, 500, cfg, stream(12))
-        b = boot_cfd(sin_oracle(10, 1), [0.0], 0, 500, cfg, stream(12))
-        assert a.value == b.value
+        for mode in ("mc", "exact"):
+            cfg = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=100, bootstrap_mode=mode)
+            a = boot_cfd(sin_oracle(10, 1), [0.0], 0, 500, cfg, stream(12))
+            b = boot_cfd(sin_oracle(10, 1), [0.0], 0, 500, cfg, stream(12))
+            assert a.value == b.value
 
 
 class TestCorCfd:
@@ -235,10 +236,11 @@ class TestCorCfd:
         assert est.pairs_used == 1000  # 500 pilot + 500 fresh
 
     def test_seeded_reproducibility(self):
-        cfg = EstimatorConfig(K=5, pilot_size=10, bootstrap_reps=100)
-        a = cor_cfd(poly_oracle(), [1.0], 0, 100, cfg, stream(18))
-        b = cor_cfd(poly_oracle(), [1.0], 0, 100, cfg, stream(18))
-        assert a.value == b.value and a.perturbation == b.perturbation
+        for mode in ("mc", "exact"):
+            cfg = EstimatorConfig(K=5, pilot_size=10, bootstrap_reps=100, bootstrap_mode=mode)
+            a = cor_cfd(poly_oracle(), [1.0], 0, 100, cfg, stream(18))
+            b = cor_cfd(poly_oracle(), [1.0], 0, 100, cfg, stream(18))
+            assert a.value == b.value and a.perturbation == b.perturbation
 
 
 class TestMethodComparison:

@@ -16,7 +16,6 @@ from functools import partial
 import numpy as np
 
 from .estimators import (
-    BudgetError,
     EstimatorConfig,
     boot_cfd,
     cor_cfd,
@@ -172,7 +171,7 @@ def run_replications(cfg: ExperimentConfig):
                         results.extend(chunk_results)
                 elif rest:
                     results.extend(_run_cell_chunk(cfg, method, budget, cell_index, rest))
-            except (BudgetError, ValueError) as exc:
+            except ValueError as exc:
                 failures.append((label, str(exc)))
                 continue
             results.sort(key=lambda r: r[0])

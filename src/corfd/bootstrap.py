@@ -3,10 +3,10 @@
 Given one pilot column (the difference samples at a single perturbation),
 the resampled estimator is the average of a with-replacement resample of the
 column.  Its moments have a closed form (the column mean, and the plug-in
-variance divided by the column length), which the pipeline uses by default.
-The Monte Carlo estimate over ``I`` independent resamples, as in the paper,
-is kept as an opt-in; it converges to the closed form and only adds
-resampling noise.
+variance divided by the column length), which the pipeline uses unless a
+resample count ``I`` is given.  With ``I`` set, the moments are the Monte
+Carlo estimate over ``I`` independent resamples, as in the paper; it
+converges to the closed form as ``I`` grows and only adds resampling noise.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ __all__ = ["BootstrapMoments", "bootstrap_moments_exact", "bootstrap_moments_mc"
 @dataclass(frozen=True)
 class BootstrapMoments:
     """Mean and variance of the resampled average; ``replicates`` is the
-    Monte Carlo resample count (0 in exact mode)."""
+    Monte Carlo resample count (0 for the closed form)."""
 
     mean: float
     variance: float
@@ -75,33 +75,31 @@ def _resampled_means(col: np.ndarray, I: int, rng: np.random.Generator) -> np.nd
 
 def column_moments(
     pilot: np.ndarray,
-    mode: str,
-    I: int,
+    I: int | None,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column moments of a pilot matrix (columns indexed by perturbation,
     one row per sample: shape ``(K, n_b)``).
 
-    Returns (means, variances), each of length ``K``.  Exact mode computes
-    the closed form of :func:`bootstrap_moments_exact` for all columns at
-    once.  Monte Carlo mode consumes the stream column by column in index
-    order, so the result does not depend on any parallel schedule.
+    Returns (means, variances), each of length ``K``.  With ``I`` unset the
+    closed form of :func:`bootstrap_moments_exact` is computed for all
+    columns at once.  A count ``I`` takes that many Monte Carlo resamples per
+    column, consuming ``rng`` column by column in index order, so the result
+    does not depend on any parallel schedule.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.ndim != 2:
         raise ValueError(f"pilot matrix must be 2-D, got shape {pilot.shape}")
     K, n = pilot.shape
-    if mode == "exact":
+    if I is None:
         if n < 2:
             raise ValueError(f"need at least 2 samples per column, got {n}")
         return pilot.mean(axis=1), (n - 1) / n**2 * pilot.var(axis=1, ddof=1)
-    if mode == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo mode requires an RNG stream")
-        means = np.empty(K)
-        variances = np.empty(K)
-        for k in range(K):
-            m = bootstrap_moments_mc(pilot[k], I, rng)
-            means[k], variances[k] = m.mean, m.variance
-        return means, variances
-    raise ValueError(f"unknown bootstrap mode {mode!r}")
+    if rng is None:
+        raise ValueError("Monte Carlo resampling requires an RNG stream")
+    means = np.empty(K)
+    variances = np.empty(K)
+    for k in range(K):
+        m = bootstrap_moments_mc(pilot[k], I, rng)
+        means[k], variances[k] = m.mean, m.variance
+    return means, variances

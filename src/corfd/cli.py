@@ -16,13 +16,14 @@ import numpy as np
 
 from .bench import (
     DETAIL_HEADER,
+    METHODS,
     SUMMARY_HEADER,
     ExperimentConfig,
     emit_csv,
     run_replications,
 )
-from .dfo import DfoConfig, corcfd_lbfgs
-from .estimators import EstimatorConfig
+from .dfo import GRADIENT_METHODS, DfoConfig, corcfd_lbfgs
+from .estimators import WEIGHTINGS, EstimatorConfig
 from .oracle import parse_problem
 from .regression import projection_diagnostics, theory_constants
 from .sampling import PerturbationGenerator, stream
@@ -41,7 +42,6 @@ _KEYS = {
     "n_b": ("pilot_size", int),
     "I": ("bootstrap_reps", int),
     "gamma": ("pilot_exponent", float),
-    "bootstrap_mode": ("bootstrap_mode", str),
     "weighting": ("weighting", str),
     "clamp_scale": ("clamp_scale", float),
     # PerturbationGenerator
@@ -69,23 +69,18 @@ _KEYS = {
 _GENERATOR_KEYS = ("mu0", "sigma0", "L", "U")
 _ESTIMATE_KEYS = (
     "seed", "kappa", "truth", "tra_B", "tra_sigma2", "tra_h",
-    "K", "r", "n_b", "I", "gamma", "bootstrap_mode", "weighting", "clamp_scale",
+    "K", "r", "n_b", "I", "gamma", "weighting", "clamp_scale",
 ) + _GENERATOR_KEYS
 _DFO_KEYS = (
     "K", "T0", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
     "armijo_plus_sign",
 ) + _GENERATOR_KEYS
-_CHOICES = {
-    "bootstrap_mode": ("mc", "exact"),
-    "weighting": ("wls", "ols"),
-    "gradient_method": ("cor", "tra"),
-}
+_CHOICES = {"weighting": WEIGHTINGS, "gradient_method": GRADIENT_METHODS}
 _HELP = {
     "K": "number of pilot perturbations",
     "r": "budget fraction spent on pilots",
     "n_b": "pairs per pilot perturbation (overrides --r)",
-    "I": "bootstrap resamples per column (mc bootstrap mode only)",
-    "bootstrap_mode": "closed-form (exact) or Monte Carlo (mc) bootstrap moments",
+    "I": "Monte Carlo bootstrap resamples per column (unset: closed-form moments)",
     "gamma": "pilot perturbation exponent",
     "truth": "override the reference derivative",
     "armijo_plus_sign": "use the plus-sign slope term in the line-search test",
@@ -201,9 +196,6 @@ def _bench_config(values: dict[str, str]) -> tuple[ExperimentConfig, str, str]:
     merged = {**_BENCH_DEFAULTS, **values}
     # An empty value leaves the key unset.
     settings = {key: _KEYS[key][1](merged[key]) for key in _ESTIMATE_KEYS if merged.get(key)}
-    for key, allowed in _CHOICES.items():
-        if key in settings and settings[key] not in allowed:
-            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {settings[key]!r}")
     cfg = ExperimentConfig(
         problem=merged["problem"],
         methods=tuple(m.strip() for m in merged["methods"].split(",") if m.strip()),
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="replicated gradient estimates on one problem")
     p_est.add_argument("--problem", required=True)
-    p_est.add_argument("--method", choices=["tra", "opt", "boot", "cor"], required=True)
+    p_est.add_argument("--method", choices=METHODS, required=True)
     p_est.add_argument("--pairs", type=int, required=True, help="sample-pair budget n")
     p_est.add_argument("--reps", type=int, default=1)
     p_est.add_argument("--h", dest="tra_h", metavar="H", type=float, help="explicit perturbation (tra)")

@@ -29,6 +29,16 @@ __all__ = [
 
 _MAX_BACKTRACKS = 50
 
+# The optimizer stops once the gradient estimate's norm falls below this.
+_GRAD_TOL = 1e-8
+
+# Assumed bias constant and noise variance that fix the step of the "tra"
+# gradient baseline, standing in for "no model information".
+_TRA_BIAS_CONST = 1.0
+_TRA_NOISE_VAR = 1.0
+
+GRADIENT_METHODS = ("cor", "tra")
+
 # Relative curvature threshold below which an (s, y) pair is discarded.
 _CURVATURE_RTOL = 1e-10
 
@@ -44,7 +54,8 @@ class DfoConfig:
     of the line-search test, an upper bound on the response's standard
     deviation.  ``gradient_method`` selects the full pipeline ("cor") or the
     one-pair-per-coordinate baseline ("tra").  The gradient estimator takes
-    the closed-form bootstrap moments of its pilot columns.
+    the closed-form bootstrap moments of its pilot columns and spends its
+    whole batch on pilots.
     """
 
     budget: int
@@ -57,10 +68,7 @@ class DfoConfig:
     memory_depth: int = 10
     coeff_gen: PerturbationGenerator = field(default_factory=PerturbationGenerator)
     gradient_method: str = "cor"
-    tra_bias_const: float = 1.0
-    tra_noise_var: float = 1.0
     armijo_plus_sign: bool = False
-    grad_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -73,6 +81,11 @@ class DfoConfig:
             raise ValueError(f"noise bound must be nonnegative, got {self.noise_bound}")
         if self.memory_depth < 1:
             raise ValueError(f"memory depth must be >= 1, got {self.memory_depth}")
+        if self.gradient_method not in GRADIENT_METHODS:
+            raise ValueError(
+                f"gradient_method must be one of {', '.join(GRADIENT_METHODS)}, "
+                f"got {self.gradient_method!r}"
+            )
         if self.gradient_method == "cor" and self.batch_init < 2 * self.K:
             raise ValueError(
                 f"initial batch {self.batch_init} cannot cover 2 pilot pairs per "
@@ -80,11 +93,7 @@ class DfoConfig:
             )
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            K=self.K,
-            pilot_fraction=1.0,
-            coeff_gen=self.coeff_gen,
-        )
+        return EstimatorConfig(K=self.K, coeff_gen=self.coeff_gen)
 
 
 class LbfgsMemory:
@@ -225,13 +234,10 @@ def gradient_via_corcfd(
 
 
 def _gradient_tra(
-    oracle: SimulationOracle,
-    theta: np.ndarray,
-    cfg: DfoConfig,
-    rng: np.random.Generator,
+    oracle: SimulationOracle, theta: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     # One sample pair per coordinate at the fixed assumed-constants step.
-    h = optimal_perturbation(cfg.tra_noise_var, cfg.tra_bias_const, 1)
+    h = optimal_perturbation(_TRA_NOISE_VAR, _TRA_BIAS_CONST, 1)
     coords = rng.spawn(theta.size)
     return np.array(
         [tra_cfd(oracle, theta, i, 1, h, coords[i]).value for i in range(theta.size)]
@@ -244,10 +250,7 @@ class DfoTrace:
 
     iterations: list[dict] = field(default_factory=list)
     theta_final: np.ndarray | None = None
-    theta_best: np.ndarray | None = None
     evals_total: int = 0
-    early_stop: bool = False
-    line_search_failures: int = 0
 
     def record(self, **row) -> None:
         self.iterations.append(row)
@@ -269,10 +272,8 @@ def corcfd_lbfgs(
     """
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.size
-    est_cfg = cfg.estimator_config()
     use_cor = cfg.gradient_method == "cor"
-    if not use_cor and cfg.gradient_method != "tra":
-        raise ValueError(f"unknown gradient method {cfg.gradient_method!r}")
+    est_cfg = cfg.estimator_config() if use_cor else None
 
     trace = DfoTrace()
     memory = LbfgsMemory(cfg.memory_depth)
@@ -281,7 +282,7 @@ def corcfd_lbfgs(
     def new_gradient(point, pairs, stream):
         if use_cor:
             return gradient_via_corcfd(oracle, point, pairs, est_cfg, stream)
-        return _gradient_tra(oracle, point, cfg, stream)
+        return _gradient_tra(oracle, point, stream)
 
     init_rng, loop_rng = rng.spawn(2)
     g = new_gradient(theta, batch, init_rng)
@@ -291,7 +292,6 @@ def corcfd_lbfgs(
         theta=theta.copy(), grad=g.copy(), grad_norm=float(np.linalg.norm(g)),
     )
 
-    best_theta, best_y = theta.copy(), np.inf
     k = 0
     while t < 2 * cfg.budget:
         ls_rng, grad_rng = loop_rng.spawn(2)
@@ -306,15 +306,11 @@ def corcfd_lbfgs(
             cfg.noise_bound, ls_rng, cfg.armijo_plus_sign,
         )
         t += ls.evals
-        if ls.gave_up:
-            trace.line_search_failures += 1
         theta_next = theta - ls.step * hg
         next_batch = batch_schedule(batch, k, cfg.K) if use_cor else 1
         g_next = new_gradient(theta_next, next_batch, grad_rng)
         t += 2 * d * next_batch
         memory.push(theta_next - theta, g_next - g)
-        if ls.y_accepted < best_y:
-            best_y, best_theta = ls.y_accepted, theta_next.copy()
         trace.record(
             k=k,
             t=t,
@@ -332,10 +328,8 @@ def corcfd_lbfgs(
         )
         theta, g, batch = theta_next, g_next, next_batch
         k += 1
-        if float(np.linalg.norm(g)) < cfg.grad_tol:
-            trace.early_stop = True
+        if float(np.linalg.norm(g)) < _GRAD_TOL:
             break
     trace.theta_final = theta
-    trace.theta_best = best_theta
     trace.evals_total = t
     return trace

@@ -53,37 +53,54 @@ class BudgetError(ValueError):
     """The sample-pair budget cannot accommodate the requested split."""
 
 
+WEIGHTINGS = ("wls", "ols")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the pilot/constant-estimation stage.
 
-    ``pilot_size`` (per-perturbation pair count) wins over ``pilot_fraction``
-    (share of the budget spent on pilots) when both are set.  The default
+    The paper's symbols, which are also the CLI keys, are ``K`` pilot
+    perturbations, ``r`` (``pilot_fraction``, the share of the budget spent
+    on pilots), ``n_b`` (``pilot_size``, pairs per pilot perturbation, which
+    wins over ``r`` when set) and ``I`` (``bootstrap_reps``).  The default
     spends the whole budget on pilots, which the transformation step then
-    recycles.  ``bootstrap_mode`` "exact" takes the closed-form bootstrap
-    moments of each pilot column; "mc" estimates them from
-    ``bootstrap_reps`` resamples per column, and only that mode reads
-    ``bootstrap_reps``.
+    recycles.  With ``bootstrap_reps`` unset the bootstrap moments of each
+    pilot column take their closed form; a count ``I`` estimates them from
+    ``I`` Monte Carlo resamples per column instead, as in the paper.
     """
 
     K: int = 10
-    pilot_fraction: float | None = 1.0
+    pilot_fraction: float = 1.0
     pilot_size: int | None = None
-    bootstrap_reps: int = 1000
-    bootstrap_mode: str = "exact"
+    bootstrap_reps: int | None = None
     pilot_exponent: float = DEFAULT_PILOT_EXPONENT
     coeff_gen: PerturbationGenerator = field(default_factory=PerturbationGenerator)
     clamp_scale: float = 1e-4
     weighting: str = "wls"
 
+    def __post_init__(self) -> None:
+        if self.K < 2:
+            raise ValueError(f"K must be >= 2, got {self.K}")
+        if not 0 < self.pilot_fraction <= 1:
+            raise ValueError(f"pilot_fraction (r) must be in (0, 1], got {self.pilot_fraction}")
+        if self.pilot_size is not None and self.pilot_size < 2:
+            raise ValueError(f"pilot_size (n_b) must be >= 2, got {self.pilot_size}")
+        if self.bootstrap_reps is not None and self.bootstrap_reps < 2:
+            raise ValueError(f"bootstrap_reps (I) must be >= 2, got {self.bootstrap_reps}")
+        if not self.clamp_scale > 0:
+            raise ValueError(f"clamp_scale must be positive, got {self.clamp_scale}")
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(
+                f"weighting must be one of {', '.join(WEIGHTINGS)}, got {self.weighting!r}"
+            )
+
     def resolve_pilot_size(self, n: int) -> int:
         """Pairs per pilot perturbation for a total budget of ``n`` pairs."""
         if self.pilot_size is not None:
             n_b = int(self.pilot_size)
-        elif self.pilot_fraction is not None:
-            n_b = int(np.floor(self.pilot_fraction * n / self.K))
         else:
-            raise ValueError("config must set pilot_size or pilot_fraction")
+            n_b = int(np.floor(self.pilot_fraction * n / self.K))
         if n_b < 2:
             raise BudgetError(
                 f"budget {n} leaves fewer than 2 pilot pairs per perturbation (K={self.K})"
@@ -184,9 +201,7 @@ def _fit_constants(
 ) -> ConstantEstimates:
     pert = pilot.perturbations
     n_b = pert.pilot_size
-    means, variances = column_moments(
-        pilot.samples, cfg.bootstrap_mode, cfg.bootstrap_reps, boot_rng
-    )
+    means, variances = column_moments(pilot.samples, cfg.bootstrap_reps, boot_rng)
     # Only a column of identical samples counts as deterministic.  A
     # tolerance on the resampling variance would scale with the derivative
     # and flag honest noise on steep responses.
@@ -197,14 +212,12 @@ def _fit_constants(
             "a pilot column has zero resampling variance while others do not; "
             "the noisy-response model does not hold for this oracle"
         )
-    if cfg.weighting == "wls":
-        # Noise-free pilots carry no weighting information: fall back to
-        # equal weights.
-        sds = np.ones_like(variances) if noise_free else np.sqrt(variances)
-    elif cfg.weighting == "ols":
-        sds = np.ones_like(variances)
+    # Noise-free pilots carry no weighting information: fall back to equal
+    # weights, as "ols" always does.
+    if cfg.weighting == "wls" and not noise_free:
+        sds = np.sqrt(variances)
     else:
-        raise ValueError(f"unknown weighting {cfg.weighting!r}")
+        sds = np.ones_like(variances)
     bias_fit = fit_bias_wls(pert.perturbations, means, sds)
     noise_var = 0.0 if noise_free else fit_var_wls(pert.perturbations, variances, n_b).noise_var
     clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))

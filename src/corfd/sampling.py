@@ -33,7 +33,8 @@ _MAX_REDRAWS = 1000
 
 
 class DegenerateRegionError(ValueError):
-    """Truncation interval carries (numerically) no probability mass."""
+    """Truncation interval carries (numerically) no probability mass, or too
+    little spread to draw distinct perturbation coefficients."""
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -168,7 +169,7 @@ def draw_perturbation_set(
         if _has_square_tie(c, accepted):
             rejections += 1
             if rejections >= _MAX_REDRAWS:
-                raise RuntimeError(
+                raise DegenerateRegionError(
                     "perturbation generator is nearly degenerate: "
                     f"{rejections} consecutive coefficient ties"
                 )

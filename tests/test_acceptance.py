@@ -170,7 +170,7 @@ def test_criterion_3_comparison_grid():
 
 def test_criterion_4_sine_constant_estimation():
     orc = sin_oracle(10.0, 1)
-    cfg = EstimatorConfig(K=10, pilot_size=20, bootstrap_reps=1000)
+    cfg = EstimatorConfig(K=10, pilot_size=20)
     bias_consts, noise_vars, perturbations = [], [], []
     for rep in stream(41).spawn(1000):
         constants, _ = estimate_constants(orc, [0.0], 0, 200, cfg, rep)
@@ -205,7 +205,7 @@ def test_criterion_5_queue():
         diffs.append(abs(est - target))
 
     problem = parse_problem("queue@4,4,10,service")
-    cfg = EstimatorConfig(K=20, pilot_fraction=1.0, bootstrap_reps=1000)
+    cfg = EstimatorConfig(K=20, pilot_fraction=1.0)
     values = np.array(
         [cor_cfd(problem.oracle, problem.theta0, 0, 1000, cfg, rep).value
          for rep in stream(52).spawn(300)]
@@ -240,7 +240,7 @@ def test_criterion_6_constant_estimator_rates():
                 difference_samples(orc, [0.0], 0, float(hk), rep.spawn(1)[0], n_b)
                 for hk in pert.perturbations
             ])
-            means, variances = column_moments(pilot, "exact", 0, None)
+            means, variances = column_moments(pilot, None, None)
             slopes[i] = fit_bias_wls(pert.perturbations, means, np.ones(c_fixed.size)).slope
             noise_fits[i] = fit_var_unweighted(pert.perturbations, variances, n_b).noise_var
         bias_b = slopes.mean() - (-2.5)
@@ -375,7 +375,7 @@ def test_criterion_10_budget_split_robustness():
     mses = {}
     for method, fn, r in (("cor", cor_cfd, 0.2), ("cor", cor_cfd, 1.0),
                           ("boot", boot_cfd, 0.2), ("boot", boot_cfd, 0.8)):
-        cfg = EstimatorConfig(K=10, pilot_fraction=r, bootstrap_reps=1000)
+        cfg = EstimatorConfig(K=10, pilot_fraction=r)
         values = np.array(
             [fn(orc, [0.0], 0, n, cfg, rep).value for rep in stream(101).spawn(reps)]
         )

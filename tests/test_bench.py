@@ -82,9 +82,9 @@ def small_config(**overrides):
         budgets=(100,),
         reps=8,
         seed=11,
-        # Monte Carlo mode, so that the rerun and schedule tests also cover
+        # A Monte Carlo bootstrap, so that the rerun and schedule tests also cover
         # the bootstrap stream.
-        estimator=EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100, bootstrap_mode="mc"),
+        estimator=EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100),
     )
     base.update(overrides)
     return ExperimentConfig(**base)

@@ -113,28 +113,28 @@ class TestColumnMoments:
         for K, n_b in [(1, 2), (4, 15), (10, 3), (5, 200), (20, 1000), (3, 4097)]:
             scale = 10.0 ** rng.uniform(-6, 6)
             pilot = rng.uniform(-1e3, 1e3) + scale * rng.standard_normal((K, n_b))
-            means, variances = column_moments(pilot, "exact", 0, None)
+            means, variances = column_moments(pilot, None, None)
             for k in range(K):
                 m = bootstrap_moments_exact(pilot[k])
                 assert means[k] == m.mean and variances[k] == m.variance
 
     def test_short_columns_rejected(self):
-        for mode in ("exact", "mc"):
+        for reps in (None, 10):
             with pytest.raises(ValueError, match="at least 2 samples"):
-                column_moments(np.zeros((3, 1)), mode, 10, stream(14))
+                column_moments(np.zeros((3, 1)), reps, stream(14))
 
     def test_mc_mode_deterministic(self):
         pilot = stream(11).standard_normal((3, 10))
-        a = column_moments(pilot, "mc", 200, stream(12))
-        b = column_moments(pilot, "mc", 200, stream(12))
+        a = column_moments(pilot, 200, stream(12))
+        b = column_moments(pilot, 200, stream(12))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_bad_mode_rejected(self):
         pilot = np.zeros((2, 5))
+        with pytest.raises(ValueError, match="I >= 2"):
+            column_moments(pilot, 1, stream(13))
         with pytest.raises(ValueError):
-            column_moments(pilot, "jackknife", 10, stream(13))
+            column_moments(pilot, 10, None)
         with pytest.raises(ValueError):
-            column_moments(pilot, "mc", 10, None)
-        with pytest.raises(ValueError):
-            column_moments(np.zeros(5), "exact", 0, None)
+            column_moments(np.zeros(5), None, None)

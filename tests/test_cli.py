@@ -1,8 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from corfd.bench import ExperimentConfig, run_replications
-from corfd.cli import _bench_config, _estimator_config, _kwargs, build_parser, main
+from corfd.cli import (
+    _BENCH_DEFAULTS,
+    _ESTIMATE_KEYS,
+    _bench_config,
+    _estimator_config,
+    _kwargs,
+    build_parser,
+    main,
+)
 from corfd.dfo import DfoConfig
 from corfd.estimators import EstimatorConfig
 from corfd.regression import projection_diagnostics
@@ -20,7 +31,6 @@ class TestEstimateCommand:
         code = main([
             "estimate", "--problem", "poly@3", "--method", "cor", "--pairs", "100",
             "--reps", "5", "--seed", "3", "--K", "5", "--I", "100",
-            "--bootstrap-mode", "mc",
             "--out", str(out), "--summary-out", str(summary),
         ])
         assert code == 0
@@ -51,7 +61,6 @@ class TestEstimateCommand:
         args = [
             "estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100",
             "--reps", "4", "--seed", "1", "--K", "5", "--I", "100",
-            "--bootstrap-mode", "mc",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(args + ["--out", str(a), "--summary-out", str(tmp_path / "sa.csv")])
@@ -82,6 +91,18 @@ class TestEstimateCommand:
             "--set", "budgets=40", "--set", "reps=3", "--set", f"out={tmp_path / 's.csv'}",
         ])
         assert code == 2  # tra ran
+
+    def test_degenerate_generator_is_config_error(self, tmp_path, capsys):
+        # Coefficients confined to a sliver of [4, 6] tie on every redraw.
+        code = main([
+            "estimate", "--problem", "sin1", "--method", "cor", "--pairs", "1000",
+            "--mu0", "5", "--sigma0", "1e-13", "--L", "4", "--U", "6",
+            "--out", str(tmp_path / "x.csv"), "--summary-out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: sin1/cor/1000: perturbation generator is nearly degenerate" in err
+        assert "Traceback" not in err
 
 
 class TestDfoCommand:
@@ -117,7 +138,6 @@ class TestBenchCommand:
             "budgets = 100\n"
             "reps = 4\n"
             "K = 5\n"
-            "I = 100\n"
         )
         out = tmp_path / "summary.csv"
         code = main([
@@ -134,7 +154,7 @@ class TestBenchCommand:
         code = main([
             "bench", "--set", "problem=sin1", "--set", "methods=cor,boot",
             "--set", "budgets=100", "--set", "reps=3", "--set", "K=5",
-            "--set", "I=100", "--set", "bootstrap_mode=mc", "--set", "r=1.0",
+            "--set", "I=100", "--set", "r=1.0",
             "--set", f"out={out}",
         ])
         assert code == 2  # boot infeasible at r=1, cor ran
@@ -146,7 +166,7 @@ class TestBenchCommand:
     def test_bad_problem_is_config_error(self):
         assert main(["bench", "--set", "problem=sphere@3"]) == 1
 
-    @pytest.mark.parametrize("key,allowed", [("bootstrap_mode", "mc, exact"), ("weighting", "wls, ols")])
+    @pytest.mark.parametrize("key,allowed", [("weighting", "wls, ols")])
     def test_bad_choice_rejected_before_any_cell(self, key, allowed, tmp_path, capsys):
         out = tmp_path / "summary.csv"
         code = main([
@@ -156,11 +176,32 @@ class TestBenchCommand:
         assert code == 1 and not out.exists()
         assert f"{key} must be one of {allowed}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("K", "1", "K must be >= 2, got 1"),
+        ("r", "0", "pilot_fraction (r) must be in (0, 1], got 0.0"),
+        ("n_b", "1", "pilot_size (n_b) must be >= 2, got 1"),
+        ("I", "1", "bootstrap_reps (I) must be >= 2, got 1"),
+        ("clamp_scale", "-1", "clamp_scale must be positive, got -1.0"),
+    ], ids=["K", "r", "n_b", "I", "clamp_scale"])
+    def test_bad_setting_rejected_before_any_cell(self, key, value, message, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        code = main([
+            "bench", "--set", f"{key}={value}", "--set", "reps=2", "--set", "budgets=100",
+            "--set", f"out={out}",
+        ])
+        assert code == 1 and not out.exists()
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = readme.split("Keys:", 1)[1].split(".", 1)[0]
+        assert set(re.findall(r"`(\w+)`", listed)) == set(_BENCH_DEFAULTS) | set(_ESTIMATE_KEYS)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100",
-         "--bootstrap-mode", "foo"],
+         "--weighting", "foo"],
         ["dfo", "--problem", "sin1", "--budget", "10", "--bogus"],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
@@ -181,7 +222,7 @@ class TestUsageErrors:
 class TestSettings:
     FLAGS = [
         "--K", "6", "--r", "0.5", "--n-b", "40", "--I", "200", "--gamma", "-0.2",
-        "--bootstrap-mode", "exact", "--weighting", "ols", "--clamp-scale", "1e-3",
+        "--weighting", "ols", "--clamp-scale", "1e-3",
         "--mu0", "0.5", "--sigma0", "2", "--L", "0.2", "--U", "5",
     ]
     ESTIMATE = ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100"]
@@ -191,7 +232,7 @@ class TestSettings:
         keys = {f[2:].replace("-", "_"): v for f, v in zip(self.FLAGS[::2], self.FLAGS[1::2])}
         estimator = _bench_config(keys)[0].estimator
         assert _estimator_config(vars(ns)) == estimator
-        assert estimator.coeff_gen.upper == 5.0 and estimator.bootstrap_mode == "exact"
+        assert estimator.coeff_gen.upper == 5.0 and estimator.bootstrap_reps == 200
 
     def test_no_settings_give_dataclass_defaults(self):
         ns = build_parser().parse_args(self.ESTIMATE)

@@ -157,14 +157,14 @@ class TestStochasticArmijo:
 class TestGradient:
     def test_single_coordinate_reduces_to_one_estimator_call(self):
         orc = noisy_bench_oracle("zakharov", 1)
-        cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100)
+        cfg = EstimatorConfig(K=5, pilot_fraction=1.0)
         g = gradient_via_corcfd(orc, np.ones(1), 50, cfg, stream(6))
         direct = cor_cfd(orc, np.ones(1), 0, 50, cfg, stream(6).spawn(1)[0]).value
         assert g.shape == (1,) and g[0] == direct
 
     def test_noise_free_quadratic_gradient(self):
         bowl = deterministic_oracle(lambda t: float(np.sum(np.asarray(t) ** 2)), dim=4)
-        cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_mode="exact")
+        cfg = EstimatorConfig(K=5, pilot_fraction=1.0)
         theta = np.ones(4)
         g = gradient_via_corcfd(bowl, theta, 20, cfg, stream(7))
         # No cubic term: the only error is the clamped slope floor times the
@@ -191,13 +191,13 @@ class TestGradient:
         assert g.shape == (100,) and np.all(np.isfinite(g))
 
     def test_default_bootstrap_is_exact(self):
-        assert EstimatorConfig().bootstrap_mode == "exact"
-        assert DfoConfig(budget=10).estimator_config().bootstrap_mode == "exact"
+        assert EstimatorConfig().bootstrap_reps is None
+        assert DfoConfig(budget=10).estimator_config().bootstrap_reps is None
 
     def test_seeded_reproducibility(self):
         orc = noisy_bench_oracle("zakharov", 10)
-        for mode in ("mc", "exact"):
-            cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=100, bootstrap_mode=mode)
+        for reps in (100, None):
+            cfg = EstimatorConfig(K=5, pilot_fraction=1.0, bootstrap_reps=reps)
             a = gradient_via_corcfd(orc, np.ones(10), 100, cfg, stream(8))
             b = gradient_via_corcfd(orc, np.ones(10), 100, cfg, stream(8))
             np.testing.assert_array_equal(a, b)
@@ -280,8 +280,5 @@ class TestOptimizer:
             DfoConfig(budget=10, l1=0.5, l2=0.1)
         with pytest.raises(ValueError):
             DfoConfig(budget=10, batch_init=5, K=5)  # below 2 pilot pairs per column
-        with pytest.raises(ValueError):
-            corcfd_lbfgs(
-                noisy_bench_oracle("zakharov", 1), np.ones(1),
-                DfoConfig(budget=10, gradient_method="spsa"), stream(16),
-            )
+        with pytest.raises(ValueError, match="gradient_method must be one of cor, tra"):
+            DfoConfig(budget=10, gradient_method="spsa")

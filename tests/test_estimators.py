@@ -105,7 +105,7 @@ class TestTransform:
 
 class TestEstimateConstants:
     def test_recovers_poly_constants_roughly(self):
-        cfg = EstimatorConfig(pilot_size=200, K=10, bootstrap_reps=500)
+        cfg = EstimatorConfig(pilot_size=200, K=10)
         constants, pilot = estimate_constants(poly_oracle(), [0.0], 0, 2000, cfg, stream(6))
         assert pilot.samples.shape == (10, 200)
         assert constants.deriv == pytest.approx(-6.0, abs=0.5)
@@ -122,7 +122,7 @@ class TestEstimateConstants:
         exact, pilot_exact = estimate_constants(
             poly_oracle(), [0.0], 0, 500, EstimatorConfig(pilot_size=100, K=5), stream(7)
         )
-        cfg_mc = EstimatorConfig(pilot_size=100, K=5, bootstrap_mode="mc")
+        cfg_mc = EstimatorConfig(pilot_size=100, K=5, bootstrap_reps=1000)
         mc, pilot_mc = estimate_constants(poly_oracle(), [0.0], 0, 500, cfg_mc, stream(7))
         np.testing.assert_array_equal(pilot_exact.samples, pilot_mc.samples)
         assert exact.noise_var > 0
@@ -130,7 +130,7 @@ class TestEstimateConstants:
         assert mc.deriv == pytest.approx(exact.deriv, abs=0.05)
 
     def test_budget_override_changes_perturbation_only(self):
-        cfg = EstimatorConfig(pilot_size=50, K=5, bootstrap_reps=200)
+        cfg = EstimatorConfig(pilot_size=50, K=5)
         a, _ = estimate_constants(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(8))
         b, _ = estimate_constants(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(8), budget=300)
         assert (a.deriv, a.bias_const, a.noise_var) == (b.deriv, b.bias_const, b.noise_var)
@@ -140,7 +140,7 @@ class TestEstimateConstants:
         assert b.budget == 300
 
     def test_noise_free_pilots_fall_back_gracefully(self):
-        cfg = EstimatorConfig(pilot_size=5, K=4, bootstrap_mode="exact")
+        cfg = EstimatorConfig(pilot_size=5, K=4)
         constants, pilot = estimate_constants(cubic_oracle(), [0.0], 0, 20, cfg, stream(9))
         assert constants.noise_var == 0.0
         assert constants.perturbation == float(np.max(pilot.perturbations.perturbations))
@@ -156,7 +156,7 @@ class TestBootCfd:
             boot_cfd(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(10))
 
     def test_fresh_budget_and_perturbation(self):
-        cfg = EstimatorConfig(K=10, pilot_size=10, bootstrap_reps=200)
+        cfg = EstimatorConfig(K=10, pilot_size=10)
         est = boot_cfd(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(11))
         assert est.pairs_used == 1000
         assert est.constants.budget == 900  # 1000 - 10*10 fresh pairs
@@ -166,8 +166,8 @@ class TestBootCfd:
         )
 
     def test_seeded_reproducibility(self):
-        for mode in ("mc", "exact"):
-            cfg = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=100, bootstrap_mode=mode)
+        for reps in (100, None):
+            cfg = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=reps)
             a = boot_cfd(sin_oracle(10, 1), [0.0], 0, 500, cfg, stream(12))
             b = boot_cfd(sin_oracle(10, 1), [0.0], 0, 500, cfg, stream(12))
             assert a.value == b.value
@@ -178,8 +178,8 @@ class TestCorCfd:
         # Noise-free on-model pilots fit the constants exactly and all map
         # to the fitted value at the target perturbation, so the estimate is
         # that value up to rounding.
-        for mode in ("mc", "exact"):
-            cfg = EstimatorConfig(K=3, pilot_size=10, bootstrap_mode=mode, bootstrap_reps=100)
+        for reps in (100, None):
+            cfg = EstimatorConfig(K=3, pilot_size=10, bootstrap_reps=reps)
             for seed in range(5):
                 est = cor_cfd(cubic_oracle(), [0.0], 0, 60, cfg, stream(13, seed))
                 assert est.value == pytest.approx(2.0 + est.perturbation**2, abs=1e-12)
@@ -189,7 +189,7 @@ class TestCorCfd:
     def test_full_budget_pilot_mode_uses_no_fresh_draws(self):
         # With r=1 the estimate must be reproducible from the pilot stage
         # alone: a fresh-draw stream that is never touched.
-        cfg = EstimatorConfig(K=10, pilot_fraction=1.0, bootstrap_reps=300)
+        cfg = EstimatorConfig(K=10, pilot_fraction=1.0)
         n = 200
         est = cor_cfd(sin_oracle(10, 1), [0.0], 0, n, cfg, stream(14))
         assert est.pairs_used == n
@@ -208,7 +208,7 @@ class TestCorCfd:
     def test_partial_pilot_average_identity(self):
         # The estimate equals (sum of transformed + sum of fresh) / n with
         # n2 = n - K*n_b fresh pairs; verified by replaying the streams.
-        cfg = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=200)
+        cfg = EstimatorConfig(K=5, pilot_size=20)
         n = 260
         est = cor_cfd(sin_oracle(10, 1), [0.0], 0, n, cfg, stream(15))
         est_rng, fresh_rng = stream(15).spawn(2)
@@ -231,13 +231,13 @@ class TestCorCfd:
             cor_cfd(sin_oracle(10, 1), [0.0], 0, 19, cfg, stream(16))
 
     def test_ratio_config_resolves_pilot_size(self):
-        cfg = EstimatorConfig(K=10, pilot_fraction=0.5, bootstrap_reps=100)
+        cfg = EstimatorConfig(K=10, pilot_fraction=0.5)
         est = cor_cfd(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(17))
         assert est.pairs_used == 1000  # 500 pilot + 500 fresh
 
     def test_seeded_reproducibility(self):
-        for mode in ("mc", "exact"):
-            cfg = EstimatorConfig(K=5, pilot_size=10, bootstrap_reps=100, bootstrap_mode=mode)
+        for reps in (100, None):
+            cfg = EstimatorConfig(K=5, pilot_size=10, bootstrap_reps=reps)
             a = cor_cfd(poly_oracle(), [1.0], 0, 100, cfg, stream(18))
             b = cor_cfd(poly_oracle(), [1.0], 0, 100, cfg, stream(18))
             assert a.value == b.value and a.perturbation == b.perturbation
@@ -251,7 +251,7 @@ class TestMethodComparison:
         truth = orc.truth([3.0])
         n, reps = 1000, 300
         cor_vals = np.array(
-            [cor_cfd(orc, [3.0], 0, n, EstimatorConfig(bootstrap_reps=300), r).value
+            [cor_cfd(orc, [3.0], 0, n, EstimatorConfig(), r).value
              for r in stream(19).spawn(reps)]
         )
         opt_vals = np.array(
@@ -272,7 +272,7 @@ class TestQueueComparison:
         truth = -0.2501
         n, reps = 60, 300
         h_assumed = optimal_perturbation(1.0, 5.0, n)
-        cfg = EstimatorConfig(K=20, pilot_fraction=1.0, bootstrap_reps=500)
+        cfg = EstimatorConfig(K=20, pilot_fraction=1.0)
         tra_vals = np.array(
             [tra_cfd(problem.oracle, problem.theta0, 0, n, h_assumed, r).value
              for r in stream(25).spawn(reps)]
@@ -301,7 +301,7 @@ class TestErrorPaths:
                     return rng.normal(t, 1.0, size)
                 return np.full(size, t)
 
-        pert_gen_cfg = EstimatorConfig(K=3, pilot_size=10, bootstrap_mode="exact")
+        pert_gen_cfg = EstimatorConfig(K=3, pilot_size=10)
         with pytest.raises(EstimationError):
             # Perturbation draws under the default generator at n_b=10 span
             # [0.1, ...]; seed chosen so at least one column is deterministic
@@ -310,6 +310,5 @@ class TestErrorPaths:
                 estimate_constants(HalfNoisy(), [0.0], 0, 30, pert_gen_cfg, stream(23, seed))
 
     def test_unknown_weighting_rejected(self):
-        cfg = EstimatorConfig(weighting="ridge", pilot_size=5, K=3, bootstrap_reps=50)
-        with pytest.raises(ValueError):
-            estimate_constants(sin_oracle(10, 1), [0.0], 0, 15, cfg, stream(24))
+        with pytest.raises(ValueError, match="weighting must be one of wls, ols, got 'ridge'"):
+            EstimatorConfig(weighting="ridge", pilot_size=5, K=3)

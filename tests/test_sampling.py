@@ -104,7 +104,7 @@ class TestPerturbationSet:
 
     def test_near_degenerate_generator_errors_out(self):
         gen = PerturbationGenerator(5, 1e-13, 4, 6)
-        with pytest.raises(RuntimeError, match="degenerate"):
+        with pytest.raises(DegenerateRegionError, match="degenerate"):
             draw_perturbation_set(3, 10, gen, stream(9))
 
     def test_custom_exponent(self):

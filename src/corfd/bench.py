@@ -89,9 +89,27 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")
+        if not self.budgets or min(self.budgets) < 1:
+            raise ValueError(f"budgets must be one or more values >= 1, got {list(self.budgets)}")
+        if not 0 < abs(self.tra_bias_const) < np.inf:
+            raise ValueError(
+                f"tra_bias_const (tra_B) must be finite and nonzero, got {self.tra_bias_const}"
+            )
+        if not 0 < self.tra_noise_var < np.inf:
+            raise ValueError(
+                f"tra_noise_var (tra_sigma2) must be finite and positive, got {self.tra_noise_var}"
+            )
+        if self.tra_perturbation is not None and not 0 < abs(self.tra_perturbation) < np.inf:
+            raise ValueError(
+                f"tra_perturbation (tra_h) must be finite and nonzero, got {self.tra_perturbation}"
+            )
+        if self.truth_override is not None and not np.isfinite(self.truth_override):
+            raise ValueError(f"truth_override (truth) must be finite, got {self.truth_override}")
 
     def truth(self) -> float | None:
         if self.truth_override is not None:
@@ -145,8 +163,10 @@ def run_replications(cfg: ExperimentConfig):
     replication, one summary row per feasible cell when the truth is known,
     and one ``(cell, message)`` entry per cell that is infeasible or whose
     constant estimation fails.  Such cells are reported and skipped; the rest
-    of the grid still runs.  With ``CORFD_THREADS`` above one, the cells share
-    one process pool.
+    of the grid still runs.  Each cell's replications run as one chunk, or,
+    with ``CORFD_THREADS`` above one, as up to that many contiguous chunks on
+    one process pool shared by all cells.  Chunks come back in replication
+    order, and a failing chunk cancels the cell's queued ones.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -155,26 +175,17 @@ def run_replications(cfg: ExperimentConfig):
     workers = _thread_count()
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
     parallel = workers > 1 and cfg.reps > 1
+    splits = np.array_split(np.arange(cfg.reps), workers if parallel else 1)
+    chunks = [c.tolist() for c in splits if c.size]
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        run_map = pool.map if pool is not None else map
         for cell_index, (method, budget) in enumerate(cells):
-            label = f"{cfg.problem}/{method}/{budget}"
+            run_chunk = partial(_run_cell_chunk, cfg, method, budget, cell_index)
             try:
-                # Preflight a single replication so configuration errors
-                # surface once per cell instead of once per worker chunk.
-                results = _run_cell_chunk(cfg, method, budget, cell_index, [0])
-                rest = range(1, cfg.reps)
-                if pool is not None:
-                    # ``map`` cancels the cell's queued chunks if one fails.
-                    chunks = [c.tolist() for c in np.array_split(np.asarray(rest), workers) if c.size]
-                    run_chunk = partial(_run_cell_chunk, cfg, method, budget, cell_index)
-                    for chunk_results in pool.map(run_chunk, chunks):
-                        results.extend(chunk_results)
-                elif rest:
-                    results.extend(_run_cell_chunk(cfg, method, budget, cell_index, rest))
+                results = [row for rows in run_map(run_chunk, chunks) for row in rows]
             except ValueError as exc:
-                failures.append((label, str(exc)))
+                failures.append((f"{cfg.problem}/{method}/{budget}", str(exc)))
                 continue
-            results.sort(key=lambda r: r[0])
             for rep, value, pairs_used, perturbation in results:
                 detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
             if truth is not None:

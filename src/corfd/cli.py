@@ -23,7 +23,7 @@ from .bench import (
     run_replications,
 )
 from .dfo import GRADIENT_METHODS, DfoConfig, corcfd_lbfgs
-from .estimators import WEIGHTINGS, EstimatorConfig
+from .estimators import EstimatorConfig
 from .oracle import parse_problem
 from .regression import projection_diagnostics, theory_constants
 from .sampling import PerturbationGenerator, stream
@@ -42,7 +42,6 @@ _KEYS = {
     "n_b": ("pilot_size", int),
     "I": ("bootstrap_reps", int),
     "gamma": ("pilot_exponent", float),
-    "weighting": ("weighting", str),
     "clamp_scale": ("clamp_scale", float),
     # PerturbationGenerator
     "mu0": ("mu0", float),
@@ -64,18 +63,16 @@ _KEYS = {
     "sigma": ("noise_bound", float),
     "memory": ("memory_depth", int),
     "gradient_method": ("gradient_method", str),
-    "armijo_plus_sign": ("armijo_plus_sign", bool),
 }
 _GENERATOR_KEYS = ("mu0", "sigma0", "L", "U")
 _ESTIMATE_KEYS = (
     "seed", "kappa", "truth", "tra_B", "tra_sigma2", "tra_h",
-    "K", "r", "n_b", "I", "gamma", "weighting", "clamp_scale",
+    "K", "r", "n_b", "I", "gamma", "clamp_scale",
 ) + _GENERATOR_KEYS
 _DFO_KEYS = (
     "K", "T0", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
-    "armijo_plus_sign",
 ) + _GENERATOR_KEYS
-_CHOICES = {"weighting": WEIGHTINGS, "gradient_method": GRADIENT_METHODS}
+_CHOICES = {"gradient_method": GRADIENT_METHODS}
 _HELP = {
     "K": "number of pilot perturbations",
     "r": "budget fraction spent on pilots",
@@ -83,18 +80,15 @@ _HELP = {
     "I": "Monte Carlo bootstrap resamples per column (unset: closed-form moments)",
     "gamma": "pilot perturbation exponent",
     "truth": "override the reference derivative",
-    "armijo_plus_sign": "use the plus-sign slope term in the line-search test",
 }
 
 
 def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        kind = _KEYS[key][1]
-        if kind is bool:
-            parser.add_argument(flag, action="store_true", default=None, help=_HELP.get(key))
-        else:
-            parser.add_argument(flag, type=kind, choices=_CHOICES.get(key), help=_HELP.get(key))
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=_KEYS[key][1],
+            choices=_CHOICES.get(key), help=_HELP.get(key),
+        )
 
 
 def _kwargs(cls, settings: dict) -> dict:
@@ -130,7 +124,7 @@ def _cmd_estimate(ns) -> int:
     for label, message in failures:
         print(f"error: {label}: {message}", file=sys.stderr)
     if failures:
-        return 2 if detail else 1
+        return 1
     emit_csv([row[3:] for row in detail], DETAIL_HEADER[3:], ns.out)
     if summary:
         emit_csv(summary, SUMMARY_HEADER, ns.summary_out)
@@ -142,6 +136,8 @@ def _cmd_dfo(ns) -> int:
     theta0 = problem.theta0
     if ns.start:
         theta0 = np.array([float(x) for x in ns.start.split(",")])
+        if not np.all(np.isfinite(theta0)):
+            raise ValueError(f"--start coordinates must be finite, got {ns.start!r}")
         if theta0.size != problem.oracle.dim:
             raise ValueError(
                 f"--start has {theta0.size} coordinates, problem needs {problem.oracle.dim}"

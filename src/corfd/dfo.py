@@ -52,10 +52,11 @@ class DfoConfig:
     ``batch_init`` is the starting per-coordinate pair batch; it must cover
     at least two pilot pairs per perturbation.  ``noise_bound`` is the slack
     of the line-search test, an upper bound on the response's standard
-    deviation.  ``gradient_method`` selects the full pipeline ("cor") or the
-    one-pair-per-coordinate baseline ("tra").  The gradient estimator takes
-    the closed-form bootstrap moments of its pilot columns and spends its
-    whole batch on pilots.
+    deviation; beyond that slack the test demands decrease (see
+    :func:`stochastic_armijo`).  ``gradient_method`` selects the full
+    pipeline ("cor") or the one-pair-per-coordinate baseline ("tra").  The
+    gradient estimator takes the closed-form bootstrap moments of its pilot
+    columns and spends its whole batch on pilots.
     """
 
     budget: int
@@ -68,17 +69,18 @@ class DfoConfig:
     memory_depth: int = 10
     coeff_gen: PerturbationGenerator = field(default_factory=PerturbationGenerator)
     gradient_method: str = "cor"
-    armijo_plus_sign: bool = False
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError(f"budget must be positive, got {self.budget}")
         if not 0 < self.l1 < self.l2 < 1:
             raise ValueError(f"need 0 < l1 < l2 < 1, got ({self.l1}, {self.l2})")
-        if self.step_init <= 0:
-            raise ValueError(f"initial step must be positive, got {self.step_init}")
-        if self.noise_bound < 0:
-            raise ValueError(f"noise bound must be nonnegative, got {self.noise_bound}")
+        if not 0 < self.step_init < np.inf:
+            raise ValueError(f"initial step (a0) must be finite and positive, got {self.step_init}")
+        if not 0 <= self.noise_bound < np.inf:
+            raise ValueError(
+                f"noise bound (sigma) must be finite and nonnegative, got {self.noise_bound}"
+            )
         if self.memory_depth < 1:
             raise ValueError(f"memory depth must be >= 1, got {self.memory_depth}")
         if self.gradient_method not in GRADIENT_METHODS:
@@ -185,29 +187,27 @@ def stochastic_armijo(
     l2: float,
     noise_bound: float,
     rng: np.random.Generator,
-    plus_sign: bool = False,
 ) -> ArmijoResult:
     """Backtracking line search under noisy function values.
 
     Shrinks the step geometrically until one noisy draw at the trial point
     falls below the start draw minus a sufficient-decrease term, slackened by
     twice the noise bound.  ``decrease_rate`` is the (positive) model decrease
-    rate along ``direction``.  The slope term enters with a minus sign so the
-    test actually demands decrease; ``plus_sign=True`` flips the sign, which
-    weakens the test toward a constant step.  Gives up after 50 backtracks and
-    returns the last (smallest) step, flagged.
+    rate along ``direction``; the trial is accepted when
+    ``y_trial <= y_start - l1*step*decrease_rate + 2*noise_bound``, the
+    noise-tolerant test of Berahas, Byrd & Nocedal (2019).  Gives up after 50
+    backtracks and returns the last (smallest) step, flagged.
     """
     if step_init <= 0:
         raise ValueError(f"initial step must be positive, got {step_init}")
     y_start = oracle.eval(theta, rng)
     evals = 1
     slack = 2.0 * noise_bound
-    slope_sign = 1.0 if plus_sign else -1.0
     step = step_init
     for _ in range(_MAX_BACKTRACKS + 1):
         y_trial = oracle.eval(theta + step * direction, rng)
         evals += 1
-        if y_trial <= y_start + slope_sign * l1 * step * decrease_rate + slack:
+        if y_trial <= y_start - l1 * step * decrease_rate + slack:
             return ArmijoResult(step, evals, False, y_start, y_trial)
         step *= l2
     # Loop exhausted: `step` was already shrunk past the last trial.
@@ -303,7 +303,7 @@ def corcfd_lbfgs(
             decrease = float(g @ g)
         ls = stochastic_armijo(
             oracle, theta, -hg, decrease, cfg.step_init, cfg.l1, cfg.l2,
-            cfg.noise_bound, ls_rng, cfg.armijo_plus_sign,
+            cfg.noise_bound, ls_rng,
         )
         t += ls.evals
         theta_next = theta - ls.step * hg

@@ -53,9 +53,6 @@ class BudgetError(ValueError):
     """The sample-pair budget cannot accommodate the requested split."""
 
 
-WEIGHTINGS = ("wls", "ols")
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the pilot/constant-estimation stage.
@@ -67,7 +64,9 @@ class EstimatorConfig:
     spends the whole budget on pilots, which the transformation step then
     recycles.  With ``bootstrap_reps`` unset the bootstrap moments of each
     pilot column take their closed form; a count ``I`` estimates them from
-    ``I`` Monte Carlo resamples per column instead, as in the paper.
+    ``I`` Monte Carlo resamples per column instead, as in the paper.  The
+    bias constant is always fitted by weighted least squares, each pilot
+    column weighted by its bootstrap standard deviation.
     """
 
     K: int = 10
@@ -77,7 +76,6 @@ class EstimatorConfig:
     pilot_exponent: float = DEFAULT_PILOT_EXPONENT
     coeff_gen: PerturbationGenerator = field(default_factory=PerturbationGenerator)
     clamp_scale: float = 1e-4
-    weighting: str = "wls"
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -88,12 +86,10 @@ class EstimatorConfig:
             raise ValueError(f"pilot_size (n_b) must be >= 2, got {self.pilot_size}")
         if self.bootstrap_reps is not None and self.bootstrap_reps < 2:
             raise ValueError(f"bootstrap_reps (I) must be >= 2, got {self.bootstrap_reps}")
+        if not np.isfinite(self.pilot_exponent):
+            raise ValueError(f"pilot_exponent (gamma) must be finite, got {self.pilot_exponent}")
         if not self.clamp_scale > 0:
             raise ValueError(f"clamp_scale must be positive, got {self.clamp_scale}")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(
-                f"weighting must be one of {', '.join(WEIGHTINGS)}, got {self.weighting!r}"
-            )
 
     def resolve_pilot_size(self, n: int) -> int:
         """Pairs per pilot perturbation for a total budget of ``n`` pairs."""
@@ -212,12 +208,8 @@ def _fit_constants(
             "a pilot column has zero resampling variance while others do not; "
             "the noisy-response model does not hold for this oracle"
         )
-    # Noise-free pilots carry no weighting information: fall back to equal
-    # weights, as "ols" always does.
-    if cfg.weighting == "wls" and not noise_free:
-        sds = np.sqrt(variances)
-    else:
-        sds = np.ones_like(variances)
+    # Noise-free pilots carry no weighting information: fit with equal weights.
+    sds = np.ones_like(variances) if noise_free else np.sqrt(variances)
     bias_fit = fit_bias_wls(pert.perturbations, means, sds)
     noise_var = 0.0 if noise_free else fit_var_wls(pert.perturbations, variances, n_b).noise_var
     clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))

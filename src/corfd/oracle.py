@@ -94,8 +94,8 @@ def sin_oracle(kappa: float, case: int | str = 1) -> SimulationOracle:
     Case 1 ("homoscedastic"): unit noise variance everywhere.
     Case 2 ("heteroscedastic"): noise variance ``exp(-3*theta)``.
     """
-    if kappa == 0:
-        raise ValueError("kappa must be nonzero (the derivative target degenerates)")
+    if not (np.isfinite(kappa) and kappa != 0):
+        raise ValueError(f"kappa must be finite and nonzero, got {kappa}")
     case_id = {1: 1, 2: 2, "homoscedastic": 1, "heteroscedastic": 2}.get(case)
     if case_id is None:
         raise ValueError(f"unknown case {case!r}")

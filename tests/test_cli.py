@@ -1,13 +1,16 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corfd.bench import ExperimentConfig, run_replications
+from corfd.bench import DETAIL_HEADER, ExperimentConfig, run_replications
 from corfd.cli import (
     _BENCH_DEFAULTS,
+    _DFO_KEYS,
     _ESTIMATE_KEYS,
+    _KEYS,
     _bench_config,
     _estimator_config,
     _kwargs,
@@ -17,6 +20,7 @@ from corfd.cli import (
 from corfd.dfo import DfoConfig
 from corfd.estimators import EstimatorConfig
 from corfd.regression import projection_diagnostics
+from corfd.sampling import PerturbationGenerator
 
 
 def read_csv(path):
@@ -127,6 +131,36 @@ class TestDfoCommand:
         assert code == 0
         assert "OG=" in capsys.readouterr().out
 
+    def test_start_point(self, tmp_path, capsys):
+        args = ["dfo", "--problem", "zakharov@2", "--budget", "200",
+                "--out", str(tmp_path / "t.csv")]
+        assert main(args + ["--start", "0.5,-0.5"]) == 0
+        assert capsys.readouterr().out.startswith("SG=")
+        assert main(args + ["--start", "1,2,3"]) == 1
+        assert "error: --start has 3 coordinates, problem needs 2" in capsys.readouterr().err
+
+    def test_problem_without_minimizer_prints_final_point(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["dfo", "--problem", "queue@3,5,10,service", "--budget", "500",
+                     "--out", str(out)])
+        assert code == 0
+        assert re.fullmatch(r"theta=\[[^,\]]+\],evals=\d+\n", capsys.readouterr().out)
+        header, rows = read_csv(out)
+        assert header == ["k", "t", "a_k", "T_k", "f_noisy", "f_true"] and len(rows) >= 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sigma", "nan", "noise bound (sigma) must be finite and nonnegative, got nan"),
+        ("--a0", "nan", "initial step (a0) must be finite and positive, got nan"),
+        ("--sigma", "inf", "noise bound (sigma) must be finite and nonnegative, got inf"),
+        ("--start", "nan,1", "--start coordinates must be finite, got 'nan,1'"),
+    ], ids=["sigma", "a0", "sigma_inf", "start"])
+    def test_non_finite_setting_rejected(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["dfo", "--problem", "zakharov@2", "--budget", "2000", flag, value,
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_config_file_with_overrides(self, tmp_path):
@@ -149,6 +183,30 @@ class TestBenchCommand:
         assert header == ["problem", "method", "pairs", "reps", "bias", "variance", "mse"]
         assert {r[1] for r in rows} == {"cor", "opt"}
 
+    def test_detail_out(self, tmp_path):
+        summary, detail = tmp_path / "summary.csv", tmp_path / "detail.csv"
+        code = main([
+            "bench", "--set", "problem=sin1", "--set", "methods=tra,cor",
+            "--set", "budgets=100,200", "--set", "reps=3",
+            "--set", f"out={summary}", "--set", f"detail_out={detail}",
+        ])
+        assert code == 0
+        header, rows = read_csv(detail)
+        assert header == DETAIL_HEADER and len(rows) == 2 * 2 * 3
+        assert [r[3] for r in rows[:3]] == ["0", "1", "2"]
+        assert len(read_csv(summary)[1]) == 4
+
+    def test_malformed_config_line_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("reps = 2\nproblem poly@0\n")
+        assert main(["bench", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:2: expected key=value, got 'problem poly@0'" in err
+
+    def test_set_without_equals_is_config_error(self, capsys):
+        assert main(["bench", "--set", "reps"]) == 1
+        assert "error: --set expects key=value, got 'reps'" in capsys.readouterr().err
+
     def test_partial_failure_exit_code(self, tmp_path):
         out = tmp_path / "summary.csv"
         code = main([
@@ -166,28 +224,29 @@ class TestBenchCommand:
     def test_bad_problem_is_config_error(self):
         assert main(["bench", "--set", "problem=sphere@3"]) == 1
 
-    @pytest.mark.parametrize("key,allowed", [("weighting", "wls, ols")])
-    def test_bad_choice_rejected_before_any_cell(self, key, allowed, tmp_path, capsys):
-        out = tmp_path / "summary.csv"
-        code = main([
-            "bench", "--set", f"{key}=foo", "--set", "reps=2", "--set", "budgets=100",
-            "--set", f"out={out}",
-        ])
-        assert code == 1 and not out.exists()
-        assert f"{key} must be one of {allowed}" in capsys.readouterr().err
-
     @pytest.mark.parametrize("key,value,message", [
         ("K", "1", "K must be >= 2, got 1"),
         ("r", "0", "pilot_fraction (r) must be in (0, 1], got 0.0"),
         ("n_b", "1", "pilot_size (n_b) must be >= 2, got 1"),
         ("I", "1", "bootstrap_reps (I) must be >= 2, got 1"),
         ("clamp_scale", "-1", "clamp_scale must be positive, got -1.0"),
-    ], ids=["K", "r", "n_b", "I", "clamp_scale"])
+        ("gamma", "nan", "pilot_exponent (gamma) must be finite, got nan"),
+        ("kappa", "nan", "kappa must be finite and nonzero, got nan"),
+        ("methods", "", "methods must name at least one method"),
+        ("budgets", "", "budgets must be one or more values >= 1, got []"),
+        ("budgets", "100,0", "budgets must be one or more values >= 1, got [100, 0]"),
+        ("tra_h", "nan", "tra_perturbation (tra_h) must be finite and nonzero, got nan"),
+        ("tra_h", "0", "tra_perturbation (tra_h) must be finite and nonzero, got 0.0"),
+        ("truth", "nan", "truth_override (truth) must be finite, got nan"),
+        ("tra_B", "0", "tra_bias_const (tra_B) must be finite and nonzero, got 0.0"),
+        ("tra_sigma2", "nan", "tra_noise_var (tra_sigma2) must be finite and positive, got nan"),
+    ], ids=["K", "r", "n_b", "I", "clamp_scale", "gamma", "kappa", "methods", "budgets",
+            "budget_zero", "tra_h_nan", "tra_h_zero", "truth", "tra_B", "tra_sigma2"])
     def test_bad_setting_rejected_before_any_cell(self, key, value, message, tmp_path, capsys):
         out = tmp_path / "summary.csv"
         code = main([
-            "bench", "--set", f"{key}={value}", "--set", "reps=2", "--set", "budgets=100",
-            "--set", f"out={out}",
+            "bench", "--set", "problem=sin1", "--set", "reps=2", "--set", "budgets=100",
+            "--set", f"out={out}", "--set", f"{key}={value}",
         ])
         assert code == 1 and not out.exists()
         assert f"error: {message}" in capsys.readouterr().err
@@ -200,8 +259,7 @@ class TestBenchCommand:
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100",
-         "--weighting", "foo"],
+        ["dfo", "--problem", "sin1", "--budget", "10", "--gradient-method", "foo"],
         ["dfo", "--problem", "sin1", "--budget", "10", "--bogus"],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
@@ -222,7 +280,7 @@ class TestUsageErrors:
 class TestSettings:
     FLAGS = [
         "--K", "6", "--r", "0.5", "--n-b", "40", "--I", "200", "--gamma", "-0.2",
-        "--weighting", "ols", "--clamp-scale", "1e-3",
+        "--clamp-scale", "1e-3",
         "--mu0", "0.5", "--sigma0", "2", "--L", "0.2", "--U", "5",
     ]
     ESTIMATE = ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100"]
@@ -242,6 +300,17 @@ class TestSettings:
         assert cfg == ExperimentConfig(cfg.problem, cfg.methods, cfg.budgets, cfg.reps)
         ns = build_parser().parse_args(["dfo", "--problem", "sin1", "--budget", "10"])
         assert DfoConfig(budget=10, **_kwargs(DfoConfig, vars(ns))) == DfoConfig(budget=10)
+
+    def test_every_key_names_a_field(self):
+        # ``_kwargs`` drops keys whose field does not exist, so a key left
+        # behind by a deleted field would be accepted and silently ignored.
+        def names(*classes):
+            return {f.name for cls in classes for f in fields(cls)}
+
+        estimate = names(EstimatorConfig, ExperimentConfig, PerturbationGenerator)
+        dfo = names(DfoConfig, PerturbationGenerator)
+        assert {key: _KEYS[key][0] for key in _ESTIMATE_KEYS if _KEYS[key][0] not in estimate} == {}
+        assert {key: _KEYS[key][0] for key in _DFO_KEYS if _KEYS[key][0] not in dfo} == {}
 
     def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CORFD_THREADS", "two")

@@ -144,15 +144,6 @@ class TestStochasticArmijo:
         assert res.step == pytest.approx(0.5**50)
         assert res.evals == 52  # start draw + 51 trials
 
-    def test_plus_sign_relaxes_the_test(self):
-        # With the plus-sign variant the full step is accepted on the square.
-        orc = deterministic_oracle(lambda t: float(t[0]) ** 2)
-        res = stochastic_armijo(
-            orc, np.array([1.0]), np.array([-2.0]), 4.0, 1.0, 1e-4, 0.5, 0.0,
-            stream(5), plus_sign=True,
-        )
-        assert res.step == 1.0
-
 
 class TestGradient:
     def test_single_coordinate_reduces_to_one_estimator_call(self):

@@ -308,7 +308,3 @@ class TestErrorPaths:
             # and one noisy.
             for seed in range(5):
                 estimate_constants(HalfNoisy(), [0.0], 0, 30, pert_gen_cfg, stream(23, seed))
-
-    def test_unknown_weighting_rejected(self):
-        with pytest.raises(ValueError, match="weighting must be one of wls, ols, got 'ridge'"):
-            EstimatorConfig(weighting="ridge", pilot_size=5, K=3)

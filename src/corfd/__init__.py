@@ -9,7 +9,6 @@ replicated benchmark harness build on the estimator.
 """
 
 from .bench import ExperimentConfig, SummaryStats, emit_csv, run_replications, summarize
-from .bootstrap import BootstrapMoments, bootstrap_moments_exact
 from .dfo import DfoConfig, DfoTrace, batch_schedule, corcfd_lbfgs, gradient_via_corcfd, stochastic_armijo, two_loop_direction
 from .estimators import (
     ConstantEstimates,

@@ -23,7 +23,7 @@ from .estimators import (
     optimal_perturbation,
     tra_cfd,
 )
-from .oracle import parse_problem
+from .oracle import DEFAULT_KAPPA, parse_problem
 from .sampling import stream
 
 __all__ = [
@@ -77,7 +77,7 @@ class ExperimentConfig:
     budgets: tuple[int, ...]
     reps: int
     seed: int = 0
-    kappa: float = 10.0
+    kappa: float = DEFAULT_KAPPA
     truth_override: float | None = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     # Assumed constants of the no-information baseline, and an optional

@@ -11,39 +11,9 @@ converges to the closed form as ``I`` grows and only adds resampling noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["BootstrapMoments", "bootstrap_moments_exact", "column_moments"]
-
-
-@dataclass(frozen=True)
-class BootstrapMoments:
-    """Mean and variance of the resampled average."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
-
-
-def bootstrap_moments_exact(samples: np.ndarray) -> BootstrapMoments:
-    """Closed-form moments of the resampled average of one column.
-
-    Mean equals the column average; variance equals ``(n-1)/n^2`` times the
-    unbiased sample variance (the population variance of the column divided
-    by its length).  The reference that :func:`column_moments` is tested
-    against.
-    """
-    col = np.asarray(samples, dtype=float).ravel()
-    n = col.size
-    if n < 2:
-        raise ValueError(f"need at least 2 samples per column, got {n}")
-    s2 = float(np.var(col, ddof=1))
-    return BootstrapMoments(float(col.mean()), (n - 1) / n**2 * s2)
+__all__ = ["column_moments"]
 
 
 def column_moments(
@@ -55,13 +25,13 @@ def column_moments(
     one row per sample: shape ``(K, n_b)``).
 
     Returns (means, variances), each of length ``K``.  With ``I`` unset the
-    closed form of :func:`bootstrap_moments_exact` is computed for all
-    columns at once.  A count ``I`` takes that many Monte Carlo resamples per
-    column, drawing one ``(I, n_b)`` index block from ``rng`` per column in
-    index order, so the result does not depend on any parallel schedule.
-    Their variance uses denominator ``I`` (population form); this convention
-    propagates into the noise-variance fit downstream, so it is fixed here
-    rather than left to choice.
+    closed form is computed for all columns at once.  A count ``I`` takes
+    that many Monte Carlo resamples per column, drawing one ``(I, n_b)``
+    index block from ``rng`` per column in index order, so the result does
+    not depend on any parallel schedule.  Their variance uses denominator
+    ``I`` (population form); this convention propagates into the
+    noise-variance fit downstream, so it is fixed here rather than left to
+    choice.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.ndim != 2:

@@ -24,7 +24,7 @@ from .bench import (
 )
 from .dfo import GRADIENT_METHODS, DfoConfig, corcfd_lbfgs
 from .estimators import EstimatorConfig
-from .oracle import parse_problem
+from .oracle import DEFAULT_KAPPA, parse_problem
 from .regression import projection_diagnostics, theory_constants
 from .sampling import PerturbationGenerator, stream
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dfo.add_argument("--problem", required=True)
     p_dfo.add_argument("--budget", type=int, required=True, help="total sample-pair budget T")
     p_dfo.add_argument("--seed", type=int, default=0)
-    p_dfo.add_argument("--kappa", type=float, default=10.0)
+    p_dfo.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p_dfo.add_argument("--start", default=None, help="comma-separated starting point")
     p_dfo.add_argument("--out", default="dfo_trace.csv")
     _add_flags(p_dfo, _DFO_KEYS)

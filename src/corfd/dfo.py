@@ -105,7 +105,7 @@ class LbfgsMemory:
     implied inverse-Hessian approximation positive definite.
     """
 
-    def __init__(self, depth: int = 10):
+    def __init__(self, depth: int):
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.depth = depth
@@ -284,12 +284,16 @@ def corcfd_lbfgs(
             return gradient_via_corcfd(oracle, point, pairs, est_cfg, stream)
         return _gradient_tra(oracle, point, stream)
 
+    def f_true(point):
+        return float(oracle.mean(point)) if oracle.mean is not None else np.nan
+
     init_rng, loop_rng = rng.spawn(2)
     g = new_gradient(theta, batch, init_rng)
     t = 2 * d * batch
     trace.record(
         k=-1, t=t, step=np.nan, batch=batch, y_start=np.nan,
         theta=theta.copy(), grad=g.copy(), grad_norm=float(np.linalg.norm(g)),
+        f_true=f_true(theta),
     )
 
     k = 0
@@ -324,7 +328,7 @@ def corcfd_lbfgs(
             grad=g_next.copy(),
             grad_norm=float(np.linalg.norm(g_next)),
             decrease_rate=decrease,
-            f_true=float(oracle.mean(theta_next)) if oracle.mean is not None else np.nan,
+            f_true=f_true(theta_next),
         )
         theta, g, batch = theta_next, g_next, next_batch
         k += 1

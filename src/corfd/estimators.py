@@ -88,8 +88,8 @@ class EstimatorConfig:
             raise ValueError(f"bootstrap_reps (I) must be >= 2, got {self.bootstrap_reps}")
         if not np.isfinite(self.pilot_exponent):
             raise ValueError(f"pilot_exponent (gamma) must be finite, got {self.pilot_exponent}")
-        if not self.clamp_scale > 0:
-            raise ValueError(f"clamp_scale must be positive, got {self.clamp_scale}")
+        if not 0 < self.clamp_scale < np.inf:
+            raise ValueError(f"clamp_scale must be finite and positive, got {self.clamp_scale}")
 
     def resolve_pilot_size(self, n: int) -> int:
         """Pairs per pilot perturbation for a total budget of ``n`` pairs."""
@@ -211,7 +211,7 @@ def _fit_constants(
     # Noise-free pilots carry no weighting information: fit with equal weights.
     sds = np.ones_like(variances) if noise_free else np.sqrt(variances)
     bias_fit = fit_bias_wls(pert.perturbations, means, sds)
-    noise_var = 0.0 if noise_free else fit_var_wls(pert.perturbations, variances, n_b).noise_var
+    noise_var = 0.0 if noise_free else fit_var_wls(pert.perturbations, variances, n_b)
     clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))
     if not noise_free:
         h_n = optimal_perturbation(noise_var, clamped, budget)

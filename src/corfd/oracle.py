@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "NonFiniteResponseError",
     "GroundTruth",
     "SimulationOracle",
     "QueueSpec",
@@ -21,12 +22,20 @@ __all__ = [
     "noisy_bench_oracle",
     "queue_oracle",
     "lr_derivative_oracle",
-    "deterministic_oracle",
+    "draw_responses",
     "rosenbrock",
     "zakharov",
     "Problem",
     "parse_problem",
 ]
+
+# Problem defaults: the sine amplitude, and the queue response (time in system).
+DEFAULT_KAPPA = 10.0
+DEFAULT_MEASURE = "sojourn"
+
+
+class NonFiniteResponseError(ValueError):
+    """An oracle returned a NaN or infinite response."""
 
 
 @dataclass(frozen=True)
@@ -72,16 +81,22 @@ class SimulationOracle:
 
     def eval(self, theta: np.ndarray | float, rng: np.random.Generator) -> float:
         """One scalar draw of ``Y(theta)``."""
-        return float(self.sample(np.atleast_1d(np.asarray(theta, dtype=float)), rng, 1)[0])
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return float(draw_responses(self, theta, rng, 1)[0])
 
 
-def deterministic_oracle(f: Callable[[np.ndarray], float], dim: int = 1, label: str = "noise-free") -> SimulationOracle:
-    """Wrap a deterministic function as a zero-noise oracle (test helper)."""
+def draw_responses(oracle, theta: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``oracle.sample(theta, rng, size)``, refusing non-finite responses.
 
-    def sample(theta, rng, size):
-        return np.full(size, float(f(theta)))
-
-    return SimulationOracle(dim=dim, label=label, sample=sample, mean=lambda t: float(f(t)))
+    Any object with ``sample`` and ``label`` serves as ``oracle``.
+    """
+    y = oracle.sample(theta, rng, size)
+    if not np.isfinite(y).all():
+        point = np.asarray(theta).tolist()
+        raise NonFiniteResponseError(
+            f"oracle {oracle.label} returned a non-finite response at theta={point}"
+        )
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +256,7 @@ def _simulate_queue(
 
 
 def queue_oracle(
-    spec: QueueSpec, parameter: str = "service", measure: str = "sojourn"
+    spec: QueueSpec, parameter: str = "service", measure: str = DEFAULT_MEASURE
 ) -> SimulationOracle:
     """Per-customer congestion of the first ``horizon`` customers, as a
     function of one rate parameter (the other stays fixed at its spec value).
@@ -279,7 +294,7 @@ def lr_derivative_oracle(
     parameter: str,
     reps: int,
     rng: np.random.Generator,
-    measure: str = "sojourn",
+    measure: str = DEFAULT_MEASURE,
     batch: int = 200_000,
 ) -> float:
     """Score-function estimate of the derivative of the expected queue
@@ -320,10 +335,18 @@ class Problem:
     oracle: SimulationOracle
     theta0: np.ndarray
     truth: GroundTruth | None
-    label: str
 
 
-def parse_problem(problem_id: str, kappa: float = 10.0) -> Problem:
+def _number(kind: type, text: str, problem_id: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(
+            f"problem id {problem_id!r}: {text.strip()!r} is not a valid {kind.__name__}"
+        ) from None
+
+
+def parse_problem(problem_id: str, kappa: float = DEFAULT_KAPPA) -> Problem:
     """Build a problem from its string id.
 
     Supported ids: ``sin1``, ``sin2``, ``poly@<theta0>``, ``rosenbrock``,
@@ -336,30 +359,36 @@ def parse_problem(problem_id: str, kappa: float = 10.0) -> Problem:
             raise ValueError(f"{name} takes no parameters, got {pid!r}")
         oracle = sin_oracle(kappa, 1 if name == "sin1" else 2)
         theta0 = np.zeros(1)
-        return Problem(oracle, theta0, oracle.truth(theta0), pid)
+        return Problem(oracle, theta0, oracle.truth(theta0))
     if name == "poly":
-        theta0 = np.array([float(arg)]) if arg else np.zeros(1)
+        theta0 = np.array([_number(float, arg, pid)]) if arg else np.zeros(1)
+        if not np.isfinite(theta0[0]):
+            raise ValueError(f"poly point must be finite, got {pid!r}")
         oracle = poly_oracle()
-        return Problem(oracle, theta0, oracle.truth(theta0), pid)
+        return Problem(oracle, theta0, oracle.truth(theta0))
     if name == "rosenbrock":
         if arg:
             raise ValueError(f"rosenbrock takes no parameters, got {pid!r}")
         oracle = noisy_bench_oracle("rosenbrock", 2)
-        return Problem(oracle, np.zeros(2), None, pid)
+        return Problem(oracle, np.zeros(2), None)
     if name == "zakharov":
-        d = int(arg) if arg else 1
+        d = _number(int, arg, pid) if arg else 1
         oracle = noisy_bench_oracle("zakharov", d)
-        return Problem(oracle, np.ones(d), None, pid)
+        return Problem(oracle, np.ones(d), None)
     if name == "queue":
         parts = arg.split(",")
         if len(parts) not in (4, 5):
             raise ValueError(
                 f"queue id must be queue@<lam>,<mu>,<N>,<param>[,<measure>], got {pid!r}"
             )
-        spec = QueueSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+        spec = QueueSpec(
+            _number(float, parts[0], pid),
+            _number(float, parts[1], pid),
+            _number(int, parts[2], pid),
+        )
         parameter = parts[3].strip()
-        measure = parts[4].strip() if len(parts) == 5 else "sojourn"
+        measure = parts[4].strip() if len(parts) == 5 else DEFAULT_MEASURE
         oracle = queue_oracle(spec, parameter, measure)
         theta0 = np.array([spec.arrival_rate if parameter == "arrival" else spec.service_rate])
-        return Problem(oracle, theta0, None, pid)
+        return Problem(oracle, theta0, None)
     raise ValueError(f"unknown problem id {pid!r}")

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "SingularDesignError",
     "BiasFit",
-    "VarFit",
     "ProjectionDiagnostics",
     "TheoryConstants",
     "fit_bias_wls",
@@ -48,47 +47,34 @@ class BiasFit:
     residuals: np.ndarray
 
 
-@dataclass(frozen=True)
-class VarFit:
-    """Estimated response variance at the evaluation point."""
-
-    noise_var: float
-
-
-def _as_positive_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).ravel()
-    if not np.all(arr > 0):
-        raise ValueError(f"{name} must all be positive")
-    return arr
-
-
 def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
     """Weighted least squares of ``means ~ intercept + slope * h^2``.
 
-    Rows are divided by their standard deviations, then solved by orthogonal
-    decomposition.  Designs with condition number above 1e12 (for instance
-    coincident squared perturbations) are rejected.
+    Rows are divided by their standard deviations, then solved by SVD.
+    Designs whose singular values give a condition number above 1e12 (for
+    instance coincident squared perturbations) are rejected.
     """
     h = np.asarray(h, dtype=float).ravel()
     means = np.asarray(means, dtype=float).ravel()
-    sds = _as_positive_array(sds, "weights (standard deviations)")
+    sds = np.asarray(sds, dtype=float).ravel()
+    if not np.all(sds > 0):
+        raise ValueError("weights (standard deviations) must all be positive")
     K = h.size
     if K < 2:
         raise ValueError(f"need at least 2 perturbations, got {K}")
     if means.size != K or sds.size != K:
         raise ValueError("h, means and sds must have equal length")
     design = np.column_stack([np.ones(K), h * h]) / sds[:, None]
-    sv = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, sv = np.linalg.lstsq(design, means / sds, rcond=None)
     if sv[-1] == 0 or sv[0] / sv[-1] > _MAX_CONDITION:
         raise SingularDesignError(
             f"bias design is numerically singular (condition {sv[0] / max(sv[-1], 1e-300):.2e})"
         )
-    coef, *_ = np.linalg.lstsq(design, means / sds, rcond=None)
     intercept, slope = float(coef[0]), float(coef[1])
     return BiasFit(intercept, slope, means - (intercept + slope * h * h))
 
 
-def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> VarFit:
+def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float:
     """Noise-variance fit with the heteroscedasticity-equalizing reweighting.
 
     Multiplying the variance relation through by ``h^2`` leaves a constant
@@ -101,10 +87,10 @@ def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> VarFit:
         raise ValueError("need matching, nonempty h and s2")
     if n_b < 2:
         raise ValueError(f"need n_b >= 2, got {n_b}")
-    return VarFit(float(2.0 * n_b**2 / (n_b - 1) * np.mean(h * h * s2)))
+    return float(2.0 * n_b**2 / (n_b - 1) * np.mean(h * h * s2))
 
 
-def fit_var_unweighted(h: np.ndarray, s2: np.ndarray, n_b: int) -> VarFit:
+def fit_var_unweighted(h: np.ndarray, s2: np.ndarray, n_b: int) -> float:
     """Noise-variance fit without the ``h^2`` reweighting.
 
     This is the plain regression of the variance relation; its sampling
@@ -118,11 +104,11 @@ def fit_var_unweighted(h: np.ndarray, s2: np.ndarray, n_b: int) -> VarFit:
     if n_b < 2:
         raise ValueError(f"need n_b >= 2, got {n_b}")
     x = (n_b - 1) / (2.0 * n_b**2 * h * h)
-    return VarFit(float(np.dot(x, s2) / np.dot(x, x)))
+    return float(np.dot(x, s2) / np.dot(x, x))
 
 
-def clamp_floor(intercept: float, scale: float = 1e-4) -> float:
-    """Default clamp threshold: a relative floor tied to the fitted derivative."""
+def clamp_floor(intercept: float, scale: float) -> float:
+    """Clamp threshold: ``scale`` relative to the fitted derivative, at least ``scale``."""
     return scale * max(1.0, abs(intercept))
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .oracle import draw_responses
+
 __all__ = [
     "DegenerateRegionError",
     "PerturbationGenerator",
@@ -61,8 +63,10 @@ class PerturbationGenerator:
     upper: float = np.inf
 
     def __post_init__(self) -> None:
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not np.isfinite(self.mu0):
+            raise ValueError(f"mu0 must be finite, got {self.mu0}")
+        if not 0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
         if not 0 < self.lower < self.upper:
             raise ValueError(
                 f"need 0 < lower < upper, got [{self.lower}, {self.upper}]"
@@ -199,7 +203,7 @@ def difference_samples(
     up[coord] += h
     down = theta0.copy()
     down[coord] -= h
-    y_up = oracle.sample(up, rng, size)
-    y_down = oracle.sample(down, rng, size)
+    y_up = draw_responses(oracle, up, rng, size)
+    y_down = draw_responses(oracle, down, rng, size)
     return (y_up - y_down) / (2.0 * h)
 

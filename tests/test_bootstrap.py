@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from corfd.bootstrap import bootstrap_moments_exact, column_moments
+from corfd.bootstrap import column_moments
 from corfd.sampling import stream
+from helpers import exact_moments
 
 
 def enumerate_resample_moments(column):
@@ -16,63 +17,62 @@ def enumerate_resample_moments(column):
     return means.mean(), means.var(ddof=0)
 
 
+def moments(column, I=None, rng=None):
+    """(mean, variance) of one column, as a one-row pilot: the closed form,
+    or the Monte Carlo estimate over ``I`` resamples."""
+    (mean,), (variance,) = column_moments(np.asarray(column, dtype=float)[None, :], I, rng)
+    return mean, variance
+
+
 class TestExact:
     @pytest.mark.parametrize("column", [[0.0, 2.0], [1.0, 2.0, 3.0], [0.5, -1.5, 2.0, 4.0]])
     def test_matches_enumeration(self, column):
         mean, var = enumerate_resample_moments(column)
-        m = bootstrap_moments_exact(column)
-        assert m.mean == pytest.approx(mean, abs=1e-12)
-        assert m.variance == pytest.approx(var, abs=1e-12)
+        m_mean, m_var = moments(column)
+        assert m_mean == pytest.approx(mean, abs=1e-12)
+        assert m_var == pytest.approx(var, abs=1e-12)
 
     def test_two_point_column_closed_form(self):
         # Enumeration: resampled means {0, 1, 2} with probs {1/4, 1/2, 1/4},
         # so the variance is 0.5 = (n-1) * S^2 / n^2 = 1 * 2 / 4.
         mean, var = enumerate_resample_moments([0.0, 2.0])
         assert (mean, var) == (1.0, 0.5)
-        m = bootstrap_moments_exact([0.0, 2.0])
-        assert (m.mean, m.variance) == (1.0, 0.5)
+        assert moments([0.0, 2.0]) == (1.0, 0.5)
 
     def test_three_point_column(self):
-        m = bootstrap_moments_exact([1.0, 2.0, 3.0])
-        assert m.mean == pytest.approx(2.0, abs=1e-15)
-        assert m.variance == pytest.approx(2.0 / 9.0, abs=1e-15)
+        mean, var = moments([1.0, 2.0, 3.0])
+        assert mean == pytest.approx(2.0, abs=1e-15)
+        assert var == pytest.approx(2.0 / 9.0, abs=1e-15)
 
     def test_constant_column(self):
-        m = bootstrap_moments_exact([7.0] * 5)
-        assert (m.mean, m.variance) == (7.0, 0.0)
+        assert moments([7.0] * 5) == (7.0, 0.0)
 
     def test_affine_equivariance(self):
         col = stream(0).standard_normal(30)
-        base = bootstrap_moments_exact(col)
-        scaled = bootstrap_moments_exact(2 * col)
-        assert scaled.mean == pytest.approx(2 * base.mean, rel=1e-12)
-        assert scaled.variance == pytest.approx(4 * base.variance, rel=1e-12)
+        base_mean, base_var = moments(col)
+        scaled_mean, scaled_var = moments(2 * col)
+        assert scaled_mean == pytest.approx(2 * base_mean, rel=1e-12)
+        assert scaled_var == pytest.approx(4 * base_var, rel=1e-12)
 
     def test_short_column_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_moments_exact([1.0])
-
-
-def mc_moments(column, I, rng):
-    """Monte Carlo (mean, variance) of one column, as a one-row pilot."""
-    (mean,), (variance,) = column_moments(np.asarray(column, dtype=float)[None, :], I, rng)
-    return mean, variance
+            moments([1.0])
 
 
 class TestMonteCarlo:
     def test_constant_column(self):
-        assert mc_moments([5.0, 5.0, 5.0], 64, stream(1)) == (5.0, 0.0)
+        assert moments([5.0, 5.0, 5.0], 64, stream(1)) == (5.0, 0.0)
 
     def test_two_point_column_converges_to_enumeration(self):
         I = 200_000
-        mean, variance = mc_moments([0.0, 2.0], I, stream(2))
+        mean, variance = moments([0.0, 2.0], I, stream(2))
         se_mean = np.sqrt(0.5 / I)
         assert abs(mean - 1.0) < 3 * se_mean
         assert variance == pytest.approx(0.5, rel=0.02)
 
     def test_fixed_seed_reproduces(self):
         col = stream(3).standard_normal(20)
-        assert mc_moments(col, 100, stream(4)) == mc_moments(col, 100, stream(4))
+        assert moments(col, 100, stream(4)) == moments(col, 100, stream(4))
 
     def test_mean_within_five_se_of_exact(self):
         # Resampled-average mean equals the column mean exactly in
@@ -81,9 +81,9 @@ class TestMonteCarlo:
         failures = 0
         for seed in range(100):
             col = stream(5, seed).standard_normal(25)
-            exact = bootstrap_moments_exact(col)
-            mean, _ = mc_moments(col, I, stream(6, seed))
-            if abs(mean - exact.mean) > 5 * np.sqrt(exact.variance / I):
+            exact_mean, exact_var = moments(col)
+            mean, _ = moments(col, I, stream(6, seed))
+            if abs(mean - exact_mean) > 5 * np.sqrt(exact_var / I):
                 failures += 1
         assert failures <= 1  # >= 99% of seeded trials
 
@@ -92,15 +92,15 @@ class TestMonteCarlo:
         failures = 0
         for seed in range(100):
             col = stream(7, seed).standard_normal(20)
-            exact = bootstrap_moments_exact(col)
-            _, variance = mc_moments(col, I, stream(8, seed))
-            if abs(variance - exact.variance) > 0.20 * exact.variance:
+            _, exact_var = moments(col)
+            _, variance = moments(col, I, stream(8, seed))
+            if abs(variance - exact_var) > 0.20 * exact_var:
                 failures += 1
         assert failures <= 1
 
     def test_small_replicate_count_rejected(self):
         with pytest.raises(ValueError):
-            mc_moments([0.0, 1.0], 1, stream(9))
+            moments([0.0, 1.0], 1, stream(9))
 
 
 class TestColumnMoments:
@@ -113,8 +113,7 @@ class TestColumnMoments:
             pilot = rng.uniform(-1e3, 1e3) + scale * rng.standard_normal((K, n_b))
             means, variances = column_moments(pilot, None, None)
             for k in range(K):
-                m = bootstrap_moments_exact(pilot[k])
-                assert means[k] == m.mean and variances[k] == m.variance
+                assert (means[k], variances[k]) == exact_moments(pilot[k])
 
     def test_short_columns_rejected(self):
         for reps in (None, 10):

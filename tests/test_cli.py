@@ -229,7 +229,12 @@ class TestBenchCommand:
         ("r", "0", "pilot_fraction (r) must be in (0, 1], got 0.0"),
         ("n_b", "1", "pilot_size (n_b) must be >= 2, got 1"),
         ("I", "1", "bootstrap_reps (I) must be >= 2, got 1"),
-        ("clamp_scale", "-1", "clamp_scale must be positive, got -1.0"),
+        ("clamp_scale", "-1", "clamp_scale must be finite and positive, got -1.0"),
+        ("clamp_scale", "inf", "clamp_scale must be finite and positive, got inf"),
+        ("mu0", "nan", "mu0 must be finite, got nan"),
+        ("mu0", "inf", "mu0 must be finite, got inf"),
+        ("sigma0", "inf", "sigma0 must be finite and positive, got inf"),
+        ("problem", "poly@nan", "poly point must be finite, got 'poly@nan'"),
         ("gamma", "nan", "pilot_exponent (gamma) must be finite, got nan"),
         ("kappa", "nan", "kappa must be finite and nonzero, got nan"),
         ("methods", "", "methods must name at least one method"),
@@ -240,7 +245,8 @@ class TestBenchCommand:
         ("truth", "nan", "truth_override (truth) must be finite, got nan"),
         ("tra_B", "0", "tra_bias_const (tra_B) must be finite and nonzero, got 0.0"),
         ("tra_sigma2", "nan", "tra_noise_var (tra_sigma2) must be finite and positive, got nan"),
-    ], ids=["K", "r", "n_b", "I", "clamp_scale", "gamma", "kappa", "methods", "budgets",
+    ], ids=["K", "r", "n_b", "I", "clamp_scale", "clamp_scale_inf", "mu0_nan", "mu0_inf",
+            "sigma0_inf", "poly_nan", "gamma", "kappa", "methods", "budgets",
             "budget_zero", "tra_h_nan", "tra_h_zero", "truth", "tra_B", "tra_sigma2"])
     def test_bad_setting_rejected_before_any_cell(self, key, value, message, tmp_path, capsys):
         out = tmp_path / "summary.csv"

@@ -13,8 +13,9 @@ from corfd.dfo import (
     two_loop_direction,
 )
 from corfd.estimators import EstimatorConfig, cor_cfd
-from corfd.oracle import deterministic_oracle, noisy_bench_oracle
+from corfd.oracle import noisy_bench_oracle, parse_problem
 from corfd.sampling import stream
+from helpers import deterministic_oracle
 
 
 def dense_bfgs_apply(memory: LbfgsMemory, g: np.ndarray) -> np.ndarray:
@@ -33,10 +34,10 @@ def dense_bfgs_apply(memory: LbfgsMemory, g: np.ndarray) -> np.ndarray:
 class TestTwoLoop:
     def test_empty_memory_is_identity(self):
         g = np.array([3.0, -1.0])
-        np.testing.assert_array_equal(two_loop_direction(LbfgsMemory(), g), g)
+        np.testing.assert_array_equal(two_loop_direction(LbfgsMemory(10), g), g)
 
     def test_secant_equation_single_pair(self):
-        mem = LbfgsMemory()
+        mem = LbfgsMemory(10)
         s = np.zeros(4)
         s[0] = 1.0
         assert mem.push(s, s)
@@ -64,7 +65,7 @@ class TestTwoLoop:
 
     def test_positive_definiteness_through_memory(self):
         rng = stream(1)
-        mem = LbfgsMemory()
+        mem = LbfgsMemory(10)
         for _ in range(8):
             s = rng.standard_normal(5)
             y = rng.standard_normal(5)
@@ -77,7 +78,7 @@ class TestTwoLoop:
 
 class TestMemory:
     def test_curvature_guard_rejects(self):
-        mem = LbfgsMemory()
+        mem = LbfgsMemory(10)
         s = np.array([1.0, 0.0])
         assert not mem.push(s, -s)
         assert not mem.push(s, np.array([0.0, 1.0]))  # orthogonal: zero curvature
@@ -168,7 +169,7 @@ class TestGradient:
         for i, gi in enumerate(g):
             coeff_rng = coords[i].spawn(2)[0].spawn(3)[0]
             pert = draw_perturbation_set(5, 4, cfg.coeff_gen, coeff_rng)
-            bound = clamp_floor(2.0) * float(np.max(pert.perturbations)) ** 2
+            bound = clamp_floor(2.0, cfg.clamp_scale) * float(np.max(pert.perturbations)) ** 2
             assert gi == pytest.approx(2.0, abs=bound + 1e-9)
 
     def test_steep_noisy_start_is_not_noise_free(self):
@@ -263,6 +264,15 @@ class TestOptimizer:
         trace = corcfd_lbfgs(orc, np.array([-1.2, 1.0]), cfg, stream(15))
         assert trace.evals_total >= 2 * cfg.budget
         assert all(row["batch"] == 1 for row in trace.iterations)
+
+    def test_start_row_reports_true_value(self):
+        zak = parse_problem("zakharov@2")
+        trace = corcfd_lbfgs(zak.oracle, zak.theta0, DfoConfig(budget=200), stream(16))
+        assert trace.iterations[0]["k"] == -1
+        assert trace.iterations[0]["f_true"] == zak.oracle.mean(zak.theta0)
+        queue = parse_problem("queue@3,5,10,service")  # mean unknown
+        trace = corcfd_lbfgs(queue.oracle, queue.theta0, DfoConfig(budget=500), stream(17))
+        assert np.isnan(trace.iterations[0]["f_true"])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

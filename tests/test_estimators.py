@@ -13,8 +13,9 @@ from corfd.estimators import (
     tra_cfd,
     transform_pilot_sample,
 )
-from corfd.oracle import GroundTruth, deterministic_oracle, poly_oracle, sin_oracle
+from corfd.oracle import GroundTruth, poly_oracle, sin_oracle
 from corfd.sampling import difference_samples, stream
+from helpers import deterministic_oracle
 
 
 def cubic_oracle():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from corfd.dfo import stochastic_armijo
+from corfd.estimators import EstimatorConfig, cor_cfd
 from corfd.oracle import (
     GroundTruth,
+    NonFiniteResponseError,
     QueueSpec,
+    SimulationOracle,
     lr_derivative_oracle,
     noisy_bench_oracle,
     parse_problem,
@@ -203,3 +207,46 @@ class TestParseProblem:
         for bad in ("sphere", "sin1@3", "queue@4,4,10", "rosenbrock@5"):
             with pytest.raises(ValueError):
                 parse_problem(bad)
+
+    @pytest.mark.parametrize("pid,message", [
+        ("queue@3,5,nan,service", "problem id 'queue@3,5,nan,service': 'nan' is not a valid int"),
+        ("queue@3,five,10,service", "problem id 'queue@3,five,10,service': 'five' is not a valid float"),
+        ("zakharov@two", "problem id 'zakharov@two': 'two' is not a valid int"),
+        ("poly@x", "problem id 'poly@x': 'x' is not a valid float"),
+        ("poly@nan", "poly point must be finite, got 'poly@nan'"),
+        ("poly@inf", "poly point must be finite, got 'poly@inf'"),
+    ], ids=["queue_horizon", "queue_rate", "zakharov_dim", "poly_text", "poly_nan", "poly_inf"])
+    def test_bad_numbers_name_the_id(self, pid, message):
+        with pytest.raises(ValueError) as exc:
+            parse_problem(pid)
+        assert str(exc.value) == message
+
+
+def nan_sampler(rate):
+    """Unit-noise draws around ``theta[0]``, a share ``rate`` of them NaN."""
+
+    def sample(theta, rng, size):
+        y = rng.normal(float(theta[0]), 1.0, size)
+        y[rng.random(size) < rate] = np.nan
+        return y
+
+    return sample
+
+
+class TestNonFiniteResponses:
+    def test_estimator_names_oracle_and_point(self):
+        class Flaky:  # duck-typed: only ``sample`` and ``label``
+            label = "flaky"
+            sample = staticmethod(nan_sampler(0.01))
+
+        with pytest.raises(NonFiniteResponseError,
+                           match=r"^oracle flaky returned a non-finite response at theta=\[-?[0-9.e-]+\]$"):
+            cor_cfd(Flaky(), [0.0], 0, 1000, EstimatorConfig(), stream(30))
+
+    def test_line_search_names_oracle_and_point(self):
+        orc = SimulationOracle(dim=1, label="flaky", sample=nan_sampler(1.0))
+        with pytest.raises(NonFiniteResponseError,
+                           match=r"^oracle flaky returned a non-finite response at theta=\[2\.0\]$"):
+            stochastic_armijo(orc, np.array([2.0]), np.array([-1.0]), 1.0, 1.0, 1e-4, 0.5, 1.0, stream(31))
+        # The CLI reports every ValueError as an error with exit code 1.
+        assert issubclass(NonFiniteResponseError, ValueError)

@@ -85,14 +85,14 @@ class TestVarFit:
         n_b = 50
         h = np.array([0.3, 0.6, 1.2])
         s2 = (n_b - 1) * 1.0 / (2 * n_b**2 * h * h)
-        assert fit_var_wls(h, s2, n_b).noise_var == pytest.approx(1.0, rel=1e-12)
+        assert fit_var_wls(h, s2, n_b) == pytest.approx(1.0, rel=1e-12)
 
     def test_single_perturbation_arithmetic(self):
         # 2 * 100^2 / 99 * (0.25 * 0.0396) = 2.0
-        assert fit_var_wls([0.5], [0.0396], 100).noise_var == pytest.approx(2.0, rel=1e-12)
+        assert fit_var_wls([0.5], [0.0396], 100) == pytest.approx(2.0, rel=1e-12)
 
     def test_single_point_accepted(self):
-        assert fit_var_wls([0.7], [1.0], 10).noise_var > 0
+        assert fit_var_wls([0.7], [1.0], 10) > 0
 
     def test_unweighted_form_matches_direct_least_squares(self):
         n_b = 30
@@ -100,14 +100,14 @@ class TestVarFit:
         s2 = np.array([0.9, 0.2, 0.05, 0.02])
         x = (n_b - 1) / (2 * n_b**2 * h * h)
         expected = float(np.linalg.lstsq(x[:, None], s2, rcond=None)[0][0])
-        assert fit_var_unweighted(h, s2, n_b).noise_var == pytest.approx(expected, rel=1e-12)
+        assert fit_var_unweighted(h, s2, n_b) == pytest.approx(expected, rel=1e-12)
 
     def test_weighted_and_unweighted_agree_on_model(self):
         n_b = 20
         h = np.array([0.1, 0.4, 0.8])
         s2 = (n_b - 1) * 2.5 / (2 * n_b**2 * h * h)
-        assert fit_var_wls(h, s2, n_b).noise_var == pytest.approx(2.5, rel=1e-12)
-        assert fit_var_unweighted(h, s2, n_b).noise_var == pytest.approx(2.5, rel=1e-12)
+        assert fit_var_wls(h, s2, n_b) == pytest.approx(2.5, rel=1e-12)
+        assert fit_var_unweighted(h, s2, n_b) == pytest.approx(2.5, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -136,8 +136,8 @@ class TestClamp:
             assert out == b
 
     def test_floor_scales_with_intercept(self):
-        assert clamp_floor(0.5) == 1e-4
-        assert clamp_floor(-30.0) == pytest.approx(3e-3)
+        assert clamp_floor(0.5, 1e-4) == 1e-4
+        assert clamp_floor(-30.0, 1e-4) == pytest.approx(3e-3)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from corfd.oracle import deterministic_oracle, poly_oracle, sin_oracle
+from corfd.oracle import poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
     PerturbationGenerator,
@@ -11,6 +11,7 @@ from corfd.sampling import (
     draw_perturbation_set,
     stream,
 )
+from helpers import deterministic_oracle
 
 
 class TestStream:

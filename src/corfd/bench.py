@@ -161,8 +161,8 @@ def run_replications(cfg: ExperimentConfig):
 
     Returns ``(detail_rows, summary_rows, failures)``: one detail row per
     replication, one summary row per feasible cell when the truth is known,
-    and one ``(cell, message)`` entry per cell that is infeasible or whose
-    constant estimation fails.  Such cells are reported and skipped; the rest
+    and one ``(cell, error type, message)`` entry per cell that is
+    infeasible or whose constant estimation fails.  Such cells are reported and skipped; the rest
     of the grid still runs.  Each cell's replications run as one chunk, or,
     with ``CORFD_THREADS`` above one, as up to that many contiguous chunks on
     one process pool shared by all cells.  Chunks come back in replication
@@ -170,7 +170,7 @@ def run_replications(cfg: ExperimentConfig):
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
-    failures: list[tuple[str, str]] = []
+    failures: list[tuple[str, str, str]] = []
     truth = cfg.truth()
     workers = _thread_count()
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
@@ -184,7 +184,8 @@ def run_replications(cfg: ExperimentConfig):
             try:
                 results = [row for rows in run_map(run_chunk, chunks) for row in rows]
             except ValueError as exc:
-                failures.append((f"{cfg.problem}/{method}/{budget}", str(exc)))
+                cell = f"{cfg.problem}/{method}/{budget}"
+                failures.append((cell, type(exc).__name__, str(exc)))
                 continue
             for rep, value, pairs_used, perturbation in results:
                 detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])

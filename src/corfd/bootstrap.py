@@ -40,7 +40,11 @@ def column_moments(
     if n < 2:
         raise ValueError(f"need at least 2 samples per column, got {n}")
     if I is None:
-        return pilot.mean(axis=1), (n - 1) / n**2 * pilot.var(axis=1, ddof=1)
+        # The arithmetic of pilot.mean and pilot.var(ddof=1), without their
+        # per-call overhead.
+        means = pilot.sum(axis=1) / n
+        deviations = pilot - means[:, None]
+        return means, (n - 1) / n**2 * ((deviations * deviations).sum(axis=1) / (n - 1))
     if I < 2:
         raise ValueError(f"need I >= 2 resamples, got {I}")
     if rng is None:

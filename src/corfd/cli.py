@@ -121,8 +121,8 @@ def _cmd_estimate(ns) -> int:
         **_kwargs(ExperimentConfig, settings),
     )
     detail, summary, failures = run_replications(cfg)
-    for label, message in failures:
-        print(f"error: {label}: {message}", file=sys.stderr)
+    for label, kind, message in failures:
+        print(f"error: {label}: {kind}: {message}", file=sys.stderr)
     if failures:
         return 1
     emit_csv([row[3:] for row in detail], DETAIL_HEADER[3:], ns.out)
@@ -214,8 +214,8 @@ def _cmd_bench(ns) -> int:
         values[key.strip()] = value.strip()
     cfg, out, detail_out = _bench_config(values)
     detail, summary, failures = run_replications(cfg)
-    for label, message in failures:
-        print(f"error: {label}: {message}", file=sys.stderr)
+    for label, kind, message in failures:
+        print(f"error: {label}: {kind}: {message}", file=sys.stderr)
     emit_csv(summary, SUMMARY_HEADER, out)
     if detail_out:
         emit_csv(detail, DETAIL_HEADER, detail_out)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation, tra_cfd
 from .oracle import SimulationOracle
-from .sampling import PerturbationGenerator
+from .sampling import PerturbationGenerator, spawn_seeds
 
 __all__ = [
     "DfoConfig",
@@ -222,15 +222,12 @@ def gradient_via_corcfd(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Coordinate-wise gradient estimate, one independent pipeline run per
-    coordinate; costs ``2 * dim * pairs_per_coord`` evaluations."""
+    coordinate, all in one batched call; costs ``2 * dim * pairs_per_coord``
+    evaluations."""
     theta = np.asarray(theta, dtype=float)
-    coords = rng.spawn(theta.size)
-    return np.array(
-        [
-            cor_cfd(oracle, theta, i, pairs_per_coord, cfg, coords[i]).value
-            for i in range(theta.size)
-        ]
-    )
+    streams = spawn_seeds(rng, theta.size)
+    estimates = cor_cfd(oracle, theta, range(theta.size), pairs_per_coord, cfg, streams)
+    return np.array([est.value for est in estimates])
 
 
 def _gradient_tra(

@@ -26,6 +26,8 @@ from .sampling import (
     PerturbationSet,
     difference_samples,
     draw_perturbation_set,
+    seeded,
+    spawn_seeds,
 )
 
 __all__ = [
@@ -159,75 +161,120 @@ def optimal_perturbation(noise_var: float, bias_const: float, n: int) -> float:
 
 
 def transform_pilot_sample(
-    samples: np.ndarray, h: np.ndarray, h_n: float, deriv: float, bias_const: float
+    samples: np.ndarray,
+    h: np.ndarray,
+    h_n: float | np.ndarray,
+    deriv: float | np.ndarray,
+    bias_const: float | np.ndarray,
 ) -> np.ndarray:
     """Map pilot difference samples to the target perturbation ``h_n``.
 
     Row ``k`` of ``samples`` was drawn at perturbation ``h[k]``.  Each sample
     is centered at its fitted mean, rescaled by the perturbation ratio
     (standard deviations scale like ``1/h``), and recentered at the fitted
-    mean of the target perturbation.
+    mean of the target perturbation.  For a stack of coordinates,
+    ``samples`` is ``(m, K, n_b)``, ``h`` is ``(m, K)``, and ``h_n``,
+    ``deriv`` and ``bias_const`` hold one value per coordinate.
     """
-    if h_n == 0:
+    if np.any(np.asarray(h_n) == 0):
         raise ValueError("target perturbation must be nonzero")
     h = np.asarray(h, dtype=float)
+    h_n, deriv, bias_const = (
+        np.asarray(v, dtype=float)[..., None] for v in (h_n, deriv, bias_const)
+    )
     fitted = deriv + bias_const * h * h
     fitted_n = deriv + bias_const * h_n * h_n
-    return (np.abs(h) / abs(h_n))[:, None] * (samples - fitted[:, None]) + fitted_n
+    ratio = np.abs(h) / np.abs(h_n)
+    return ratio[..., None] * (samples - fitted[..., None]) + fitted_n[..., None]
 
 
-def _pilot_matrix(
+@dataclass(frozen=True)
+class _PilotStage:
+    """Pilot stage of ``m`` coordinates, one row per coordinate: the
+    perturbations ``h`` (m, K), the samples (m, K, n_b), and the fitted
+    constants with the target perturbation for ``budget`` pairs."""
+
+    perturbation_sets: list[PerturbationSet]
+    h: np.ndarray
+    samples: np.ndarray
+    deriv: np.ndarray
+    bias_const: np.ndarray
+    bias_const_raw: np.ndarray
+    noise_var: np.ndarray
+    perturbation: np.ndarray
+    budget: int
+
+    def constants(self) -> list[ConstantEstimates]:
+        rows = zip(self.deriv.tolist(), self.bias_const.tolist(), self.bias_const_raw.tolist(),
+                   self.noise_var.tolist(), self.perturbation.tolist())
+        return [ConstantEstimates(*row, self.budget) for row in rows]
+
+
+def _pilot_stage(
     oracle: SimulationOracle,
     theta0,
-    coord: int,
-    pert: PerturbationSet,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    columns = rng.spawn(pert.size)
-    return np.stack(
-        [
-            difference_samples(oracle, theta0, coord, float(h), columns[k], pert.pilot_size)
-            for k, h in enumerate(pert.perturbations)
+    coords: list[int],
+    n: int,
+    cfg: EstimatorConfig,
+    streams,
+    budget: int,
+) -> _PilotStage:
+    """Run the pilot stage for coordinate ``coords[j]`` on stream ``streams[j]``
+    (a generator or its seed).
+
+    Each stream spawns its coefficient, pilot and bootstrap streams, and the
+    pilot stream one stream per column, as a single-coordinate run does;
+    the pilot columns of all coordinates are then drawn in one batch.
+    """
+    n_b = cfg.resolve_pilot_size(n)
+    K = cfg.K
+    perts, columns, boot_seeds = [], [], []
+    for parent in streams:
+        coeff_seed, pilot_seed, boot_seed = spawn_seeds(parent, 3)
+        perts.append(
+            draw_perturbation_set(K, n_b, cfg.coeff_gen, seeded(coeff_seed), cfg.pilot_exponent)
+        )
+        columns += map(seeded, spawn_seeds(pilot_seed, K))
+        boot_seeds.append(boot_seed)
+    m = len(perts)
+    h = np.array([p.perturbations for p in perts])
+    block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), columns, n_b)
+    if cfg.bootstrap_reps is None:
+        means, variances = column_moments(block, None, None)
+    else:
+        # Each coordinate resamples its own columns from its own stream.
+        per_coord = [
+            column_moments(rows, cfg.bootstrap_reps, seeded(boot_seed))
+            for rows, boot_seed in zip(np.split(block, m), boot_seeds)
         ]
-    )
-
-
-def _fit_constants(
-    pilot: PilotData, budget: int, cfg: EstimatorConfig, boot_rng: np.random.Generator
-) -> ConstantEstimates:
-    pert = pilot.perturbations
-    n_b = pert.pilot_size
-    means, variances = column_moments(pilot.samples, cfg.bootstrap_reps, boot_rng)
+        means, variances = (np.concatenate(v) for v in zip(*per_coord))
+    means, variances = means.reshape(m, K), variances.reshape(m, K)
+    samples = block.reshape(m, K, n_b)
     # Only a column of identical samples counts as deterministic.  A
     # tolerance on the resampling variance would scale with the derivative
     # and flag honest noise on steep responses.
-    degenerate = np.ptp(pilot.samples, axis=1) == 0
-    noise_free = bool(np.all(degenerate))
-    if np.any(degenerate) and not noise_free:
+    degenerate = np.ptp(samples, axis=-1) == 0
+    noise_free = degenerate.all(axis=-1)
+    if np.any(degenerate.any(axis=-1) & ~noise_free):
         raise EstimationError(
             "a pilot column has zero resampling variance while others do not; "
             "the noisy-response model does not hold for this oracle"
         )
     # Noise-free pilots carry no weighting information: fit with equal weights.
-    sds = np.ones_like(variances) if noise_free else np.sqrt(variances)
-    bias_fit = fit_bias_wls(pert.perturbations, means, sds)
-    noise_var = 0.0 if noise_free else fit_var_wls(pert.perturbations, variances, n_b)
+    sds = np.where(noise_free[:, None], 1.0, np.sqrt(variances))
+    bias_fit = fit_bias_wls(h, means, sds)
+    noise_var = np.where(noise_free, 0.0, fit_var_wls(h, variances, n_b))
     clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))
-    if not noise_free:
-        h_n = optimal_perturbation(noise_var, clamped, budget)
-    else:
-        # Zero estimated noise makes the error-optimal perturbation
-        # degenerate.  The largest pilot perturbation keeps every transform
-        # ratio at most one, so the downstream error stays within the
-        # clamped-slope times squared-perturbation bound.
-        h_n = float(np.max(pert.perturbations))
-    return ConstantEstimates(
-        deriv=bias_fit.intercept,
-        bias_const=clamped,
-        bias_const_raw=bias_fit.slope,
-        noise_var=noise_var,
-        perturbation=h_n,
-        budget=budget,
+    # Zero estimated noise makes the error-optimal perturbation degenerate.
+    # The largest pilot perturbation keeps every transform ratio at most
+    # one, so the downstream error stays within the clamped-slope times
+    # squared-perturbation bound.
+    h_opt = [
+        optimal_perturbation(v, b, budget) for v, b in zip(noise_var.tolist(), clamped.tolist())
+    ]
+    h_n = np.where(noise_free, h.max(axis=-1), h_opt)
+    return _PilotStage(
+        perts, h, samples, bias_fit.intercept, clamped, bias_fit.slope, noise_var, h_n, budget
     )
 
 
@@ -242,12 +289,8 @@ def estimate_constants(
 ) -> tuple[ConstantEstimates, PilotData]:
     """Run the pilot stage: draw perturbations and samples, fit the constants,
     and derive the perturbation for ``budget`` (default: ``n``) pairs."""
-    n_b = cfg.resolve_pilot_size(n)
-    coeff_rng, pilot_rng, boot_rng = rng.spawn(3)
-    pert = draw_perturbation_set(cfg.K, n_b, cfg.coeff_gen, coeff_rng, cfg.pilot_exponent)
-    pilot = PilotData(pert, _pilot_matrix(oracle, theta0, coord, pert, pilot_rng))
-    constants = _fit_constants(pilot, n if budget is None else budget, cfg, boot_rng)
-    return constants, pilot
+    stage = _pilot_stage(oracle, theta0, [coord], n, cfg, [rng], n if budget is None else budget)
+    return stage.constants()[0], PilotData(stage.perturbation_sets[0], stage.samples[0])
 
 
 def tra_cfd(
@@ -307,41 +350,51 @@ def boot_cfd(
         raise BudgetError(
             f"budget {n} leaves no fresh pairs after {cfg.K * n_b} pilot pairs"
         )
-    est_rng, fresh_rng = rng.spawn(2)
-    constants, _ = estimate_constants(oracle, theta0, coord, n, cfg, est_rng, budget=n2)
-    fresh = difference_samples(oracle, theta0, coord, constants.perturbation, fresh_rng, n2)
-    return GradientEstimate(float(fresh.mean()), "boot", n, constants.perturbation, constants)
+    est_seed, fresh_seed = spawn_seeds(rng, 2)
+    (constants,) = _pilot_stage(oracle, theta0, [coord], n, cfg, [est_seed], n2).constants()
+    h_n = constants.perturbation
+    fresh = difference_samples(oracle, theta0, coord, h_n, seeded(fresh_seed), n2)
+    return GradientEstimate(float(fresh.mean()), "boot", n, h_n, constants)
 
 
 def cor_cfd(
     oracle: SimulationOracle,
     theta0,
-    coord: int,
+    coord,
     n: int,
     cfg: EstimatorConfig,
-    rng: np.random.Generator,
-) -> GradientEstimate:
+    rng,
+) -> GradientEstimate | list[GradientEstimate]:
     """Correlation-induced estimator: the full pipeline.
 
     Pilot samples estimate the constants and the optimal perturbation for the
     *full* budget ``n``; every pilot sample is then transformed to that
     perturbation and averaged with the ``n - K*n_b`` fresh pairs.  Spending
     the entire budget on pilots (no fresh pairs) is valid.
+
+    ``coord`` may also be a sequence of coordinates, with ``rng`` a sequence
+    of generators, one each; a generator's seed sequence may stand in for
+    it.  The call then returns one estimate per coordinate, each equal to
+    what a single-coordinate call on its generator returns; the pilots of
+    all coordinates are drawn in one oracle batch and fitted together.
     """
-    est_rng, fresh_rng = rng.spawn(2)
-    constants, pilot = estimate_constants(oracle, theta0, coord, n, cfg, est_rng, budget=n)
-    h_n = constants.perturbation
-    if h_n == 0:
+    single = isinstance(coord, (int, np.integer))
+    coords, rngs = ([coord], [rng]) if single else (list(coord), list(rng))
+    if len(coords) != len(rngs):
+        raise ValueError(f"need one generator per coordinate, got {len(rngs)} for {len(coords)}")
+    est_seeds, fresh_seeds = zip(*(spawn_seeds(r, 2) for r in rngs))
+    stage = _pilot_stage(oracle, theta0, coords, n, cfg, est_seeds, budget=n)
+    h_n = stage.perturbation
+    if np.any(h_n == 0):
         raise EstimationError("estimated perturbation is zero")
-    transformed = transform_pilot_sample(
-        pilot.samples, pilot.perturbations.perturbations, h_n,
-        constants.deriv, constants.bias_const,
-    )
-    n2 = n - pilot.pair_cost
-    fresh = (
-        difference_samples(oracle, theta0, coord, h_n, fresh_rng, n2)
-        if n2 > 0
-        else np.empty(0)
-    )
-    value = (float(transformed.sum()) + float(fresh.sum())) / n
-    return GradientEstimate(value, "cor", n, h_n, constants)
+    transformed = transform_pilot_sample(stage.samples, stage.h, h_n, stage.deriv, stage.bias_const)
+    total = transformed.reshape(len(coords), -1).sum(axis=-1)
+    n2 = n - stage.samples[0].size
+    if n2 > 0:
+        fresh_rngs = [seeded(seed) for seed in fresh_seeds]
+        total += difference_samples(oracle, theta0, coords, h_n, fresh_rngs, n2).sum(axis=-1)
+    estimates = [
+        GradientEstimate(value, "cor", n, h, constants)
+        for value, h, constants in zip((total / n).tolist(), h_n.tolist(), stage.constants())
+    ]
+    return estimates[0] if single else estimates

@@ -8,7 +8,7 @@ given the stream and safe to run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,9 +66,11 @@ class SimulationOracle:
     """A noisy function ``Y(theta)`` evaluated by simulation.
 
     ``sample(theta, rng, size)`` returns ``size`` independent draws at one
-    point.  ``mean`` is the noise-free response when known (used for
-    optimality-gap reporting and exactness tests), ``truth`` maps a point to
-    its :class:`GroundTruth`, and ``argmin`` is the known minimizer for
+    point.  ``sample_rows``, when given, is a vectorized form of
+    :meth:`sample_batch` that must return the same values bit for bit.
+    ``mean`` is the noise-free response when known (used for optimality-gap
+    reporting and exactness tests), ``truth`` maps a point to its
+    :class:`GroundTruth`, and ``argmin`` is the known minimizer for
     benchmark functions.
     """
 
@@ -78,23 +80,60 @@ class SimulationOracle:
     mean: Callable[[np.ndarray], float] | None = None
     truth: Callable[[np.ndarray], GroundTruth] | None = None
     argmin: np.ndarray | None = None
+    sample_rows: Callable[[np.ndarray, Sequence, int], np.ndarray] | None = None
 
     def eval(self, theta: np.ndarray | float, rng: np.random.Generator) -> float:
         """One scalar draw of ``Y(theta)``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return float(draw_responses(self, theta, rng, 1)[0])
 
+    def sample_batch(
+        self, points: np.ndarray, rngs: Sequence[np.random.Generator], size: int
+    ) -> np.ndarray:
+        """``size`` draws at each row of ``points``, shape ``(m, size)``.
 
-def draw_responses(oracle, theta: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``oracle.sample(theta, rng, size)``, refusing non-finite responses.
+        Row ``j`` is drawn from ``rngs[j]``; rows that share a generator draw
+        from it in row order.  Without ``sample_rows`` this is one ``sample``
+        call per row.
+        """
+        if self.sample_rows is not None:
+            return self.sample_rows(points, rngs, size)
+        return _sample_each(self.sample, points, rngs, size)
 
-    Any object with ``sample`` and ``label`` serves as ``oracle``.
+
+def _sample_each(sample, points, rngs, size) -> np.ndarray:
+    y = np.empty((len(rngs), size))
+    for j, rng in enumerate(rngs):
+        y[j] = sample(points[j], rng, size)
+    return y
+
+
+def draw_responses(oracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
+    """``size`` draws of the response at ``theta``, refusing non-finite ones.
+
+    ``theta`` is one point and ``rng`` a generator, or ``theta`` is a 2-D
+    block of points and ``rng`` a sequence of generators, one per row; the
+    block comes from ``oracle.sample_batch`` and has shape ``(m, size)``.
+    Any object with ``sample`` and ``label`` serves as ``oracle``; without
+    ``sample_batch`` its block is drawn one ``sample`` call per row.  The
+    error names the first point whose draws are not all finite.
     """
-    y = oracle.sample(theta, rng, size)
-    if not np.isfinite(y).all():
-        point = np.asarray(theta).tolist()
+    theta = np.asarray(theta)
+    if theta.ndim == 2:
+        if len(rng) != len(theta):
+            raise ValueError(f"need one generator per point, got {len(rng)} for {len(theta)}")
+        batch = getattr(oracle, "sample_batch", None)
+        if batch is None:
+            y = _sample_each(oracle.sample, theta, rng, size)
+        else:
+            y = batch(theta, rng, size)
+    else:
+        y = oracle.sample(theta, rng, size)
+    finite = np.isfinite(y)
+    if not finite.all():
+        point = theta if theta.ndim < 2 else theta[np.argmin(finite.all(axis=-1))]
         raise NonFiniteResponseError(
-            f"oracle {oracle.label} returned a non-finite response at theta={point}"
+            f"oracle {oracle.label} returned a non-finite response at theta={point.tolist()}"
         )
     return y
 
@@ -168,16 +207,25 @@ def poly_oracle() -> SimulationOracle:
 # Noisy optimization benchmarks
 # ---------------------------------------------------------------------------
 
-def rosenbrock(x: np.ndarray) -> float:
-    x1, x2 = float(x[0]), float(x[1])
-    return 100.0 * (x2 - x1 * x1) ** 2 + (x1 - 1.0) ** 2
+# The benchmark functions take one point, or a 2-D block with one point per
+# row.  Their powers are taken on Python floats: numpy's vectorized power can
+# round the last bit differently, and a block must reproduce the values of
+# its points taken one at a time.
 
-
-def zakharov(x: np.ndarray) -> float:
+def rosenbrock(x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
-    i = np.arange(1, x.size + 1)
-    s = float(np.sum(0.5 * i * x))
-    return float(np.sum(x * x)) + s**2 + s**4
+    f = [100.0 * (x2 - x1 * x1) ** 2 + (x1 - 1.0) ** 2 for x1, x2 in x.reshape(-1, 2).tolist()]
+    return f[0] if x.ndim == 1 else np.array(f)
+
+
+def zakharov(x: np.ndarray) -> float | np.ndarray:
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    i = np.arange(1, rows.shape[-1] + 1)
+    squares = np.sum(rows * rows, axis=-1).tolist()
+    sums = np.sum(0.5 * i * rows, axis=-1).tolist()
+    f = [q + s**2 + s**4 for q, s in zip(squares, sums)]
+    return f[0] if x.ndim == 1 else np.array(f)
 
 
 def noisy_bench_oracle(fn: str, d: int) -> SimulationOracle:
@@ -197,8 +245,16 @@ def noisy_bench_oracle(fn: str, d: int) -> SimulationOracle:
     def sample(theta, rng, size):
         return f(theta) + rng.standard_normal(size)
 
+    def sample_rows(points, rngs, size):
+        y = np.empty((len(rngs), size))
+        for row, rng in zip(y, rngs):
+            rng.standard_normal(out=row)
+        y += f(points)[:, None]
+        return y
+
     return SimulationOracle(
-        dim=d, label=f"{fn}@{d}", sample=sample, mean=lambda t: float(f(t)), argmin=argmin
+        dim=d, label=f"{fn}@{d}", sample=sample, mean=lambda t: float(f(t)), argmin=argmin,
+        sample_rows=sample_rows,
     )
 
 

@@ -38,56 +38,76 @@ class SingularDesignError(ValueError):
 class BiasFit:
     """Weighted fit of means against ``intercept + slope * h^2``.
 
+    Floats for one fit; for a stack of fits, arrays with one entry per row.
     Residuals are reported on the unweighted scale; with two perturbations
     the fit interpolates and they vanish.
     """
 
-    intercept: float
-    slope: float
+    intercept: float | np.ndarray
+    slope: float | np.ndarray
     residuals: np.ndarray
 
 
-def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
-    """Weighted least squares of ``means ~ intercept + slope * h^2``.
+def _float_if_scalar(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if np.ndim(value) == 0 else value
 
-    Rows are divided by their standard deviations, then solved by SVD.
-    Designs whose singular values give a condition number above 1e12 (for
-    instance coincident squared perturbations) are rejected.
+
+def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
+    """Weighted least squares of ``means ~ intercept + slope * h^2``, one fit
+    along the last axis of each argument.
+
+    Row ``k`` carries weight ``1 / sds[k]^2``; the two-parameter fit has the
+    closed form of a weighted simple regression on ``h^2``.  Designs whose
+    row-scaled singular values give a condition number above 1e12 (for
+    instance coincident squared perturbations) are rejected.  1-D input
+    gives a float intercept and slope.
     """
-    h = np.asarray(h, dtype=float).ravel()
-    means = np.asarray(means, dtype=float).ravel()
-    sds = np.asarray(sds, dtype=float).ravel()
+    h = np.asarray(h, dtype=float)
+    means = np.asarray(means, dtype=float)
+    sds = np.asarray(sds, dtype=float)
+    if h.ndim == 0 or not h.shape == means.shape == sds.shape:
+        raise ValueError("h, means and sds must have equal shapes")
+    if h.shape[-1] < 2:
+        raise ValueError(f"need at least 2 perturbations, got {h.shape[-1]}")
     if not np.all(sds > 0):
         raise ValueError("weights (standard deviations) must all be positive")
-    K = h.size
-    if K < 2:
-        raise ValueError(f"need at least 2 perturbations, got {K}")
-    if means.size != K or sds.size != K:
-        raise ValueError("h, means and sds must have equal length")
-    design = np.column_stack([np.ones(K), h * h]) / sds[:, None]
-    coef, _, _, sv = np.linalg.lstsq(design, means / sds, rcond=None)
-    if sv[-1] == 0 or sv[0] / sv[-1] > _MAX_CONDITION:
+    x = h * h
+    inv = 1.0 / sds
+    design = np.empty(h.shape + (2,))
+    design[..., 0] = inv
+    np.multiply(x, inv, out=design[..., 1])
+    sv = np.linalg.svd(design, compute_uv=False)
+    if (sv[..., 0] > _MAX_CONDITION * sv[..., 1]).any():
+        condition = np.max(sv[..., 0] / np.maximum(sv[..., 1], 1e-300))
         raise SingularDesignError(
-            f"bias design is numerically singular (condition {sv[0] / max(sv[-1], 1e-300):.2e})"
+            f"bias design is numerically singular (condition {condition:.2e})"
         )
-    intercept, slope = float(coef[0]), float(coef[1])
-    return BiasFit(intercept, slope, means - (intercept + slope * h * h))
+    w = inv * inv
+    total = w.sum(axis=-1)
+    x_mean = (w * x).sum(axis=-1) / total
+    y_mean = (w * means).sum(axis=-1) / total
+    dx = x - x_mean[..., None]
+    slope = (w * dx * (means - y_mean[..., None])).sum(axis=-1) / (w * dx * dx).sum(axis=-1)
+    intercept = y_mean - slope * x_mean
+    residuals = means - (intercept[..., None] + slope[..., None] * x)
+    return BiasFit(_float_if_scalar(intercept), _float_if_scalar(slope), residuals)
 
 
-def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float:
-    """Noise-variance fit with the heteroscedasticity-equalizing reweighting.
+def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float | np.ndarray:
+    """Noise-variance fit with the heteroscedasticity-equalizing reweighting,
+    one fit along the last axis.
 
     Multiplying the variance relation through by ``h^2`` leaves a constant
     regressor ``(n_b - 1) / (2 n_b^2)``, so the fit reduces to the closed form
-    ``2 n_b^2 / (n_b - 1) * mean(h^2 * s2)``.
+    ``2 n_b^2 / (n_b - 1) * mean(h^2 * s2)``.  1-D input gives a float.
     """
-    h = np.asarray(h, dtype=float).ravel()
-    s2 = np.asarray(s2, dtype=float).ravel()
-    if h.size < 1 or s2.size != h.size:
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    s2 = np.atleast_1d(np.asarray(s2, dtype=float))
+    if h.size < 1 or s2.shape != h.shape:
         raise ValueError("need matching, nonempty h and s2")
     if n_b < 2:
         raise ValueError(f"need n_b >= 2, got {n_b}")
-    return float(2.0 * n_b**2 / (n_b - 1) * np.mean(h * h * s2))
+    return _float_if_scalar(2.0 * n_b**2 / (n_b - 1) * ((h * h * s2).sum(axis=-1) / h.shape[-1]))
 
 
 def fit_var_unweighted(h: np.ndarray, s2: np.ndarray, n_b: int) -> float:
@@ -107,21 +127,23 @@ def fit_var_unweighted(h: np.ndarray, s2: np.ndarray, n_b: int) -> float:
     return float(np.dot(x, s2) / np.dot(x, x))
 
 
-def clamp_floor(intercept: float, scale: float) -> float:
-    """Clamp threshold: ``scale`` relative to the fitted derivative, at least ``scale``."""
-    return scale * max(1.0, abs(intercept))
+def clamp_floor(intercept, scale: float) -> float | np.ndarray:
+    """Clamp threshold: ``scale`` relative to the fitted derivative, at least
+    ``scale``; elementwise on an array of intercepts."""
+    return _float_if_scalar(scale * np.maximum(1.0, np.abs(intercept)))
 
 
-def clamp_bias_constant(bhat: float, eps: float) -> float:
-    """Push the slope estimate away from zero: ``sign(b) * (eps + max(|b| - eps, 0))``.
+def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
+    """Push the slope estimate away from zero: ``sign(b) * max(|b|, eps)``.
 
     Sign-preserving (zero counts as positive), so the derived perturbation
-    stays finite without flipping the estimate's direction.
+    stays finite without flipping the estimate's direction.  Slopes at or
+    above the floor pass through exactly.  Elementwise on arrays.
     """
-    if not eps > 0:
+    if not np.all(np.asarray(eps) > 0):
         raise ValueError(f"clamp threshold must be positive, got {eps}")
-    sign = 1.0 if bhat >= 0 else -1.0
-    return sign * (eps + max(abs(bhat) - eps, 0.0))
+    magnitude = np.maximum(np.abs(bhat), eps)
+    return _float_if_scalar(np.where(np.asarray(bhat) >= 0, magnitude, -magnitude))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ __all__ = [
     "PerturbationGenerator",
     "PerturbationSet",
     "stream",
+    "spawn_seeds",
+    "seeded",
     "draw_perturbation_set",
     "difference_samples",
 ]
@@ -46,6 +48,26 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     statistically independent sequences.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+
+
+def spawn_seeds(
+    parent: np.random.Generator | np.random.SeedSequence, n: int
+) -> list[np.random.SeedSequence]:
+    """The seeds of ``parent.spawn(n)``, spawned from ``parent`` as that call
+    would, but not yet built into generators.
+
+    :func:`seeded` builds a child when it is drawn from, so a child that
+    only spawns further, or is never used, costs only its seed.
+    """
+    if isinstance(parent, np.random.Generator):
+        parent = parent.bit_generator.seed_seq
+    return parent.spawn(n)
+
+
+def seeded(seed: np.random.SeedSequence) -> np.random.Generator:
+    """The generator that ``Generator.spawn`` builds from ``seed``; every
+    stream here is a PCG64 stream, as :func:`stream` makes them."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -83,6 +105,20 @@ class PerturbationGenerator:
         a, b = self._cdf_bounds
         return b - a
 
+    def _checked_acceptance(self) -> float:
+        accept = self.acceptance_probability
+        if accept <= 1e-12:
+            raise DegenerateRegionError(
+                f"truncation interval [{self.lower}, {self.upper}] has acceptance "
+                f"probability {accept:.3e} under Normal({self.mu0}, {self.sigma0}^2)"
+            )
+        return accept
+
+    def _inverse_cdf(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        a, b = self._cdf_bounds
+        out = self.mu0 + self.sigma0 * ndtri(a + (b - a) * rng.random(n))
+        return np.clip(out, self.lower, self.upper, out=out)
+
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
         """Draw from the truncated distribution.
 
@@ -90,12 +126,7 @@ class PerturbationGenerator:
         inverse-CDF on the truncated interval otherwise; either way the
         expected work per draw is bounded.
         """
-        accept = self.acceptance_probability
-        if accept <= 1e-12:
-            raise DegenerateRegionError(
-                f"truncation interval [{self.lower}, {self.upper}] has acceptance "
-                f"probability {accept:.3e} under Normal({self.mu0}, {self.sigma0}^2)"
-            )
+        accept = self._checked_acceptance()
         n = 1 if size is None else int(size)
         if accept >= 0.1:
             out = np.empty(n)
@@ -109,11 +140,28 @@ class PerturbationGenerator:
                 out[filled : filled + take] = kept[:take]
                 filled += take
         else:
-            a, b = self._cdf_bounds
-            u = a + (b - a) * rng.random(n)
-            out = self.mu0 + self.sigma0 * ndtri(u)
-            np.clip(out, self.lower, self.upper, out=out)
+            out = self._inverse_cdf(rng, n)
         return float(out[0]) if size is None else out
+
+    def sample_successive(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The values of ``count`` successive ``sample(rng)`` calls, drawn
+        together: the same random numbers, consumed in the same order.
+
+        A rejection-sampling call draws batches of one fixed width until one
+        holds an accepted value and returns the first; here all batches
+        still needed are drawn as the rows of one array.
+        """
+        accept = self._checked_acceptance()
+        if accept < 0.1:
+            return self._inverse_cdf(rng, count)
+        width = max(16, int(1 / accept * 1.2))
+        values: list[float] = []
+        while len(values) < count:
+            batch = rng.normal(self.mu0, self.sigma0, size=(count - len(values), width))
+            inside = (batch >= self.lower) & (batch <= self.upper)
+            hit = inside.any(axis=1)
+            values += batch[hit, inside[hit].argmax(axis=1)].tolist()
+        return np.array(values)
 
 
 @dataclass(frozen=True)
@@ -169,41 +217,53 @@ def draw_perturbation_set(
     accepted: list[float] = []
     rejections = 0
     while len(accepted) < K:
-        c = float(gen.sample(rng))
-        if _has_square_tie(c, accepted):
-            rejections += 1
-            if rejections >= _MAX_REDRAWS:
-                raise DegenerateRegionError(
-                    "perturbation generator is nearly degenerate: "
-                    f"{rejections} consecutive coefficient ties"
-                )
-            continue
-        rejections = 0
-        accepted.append(c)
+        # One draw per missing coefficient, exactly as one-at-a-time draws
+        # would consume them; a tie costs one more draw in the next round.
+        for c in gen.sample_successive(rng, K - len(accepted)).tolist():
+            if _has_square_tie(c, accepted):
+                rejections += 1
+                if rejections >= _MAX_REDRAWS:
+                    raise DegenerateRegionError(
+                        "perturbation generator is nearly degenerate: "
+                        f"{rejections} consecutive coefficient ties"
+                    )
+                continue
+            rejections = 0
+            accepted.append(c)
     return PerturbationSet(np.array(accepted), n_b, exponent)
 
 
 def difference_samples(
     oracle,
     theta0: np.ndarray | float,
-    coord: int,
-    h: float,
-    rng: np.random.Generator,
+    coord,
+    h,
+    rng,
     size: int,
 ) -> np.ndarray:
     """Draw ``size`` central-difference quotients at perturbation ``h``.
 
     Each quotient consumes one independent sample pair: the two sides never
     share randomness.  The plus side is drawn before the minus side.
+    ``coord``, ``h`` and ``rng`` may also be equal-length sequences: row
+    ``j`` of the ``(m, size)`` result then holds the quotients along
+    ``coord[j]`` at ``h[j]`` from ``rng[j]``, and all ``2 m`` points are
+    drawn in one oracle batch.
     """
-    if h == 0:
+    single = isinstance(coord, (int, np.integer))
+    coords, rngs = ([coord], [rng]) if single else (list(coord), list(rng))
+    h = np.asarray(h, dtype=float).reshape(-1)
+    if not len(coords) == h.size == len(rngs):
+        raise ValueError("need one perturbation and one generator per coordinate")
+    steps = h.tolist()
+    if 0.0 in steps:
         raise ValueError("perturbation h must be nonzero")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    up = theta0.copy()
-    up[coord] += h
-    down = theta0.copy()
-    down[coord] -= h
-    y_up = draw_responses(oracle, up, rng, size)
-    y_down = draw_responses(oracle, down, rng, size)
-    return (y_up - y_down) / (2.0 * h)
-
+    theta0 = np.asarray(theta0, dtype=float).reshape(-1)
+    # Rows 2j and 2j + 1 are the plus and minus sides of quotient row j.
+    points = np.repeat(theta0[None, :], 2 * h.size, axis=0)
+    for j, (c, step) in enumerate(zip(coords, steps)):
+        points[2 * j, c] += step
+        points[2 * j + 1, c] -= step
+    y = draw_responses(oracle, points, [r for r in rngs for _ in (0, 1)], size)
+    quotients = (y[0::2] - y[1::2]) / (2.0 * h[:, None])
+    return quotients[0] if single else quotients

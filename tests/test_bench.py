@@ -140,6 +140,7 @@ class TestRunReplications:
         cfg = small_config(methods=("boot", "cor"))  # boot needs fresh pairs at r=1
         detail, summary, failures = run_replications(cfg)
         assert len(failures) == 1 and "boot" in failures[0][0]
+        assert failures[0][1] == "BudgetError"
         assert {row[1] for row in detail} == {"cor"}
 
     def test_pair_accounting_matches_budget(self):

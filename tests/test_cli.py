@@ -89,7 +89,7 @@ class TestEstimateCommand:
             "--summary-out", str(tmp_path / "y.csv"),
         ])
         assert code == 1
-        assert f"error: {problem}/cor/40: a pilot column" in capsys.readouterr().err
+        assert f"error: {problem}/cor/40: EstimationError: a pilot column" in capsys.readouterr().err
         code = main([
             "bench", "--set", f"problem={problem}", "--set", "methods=cor,tra",
             "--set", "budgets=40", "--set", "reps=3", "--set", f"out={tmp_path / 's.csv'}",
@@ -105,7 +105,8 @@ class TestEstimateCommand:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: sin1/cor/1000: perturbation generator is nearly degenerate" in err
+        assert ("error: sin1/cor/1000: DegenerateRegionError: "
+                "perturbation generator is nearly degenerate") in err
         assert "Traceback" not in err
 
 
@@ -261,6 +262,16 @@ class TestBenchCommand:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = readme.split("Keys:", 1)[1].split(".", 1)[0]
         assert set(re.findall(r"`(\w+)`", listed)) == set(_BENCH_DEFAULTS) | set(_ESTIMATE_KEYS)
+
+    def test_cell_failure_names_the_error_type(self, tmp_path, capsys):
+        # boot needs fresh pairs, which the default r = 1 leaves none of.
+        code = main([
+            "bench", "--set", "problem=sin1", "--set", "methods=boot,cor", "--set", "budgets=100",
+            "--set", "reps=2", "--set", f"out={tmp_path / 's.csv'}",
+        ])
+        assert code == 2  # cor ran
+        err = capsys.readouterr().err
+        assert "error: sin1/boot/100: BudgetError: budget 100 leaves no fresh pairs" in err
 
 
 class TestUsageErrors:

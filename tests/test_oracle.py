@@ -13,9 +13,11 @@ from corfd.oracle import (
     parse_problem,
     poly_oracle,
     queue_oracle,
+    rosenbrock,
     sin_oracle,
     zakharov,
 )
+from corfd.oracle import draw_responses
 from corfd.sampling import stream
 
 
@@ -68,6 +70,56 @@ class TestPolyOracle:
             surrogate = (orc.mean([h]) - orc.mean([-h])) / (2 * h)
             predicted = truth.deriv + truth.bias_const * h * h + truth.fifth_const * h**4
             assert abs(surrogate - predicted) <= 1e-12 * max(1.0, abs(predicted))
+
+
+def per_point(oracle, points, seeds, size):
+    """Reference for ``sample_batch``: one ``sample`` call per point, each
+    from a fresh copy of its stream; rows naming the same seed share it."""
+    rngs = {seed: stream(*seed) for seed in set(seeds)}
+    return np.stack([oracle.sample(p, rngs[seed], size) for p, seed in zip(points, seeds)])
+
+
+class TestSampleBatch:
+    # Rows 0 and 1 share a stream, as the two sides of a difference pair do.
+    SEEDS = [(40, 0), (40, 0), (40, 1), (40, 2), (40, 1)]
+
+    @pytest.mark.parametrize("problem", ["sin1", "queue@3,5,50,service"])
+    def test_default_loop_equals_per_point_samples(self, problem):
+        oracle = parse_problem(problem).oracle
+        assert oracle.sample_rows is None
+        points = np.array([[2.9], [3.1], [2.5], [3.5], [3.0]])
+        rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
+        got = oracle.sample_batch(points, [rngs[seed] for seed in self.SEEDS], 7)
+        np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
+
+    @pytest.mark.parametrize("fn, d", [("zakharov", 10), ("zakharov", 100), ("rosenbrock", 2)])
+    def test_vectorized_rows_equal_per_point_samples(self, fn, d):
+        oracle = noisy_bench_oracle(fn, d)
+        points = stream(41).normal(0.0, 2.0, size=(5, d))
+        rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
+        got = oracle.sample_batch(points, [rngs[seed] for seed in self.SEEDS], 7)
+        np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
+
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_zakharov_rows_equal_the_scalar_function(self, d):
+        rng = stream(42, d)
+        points = rng.standard_normal((1000, d)) * rng.uniform(0.01, 100.0, size=(1000, 1))
+        np.testing.assert_array_equal(zakharov(points), [zakharov(p) for p in points])
+
+    def test_rosenbrock_rows_equal_the_scalar_function(self):
+        points = stream(43).normal(0.0, 3.0, size=(1000, 2))
+        np.testing.assert_array_equal(rosenbrock(points), [rosenbrock(p) for p in points])
+
+    def test_non_finite_row_names_its_point(self):
+        def sample(theta, rng, size):
+            value = np.nan if theta[0] == 2.0 else float(theta[0])
+            return np.full(size, value)
+
+        oracle = SimulationOracle(dim=1, label="holey", sample=sample)
+        points = np.array([[1.0], [2.0], [3.0]])
+        with pytest.raises(NonFiniteResponseError,
+                           match=r"^oracle holey returned a non-finite response at theta=\[2\.0\]$"):
+            draw_responses(oracle, points, [stream(44)] * 3, 4)
 
 
 class TestBenchFunctions:

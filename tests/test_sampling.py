@@ -77,6 +77,38 @@ class TestTruncatedNormal:
             PerturbationGenerator(0, 0.0, 0.1, 1.0)
 
 
+class TestSuccessiveDraws:
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            PerturbationGenerator(),
+            PerturbationGenerator(0.0, 1.0, 1.2),  # rejection batches often hold no draw
+            PerturbationGenerator(0.0, 1.0, 2.5),  # inverse-CDF branch
+        ],
+        ids=["default", "sparse-rejection", "inverse-cdf"],
+    )
+    def test_equal_to_one_call_at_a_time(self, gen):
+        for seed in range(20):
+            together, one_by_one = stream(11, seed), stream(11, seed)
+            got = gen.sample_successive(together, 12)
+            expected = [gen.sample(one_by_one) for _ in range(12)]
+            np.testing.assert_array_equal(got, expected)
+            assert together.bit_generator.state == one_by_one.bit_generator.state
+
+    def test_perturbation_set_with_ties_matches_one_at_a_time_draws(self):
+        # Squares within 1e-6 of each other tie, so this sliver forces redraws.
+        gen = PerturbationGenerator(0.0, 1.0, 1.0, 1.000003)
+        for seed in range(10):
+            rng = stream(12, seed)
+            accepted = []
+            while len(accepted) < 4:
+                c = gen.sample(rng)
+                if all(abs(c * c - a * a) > 1e-6 * max(c * c, a * a) for a in accepted):
+                    accepted.append(c)
+            pert = draw_perturbation_set(4, 10, gen, stream(12, seed))
+            np.testing.assert_array_equal(pert.coefficients, accepted)
+
+
 class TestPerturbationSet:
     def test_scaling_and_distinctness(self):
         gen = PerturbationGenerator()

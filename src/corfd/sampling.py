@@ -2,8 +2,9 @@
 central-difference sampling.
 
 All randomness flows through ``numpy.random.Generator`` objects.  Substreams
-are derived by index (``stream``, ``Generator.spawn``) so that serial and
-parallel executions of the same experiment consume identical random numbers.
+are derived by index (``stream``, ``Generator.spawn``, or ``spawn_seeds``,
+which builds only the generators that draw) so that serial and parallel
+executions of the same experiment consume identical random numbers.
 """
 from __future__ import annotations
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation, tra_cfd
+from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation
 from .oracle import SimulationOracle
-from .sampling import PerturbationGenerator, spawn_seeds
+from .sampling import PerturbationGenerator, difference_samples, spawn_seeds
 
 __all__ = [
     "DfoConfig",
@@ -233,12 +233,11 @@ def gradient_via_corcfd(
 def _gradient_tra(
     oracle: SimulationOracle, theta: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    # One sample pair per coordinate at the fixed assumed-constants step.
+    # One sample pair per coordinate at the fixed assumed-constants step,
+    # all coordinates in one oracle batch.
     h = optimal_perturbation(_TRA_NOISE_VAR, _TRA_BIAS_CONST, 1)
-    coords = rng.spawn(theta.size)
-    return np.array(
-        [tra_cfd(oracle, theta, i, 1, h, coords[i]).value for i in range(theta.size)]
-    )
+    d = theta.size
+    return difference_samples(oracle, theta, range(d), np.full(d, h), rng.spawn(d), 1)[:, 0]
 
 
 @dataclass

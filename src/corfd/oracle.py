@@ -279,6 +279,19 @@ class QueueSpec:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
+# Path-steps per block of the waiting-time walk: two float64 work arrays of
+# this many elements (1 MB in all), whatever the number of paths.
+_QUEUE_BLOCK = 1 << 16
+
+
+def _exponentials(rng: np.random.Generator, shape: tuple[int, int], rate: float) -> np.ndarray:
+    """Inverse-CDF exponential draws, ``-log(u) / rate``, computed in place."""
+    u = rng.random(shape)
+    np.log(u, out=u)
+    u /= -rate
+    return u
+
+
 def _simulate_queue(
     lam: float,
     mu: float,
@@ -287,7 +300,7 @@ def _simulate_queue(
     rng: np.random.Generator,
     size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized waiting-time recursion for ``size`` independent paths.
+    """Waiting times of ``size`` independent paths, vectorized over customers.
 
     Returns (responses, interarrival draws, service draws); the draws are
     needed by the score-function derivative estimator.  Exponentials come from
@@ -295,17 +308,31 @@ def _simulate_queue(
     ``measure="wait"`` the response is the average waiting time of the first
     ``horizon`` customers; with ``measure="sojourn"`` their average time in
     system (wait plus own service), which draws one extra service time.
+
+    Lindley's recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)`` from ``W_0 = 0``
+    has the closed form ``W_j = X_j - min(0, X_1, ..., X_j)``, where ``X`` is
+    the partial sum of ``S - A``: one cumulative sum and one running minimum
+    along the customer axis, taken over blocks of paths.
     """
     n_steps = horizon - 1
     n_svc = horizon if measure == "sojourn" else n_steps
     # Interarrivals of customers 2..N, then the services in customer order.
-    arrivals = -np.log(rng.random((size, n_steps))) / lam if n_steps else np.empty((size, 0))
-    services = -np.log(rng.random((size, n_svc))) / mu if n_svc else np.empty((size, 0))
-    wait = np.zeros(size)
+    arrivals = _exponentials(rng, (size, n_steps), lam)
+    services = _exponentials(rng, (size, n_svc), mu)
     total = np.zeros(size)
-    for i in range(n_steps):
-        wait = np.maximum(wait + services[:, i] - arrivals[:, i], 0.0)
-        total += wait
+    if n_steps:
+        rows = max(1, _QUEUE_BLOCK // n_steps)
+        walk = np.empty((min(rows, size), n_steps))
+        low = np.empty_like(walk)
+        for start in range(0, size, rows):
+            stop = min(start + rows, size)
+            x, m = walk[: stop - start], low[: stop - start]
+            np.subtract(services[start:stop, :n_steps], arrivals[start:stop], out=x)
+            np.cumsum(x, axis=1, out=x)
+            np.minimum.accumulate(x, axis=1, out=m)
+            np.minimum(m, 0.0, out=m)
+            x -= m
+            x.sum(axis=1, out=total[start:stop])
     if measure == "sojourn":
         total += services.sum(axis=1)
     return total / horizon, arrivals, services
@@ -364,6 +391,8 @@ def lr_derivative_oracle(
         raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     lam, mu = spec.arrival_rate, spec.service_rate
     total = 0.0
     done = 0

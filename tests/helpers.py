@@ -21,3 +21,21 @@ def deterministic_oracle(f, dim: int = 1, label: str = "noise-free") -> Simulati
         return np.full(size, float(f(theta)))
 
     return SimulationOracle(dim=dim, label=label, sample=sample, mean=lambda t: float(f(t)))
+
+
+def simulate_queue_loop(lam, mu, horizon, measure, rng, size):
+    """Per-customer Lindley recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)``
+    over ``size`` paths, with the draws of ``corfd.oracle._simulate_queue``
+    in the same order; returns (responses, interarrivals, services)."""
+    n_steps = horizon - 1
+    n_svc = horizon if measure == "sojourn" else n_steps
+    arrivals = -np.log(rng.random((size, n_steps))) / lam if n_steps else np.empty((size, 0))
+    services = -np.log(rng.random((size, n_svc))) / mu if n_svc else np.empty((size, 0))
+    wait = np.zeros(size)
+    total = np.zeros(size)
+    for i in range(n_steps):
+        wait = np.maximum(wait + services[:, i] - arrivals[:, i], 0.0)
+        total += wait
+    if measure == "sojourn":
+        total += services.sum(axis=1)
+    return total / horizon, arrivals, services

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corfd import dfo
 from corfd.dfo import (
     DfoConfig,
     LbfgsMemory,
@@ -12,7 +13,7 @@ from corfd.dfo import (
     stochastic_armijo,
     two_loop_direction,
 )
-from corfd.estimators import EstimatorConfig, cor_cfd
+from corfd.estimators import EstimatorConfig, cor_cfd, optimal_perturbation, tra_cfd
 from corfd.oracle import noisy_bench_oracle, parse_problem
 from corfd.sampling import stream
 from helpers import deterministic_oracle
@@ -185,6 +186,22 @@ class TestGradient:
     def test_default_bootstrap_is_exact(self):
         assert EstimatorConfig().bootstrap_reps is None
         assert DfoConfig(budget=10).estimator_config().bootstrap_reps is None
+
+    @pytest.mark.parametrize(
+        "pid", ["zakharov@10", "zakharov@100", "rosenbrock", "queue@3,5,10,service"]
+    )
+    def test_tra_gradient_matches_per_coordinate_estimates(self, pid):
+        # One batched oracle call must give what one ``tra_cfd`` call per
+        # coordinate gave, on the same per-coordinate streams, bit for bit.
+        problem = parse_problem(pid)
+        h = optimal_perturbation(dfo._TRA_NOISE_VAR, dfo._TRA_BIAS_CONST, 1)
+        g = dfo._gradient_tra(problem.oracle, problem.theta0, stream(9))
+        rngs = stream(9).spawn(problem.theta0.size)
+        expected = [
+            tra_cfd(problem.oracle, problem.theta0, i, 1, h, rng).value
+            for i, rng in enumerate(rngs)
+        ]
+        np.testing.assert_array_equal(g, expected)
 
     def test_seeded_reproducibility(self):
         orc = noisy_bench_oracle("zakharov", 10)

@@ -17,8 +17,9 @@ from corfd.oracle import (
     sin_oracle,
     zakharov,
 )
-from corfd.oracle import draw_responses
+from corfd.oracle import _simulate_queue, draw_responses
 from corfd.sampling import stream
+from helpers import simulate_queue_loop
 
 
 class TestSinOracle:
@@ -198,6 +199,30 @@ class TestQueueOracle:
             queue_oracle(QueueSpec(4, 4, 10), "service", measure="holding")
 
 
+QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300)]
+
+
+class TestQueueKernel:
+    """The closed-form walk against the per-customer recursion it replaces."""
+
+    @pytest.mark.parametrize("measure", ["wait", "sojourn"])
+    @pytest.mark.parametrize("lam,mu", [(3.0, 5.0), (5.0, 3.0)], ids=["stable", "growing"])
+    @pytest.mark.parametrize("horizon,size", QUEUE_SHAPES,
+                             ids=[f"N{n}x{m}" for n, m in QUEUE_SHAPES])
+    def test_matches_per_customer_recursion(self, measure, lam, mu, horizon, size):
+        # 300 paths at horizon 500 span three blocks of the walk.
+        rng, ref_rng = stream(40), stream(40)
+        response, arrivals, services = _simulate_queue(lam, mu, horizon, measure, rng, size)
+        expected, ref_arrivals, ref_services = simulate_queue_loop(
+            lam, mu, horizon, measure, ref_rng, size
+        )
+        np.testing.assert_allclose(response, expected, rtol=1e-12, atol=0)
+        # Same draws in the same order, bit for bit, and the same stream left.
+        np.testing.assert_array_equal(arrivals, ref_arrivals)
+        np.testing.assert_array_equal(services, ref_services)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestLrDerivative:
     def test_fixed_seed_bit_reproducible(self):
         spec = QueueSpec(4, 4, 10)
@@ -230,6 +255,11 @@ class TestLrDerivative:
     def test_rep_validation(self):
         with pytest.raises(ValueError):
             lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 0, stream(16))
+
+    def test_batch_validation(self):
+        for batch in (0, -1):
+            with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+                lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 10, stream(16), batch=batch)
 
 
 class TestGroundTruth:

@@ -25,9 +25,11 @@ def test_every_layer_records_self_time(tmp_path, monkeypatch):
     from corfd.sampling import stream
 
     def estimate():
-        sin1 = corfd.oracle.parse_problem("sin1")
+        # A real (short) queue, so a queue draw that bypassed the traced
+        # ``sample`` would leave the oracle layer empty.
+        queue = corfd.oracle.parse_problem("queue@3,5,20,service")
         corfd.estimators.cor_cfd(
-            sin1.oracle, sin1.theta0, 0, 100, corfd.estimators.EstimatorConfig(), stream(1)
+            queue.oracle, queue.theta0, 0, 100, corfd.estimators.EstimatorConfig(), stream(1)
         )
 
     def optimize():

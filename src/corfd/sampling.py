@@ -8,10 +8,11 @@ executions of the same experiment consume identical random numbers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .oracle import draw_responses
 
@@ -35,6 +36,24 @@ DEFAULT_PILOT_EXPONENT = -0.1
 _SQUARE_TIE_RTOL = 1e-6
 
 _MAX_REDRAWS = 1000
+
+_SQRT_HALF = math.sqrt(0.5)
+_STANDARD_NORMAL = NormalDist()
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal CDF.  ``erfc`` keeps its relative precision deep in
+    the lower tail, where ``0.5 * (1 + erf)`` (``NormalDist.cdf``) rounds to
+    zero."""
+    return 0.5 * math.erfc(-z * _SQRT_HALF)
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile; ``p`` of 0 or 1 maps to the infinite end,
+    which the caller clips to its bound."""
+    if 0.0 < p < 1.0:
+        return _STANDARD_NORMAL.inv_cdf(p)
+    return -math.inf if p <= 0.0 else math.inf
 
 
 class DegenerateRegionError(ValueError):
@@ -96,15 +115,27 @@ class PerturbationGenerator:
             )
 
     @property
+    def _sign(self) -> float:
+        """-1 when the interval lies above ``mu0``: its probabilities are then
+        taken in the frame mirrored about ``mu0``, as survival values
+        ``Q(z) = Phi(-z)``, which stay small and precise where ``Phi(z)``
+        rounds to 1."""
+        return -1.0 if self.lower > self.mu0 else 1.0
+
+    @property
     def _cdf_bounds(self) -> tuple[float, float]:
-        a = ndtr((self.lower - self.mu0) / self.sigma0)
-        b = ndtr((self.upper - self.mu0) / self.sigma0) if np.isfinite(self.upper) else 1.0
-        return float(a), float(b)
+        """Standard normal CDF at the standardized lower and upper bounds,
+        in the frame given by :attr:`_sign`."""
+        s = self._sign
+        return (
+            _ndtr(s * (self.lower - self.mu0) / self.sigma0),
+            _ndtr(s * (self.upper - self.mu0) / self.sigma0),
+        )
 
     @property
     def acceptance_probability(self) -> float:
         a, b = self._cdf_bounds
-        return b - a
+        return abs(b - a)
 
     def _checked_acceptance(self) -> float:
         accept = self.acceptance_probability
@@ -117,7 +148,8 @@ class PerturbationGenerator:
 
     def _inverse_cdf(self, rng: np.random.Generator, n: int) -> np.ndarray:
         a, b = self._cdf_bounds
-        out = self.mu0 + self.sigma0 * ndtri(a + (b - a) * rng.random(n))
+        z = np.array([_ndtri(p) for p in (a + (b - a) * rng.random(n)).tolist()])
+        out = self.mu0 + self._sign * self.sigma0 * z
         return np.clip(out, self.lower, self.upper, out=out)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
+from scipy.stats import norm, truncnorm
 
+import corfd
 from corfd.oracle import poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
     PerturbationGenerator,
+    _ndtr,
+    _ndtri,
     difference_samples,
     draw_perturbation_set,
     stream,
@@ -75,6 +83,98 @@ class TestTruncatedNormal:
             PerturbationGenerator(0, 1, 2.0, 1.0)
         with pytest.raises(ValueError):
             PerturbationGenerator(0, 0.0, 0.1, 1.0)
+
+
+# Generators whose draws take the inverse-CDF path: intervals above mu0
+# (computed in the mirrored frame), below it, and deep in either tail.
+INVERSE_CDF_GENERATORS = [
+    PerturbationGenerator(0.0, 1.0, 3.5, 4.0),
+    PerturbationGenerator(0.0, 1.0, 0.5, 0.7),
+    PerturbationGenerator(0.0, 1.0, 7.0),
+    PerturbationGenerator(3.0, 0.5, 0.1, 1.5),
+    PerturbationGenerator(10.0, 1.0, 0.1, 5.0),
+]
+
+# The first 50 coefficients of the default generator on stream(0), as the
+# scipy-based implementation drew them.
+DEFAULT_FIRST_50 = [
+    0.1257302210933933, 0.4116305363741328, 0.5408455846858077,
+    1.801634869866125, 0.3289696294602021, 0.18851919251246557,
+    0.16100957671534466, 0.20211439504395987, 0.26841707970891465,
+    0.3194142202523809, 0.513052133880305, 1.028854347803183,
+    1.0868307847683634, 1.377950952722521, 1.3604462024852575,
+    1.2969153998005238, 0.16324400572267767, 1.4223785052484463,
+    0.7323017147112972, 0.2606297490669398, 0.3479017619704715,
+    0.3203611893741035, 1.4748226520869099, 0.8112544049416356,
+    0.36746620574561295, 0.5835341273827435, 0.7698208513207979,
+    0.9544222763812404, 0.5629825823255228, 1.0680774398324595,
+    0.5470956613393337, 0.6650660656292455, 1.2978717611819932,
+    1.449259685131458, 0.8060195271707506, 0.13820030314832132,
+    1.3319413685305603, 0.6520108635265922, 0.2613508456100389,
+    0.6081170867893684, 0.3148209696175649, 0.7480832128709275,
+    0.33111601905536314, 0.48124581925008575, 0.14367020328433938,
+    0.4407067447635609, 1.2193545887326338, 1.375445311670887,
+    0.5312724005304282, 0.7079555234674223,
+]
+
+
+class TestNormalFunctions:
+    """The standard-library normal CDF and quantile against scipy's."""
+
+    def test_cdf_matches_scipy_into_the_lower_tail(self):
+        z = np.concatenate([np.linspace(-37.0, 8.0, 4501), [-5.0, -10.0, -30.0]])
+        got = np.array([_ndtr(v) for v in z.tolist()])
+        np.testing.assert_allclose(got, ndtr(z), rtol=1e-12, atol=0)
+
+    def test_quantile_matches_scipy(self):
+        p = np.concatenate([np.logspace(-300, -1, 600), np.linspace(0.05, 0.95, 91)])
+        got = np.array([_ndtri(v) for v in p.tolist()])
+        np.testing.assert_allclose(got, ndtri(p), rtol=1e-14, atol=0)
+
+    def test_quantile_ends_are_infinite(self):
+        assert _ndtri(0.0) == -np.inf and _ndtri(1.0) == np.inf
+
+    @pytest.mark.parametrize("gen", INVERSE_CDF_GENERATORS + [PerturbationGenerator()])
+    def test_acceptance_probability_matches_scipy(self, gen):
+        alpha = (gen.lower - gen.mu0) / gen.sigma0
+        beta = (gen.upper - gen.mu0) / gen.sigma0
+        # scipy's ndtr is precise in its lower tail: take the tail the mass lies in.
+        expected = ndtr(-alpha) - ndtr(-beta) if alpha > 0 else ndtr(beta) - ndtr(alpha)
+        assert gen.acceptance_probability == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("gen", INVERSE_CDF_GENERATORS)
+    def test_inverse_cdf_draws_match_scipy(self, gen):
+        assert gen.acceptance_probability < 0.1
+        got = gen.sample(stream(13), 2000)
+        u = stream(13).random(2000)
+        alpha = (gen.lower - gen.mu0) / gen.sigma0
+        beta = (gen.upper - gen.mu0) / gen.sigma0
+        if alpha > 0:
+            qa, qb = ndtr(-alpha), ndtr(-beta)
+            z = -ndtri(qa - (qa - qb) * u)
+        else:
+            pa, pb = ndtr(alpha), ndtr(beta)
+            z = ndtri(pa + (pb - pa) * u)
+        expected = np.clip(gen.mu0 + gen.sigma0 * z, gen.lower, gen.upper)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+    def test_default_coefficients_unchanged(self):
+        got = PerturbationGenerator().sample_successive(stream(0), 50)
+        np.testing.assert_array_equal(got, DEFAULT_FIRST_50)
+
+    def test_far_right_tail_draws_are_finite_and_spread(self):
+        gen = PerturbationGenerator(lower=7.0)
+        x = gen.sample(np.random.default_rng(0), size=200_000)
+        assert np.all(np.isfinite(x)) and x.min() >= 7.0
+        assert np.unique(x).size > 199_000
+        se = x.std(ddof=1) / np.sqrt(x.size)
+        assert abs(x.mean() - truncnorm.mean(7.0, np.inf)) < 5 * se
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(corfd.__file__)))
+        code = "import corfd.cli, sys; assert 'scipy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSuccessiveDraws:

@@ -14,10 +14,8 @@ from .estimators import (
     ConstantEstimates,
     EstimatorConfig,
     GradientEstimate,
-    PilotData,
     boot_cfd,
     cor_cfd,
-    estimate_constants,
     opt_cfd,
     optimal_perturbation,
     tra_cfd,
@@ -38,7 +36,6 @@ from .oracle import (
 from .regression import (
     clamp_bias_constant,
     fit_bias_wls,
-    fit_var_unweighted,
     fit_var_wls,
     projection_diagnostics,
     theory_constants,

@@ -29,9 +29,6 @@ __all__ = [
 
 _MAX_BACKTRACKS = 50
 
-# The optimizer stops once the gradient estimate's norm falls below this.
-_GRAD_TOL = 1e-8
-
 # Assumed bias constant and noise variance that fix the step of the "tra"
 # gradient baseline, standing in for "no model information".
 _TRA_BIAS_CONST = 1.0
@@ -328,8 +325,6 @@ def corcfd_lbfgs(
         )
         theta, g, batch = theta_next, g_next, next_batch
         k += 1
-        if float(np.linalg.norm(g)) < _GRAD_TOL:
-            break
     trace.theta_final = theta
     trace.evals_total = t
     return trace

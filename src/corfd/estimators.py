@@ -23,7 +23,6 @@ from .regression import clamp_bias_constant, clamp_floor, fit_bias_wls, fit_var_
 from .sampling import (
     DEFAULT_PILOT_EXPONENT,
     PerturbationGenerator,
-    PerturbationSet,
     difference_samples,
     draw_perturbation_set,
     seeded,
@@ -34,7 +33,6 @@ __all__ = [
     "EstimationError",
     "BudgetError",
     "EstimatorConfig",
-    "PilotData",
     "ConstantEstimates",
     "GradientEstimate",
     "optimal_perturbation",
@@ -43,7 +41,6 @@ __all__ = [
     "opt_cfd",
     "boot_cfd",
     "cor_cfd",
-    "estimate_constants",
 ]
 
 
@@ -108,19 +105,6 @@ class EstimatorConfig:
                 f"pilot stage needs {self.K * n_b} pairs but the budget is {n}"
             )
         return n_b
-
-
-@dataclass(frozen=True)
-class PilotData:
-    """Difference samples of the pilot stage: row ``k`` holds the samples at
-    perturbation ``k``.  The pair cost is exactly ``K * n_b``."""
-
-    perturbations: PerturbationSet
-    samples: np.ndarray
-
-    @property
-    def pair_cost(self) -> int:
-        return int(self.samples.size)
 
 
 @dataclass(frozen=True)
@@ -194,7 +178,6 @@ class _PilotStage:
     perturbations ``h`` (m, K), the samples (m, K, n_b), and the fitted
     constants with the target perturbation for ``budget`` pairs."""
 
-    perturbation_sets: list[PerturbationSet]
     h: np.ndarray
     samples: np.ndarray
     deriv: np.ndarray
@@ -228,16 +211,15 @@ def _pilot_stage(
     """
     n_b = cfg.resolve_pilot_size(n)
     K = cfg.K
-    perts, columns, boot_seeds = [], [], []
+    perturbations, columns, boot_seeds = [], [], []
     for parent in streams:
         coeff_seed, pilot_seed, boot_seed = spawn_seeds(parent, 3)
-        perts.append(
-            draw_perturbation_set(K, n_b, cfg.coeff_gen, seeded(coeff_seed), cfg.pilot_exponent)
-        )
+        pert = draw_perturbation_set(K, n_b, cfg.coeff_gen, seeded(coeff_seed), cfg.pilot_exponent)
+        perturbations.append(pert.perturbations)
         columns += map(seeded, spawn_seeds(pilot_seed, K))
         boot_seeds.append(boot_seed)
-    m = len(perts)
-    h = np.array([p.perturbations for p in perts])
+    h = np.array(perturbations)
+    m = len(h)
     block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), columns, n_b)
     if cfg.bootstrap_reps is None:
         means, variances = column_moments(block, None, None)
@@ -274,23 +256,8 @@ def _pilot_stage(
     ]
     h_n = np.where(noise_free, h.max(axis=-1), h_opt)
     return _PilotStage(
-        perts, h, samples, bias_fit.intercept, clamped, bias_fit.slope, noise_var, h_n, budget
+        h, samples, bias_fit.intercept, clamped, bias_fit.slope, noise_var, h_n, budget
     )
-
-
-def estimate_constants(
-    oracle: SimulationOracle,
-    theta0,
-    coord: int,
-    n: int,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-    budget: int | None = None,
-) -> tuple[ConstantEstimates, PilotData]:
-    """Run the pilot stage: draw perturbations and samples, fit the constants,
-    and derive the perturbation for ``budget`` (default: ``n``) pairs."""
-    stage = _pilot_stage(oracle, theta0, [coord], n, cfg, [rng], n if budget is None else budget)
-    return stage.constants()[0], PilotData(stage.perturbation_sets[0], stage.samples[0])
 
 
 def tra_cfd(
@@ -348,7 +315,8 @@ def boot_cfd(
     n2 = n - cfg.K * n_b
     if n2 < 1:
         raise BudgetError(
-            f"budget {n} leaves no fresh pairs after {cfg.K * n_b} pilot pairs"
+            f"budget {n} leaves no fresh pairs after {cfg.K * n_b} pilot pairs; boot "
+            "needs pilot_fraction (r) below 1 or a smaller pilot_size (n_b)"
         )
     est_seed, fresh_seed = spawn_seeds(rng, 2)
     (constants,) = _pilot_stage(oracle, theta0, [coord], n, cfg, [est_seed], n2).constants()

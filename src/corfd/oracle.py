@@ -66,8 +66,9 @@ class SimulationOracle:
     """A noisy function ``Y(theta)`` evaluated by simulation.
 
     ``sample(theta, rng, size)`` returns ``size`` independent draws at one
-    point.  ``sample_rows``, when given, is a vectorized form of
-    :meth:`sample_batch` that must return the same values bit for bit.
+    point.  ``sample_rows(points, rngs, size)``, when given, draws ``size``
+    values at each row of a 2-D block of points, row ``j`` from ``rngs[j]``;
+    it must return bit for bit what one ``sample`` call per row returns.
     ``mean`` is the noise-free response when known (used for optimality-gap
     reporting and exactness tests), ``truth`` maps a point to its
     :class:`GroundTruth`, and ``argmin`` is the known minimizer for
@@ -87,46 +88,27 @@ class SimulationOracle:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return float(draw_responses(self, theta, rng, 1)[0])
 
-    def sample_batch(
-        self, points: np.ndarray, rngs: Sequence[np.random.Generator], size: int
-    ) -> np.ndarray:
-        """``size`` draws at each row of ``points``, shape ``(m, size)``.
 
-        Row ``j`` is drawn from ``rngs[j]``; rows that share a generator draw
-        from it in row order.  Without ``sample_rows`` this is one ``sample``
-        call per row.
-        """
-        if self.sample_rows is not None:
-            return self.sample_rows(points, rngs, size)
-        return _sample_each(self.sample, points, rngs, size)
-
-
-def _sample_each(sample, points, rngs, size) -> np.ndarray:
-    y = np.empty((len(rngs), size))
-    for j, rng in enumerate(rngs):
-        y[j] = sample(points[j], rng, size)
-    return y
-
-
-def draw_responses(oracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
+def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
     """``size`` draws of the response at ``theta``, refusing non-finite ones.
 
     ``theta`` is one point and ``rng`` a generator, or ``theta`` is a 2-D
     block of points and ``rng`` a sequence of generators, one per row; the
-    block comes from ``oracle.sample_batch`` and has shape ``(m, size)``.
-    Any object with ``sample`` and ``label`` serves as ``oracle``; without
-    ``sample_batch`` its block is drawn one ``sample`` call per row.  The
-    error names the first point whose draws are not all finite.
+    block has shape ``(m, size)``.  Row ``j`` is drawn from ``rng[j]``, and
+    rows that share a generator draw from it in row order: by the oracle's
+    ``sample_rows`` when it has one, otherwise by one ``sample`` call per
+    row.  The error names the first point whose draws are not all finite.
     """
     theta = np.asarray(theta)
     if theta.ndim == 2:
         if len(rng) != len(theta):
             raise ValueError(f"need one generator per point, got {len(rng)} for {len(theta)}")
-        batch = getattr(oracle, "sample_batch", None)
-        if batch is None:
-            y = _sample_each(oracle.sample, theta, rng, size)
+        if oracle.sample_rows is not None:
+            y = oracle.sample_rows(theta, rng, size)
         else:
-            y = batch(theta, rng, size)
+            y = np.empty((len(rng), size))
+            for j, row_rng in enumerate(rng):
+                y[j] = oracle.sample(theta[j], row_rng, size)
     else:
         y = oracle.sample(theta, rng, size)
     finite = np.isfinite(y)
@@ -372,13 +354,17 @@ def queue_oracle(
     return SimulationOracle(dim=1, label=label, sample=sample)
 
 
+# Paths per block of the score-function estimator: bounds its memory, since
+# each block keeps every interarrival and service draw of its paths.
+_LR_BATCH = 200_000
+
+
 def lr_derivative_oracle(
     spec: QueueSpec,
     parameter: str,
     reps: int,
     rng: np.random.Generator,
     measure: str = DEFAULT_MEASURE,
-    batch: int = 200_000,
 ) -> float:
     """Score-function estimate of the derivative of the expected queue
     response with respect to the chosen rate.
@@ -391,13 +377,11 @@ def lr_derivative_oracle(
         raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     lam, mu = spec.arrival_rate, spec.service_rate
     total = 0.0
     done = 0
     while done < reps:
-        m = min(batch, reps - done)
+        m = min(_LR_BATCH, reps - done)
         response, arrivals, services = _simulate_queue(lam, mu, spec.horizon, measure, rng, m)
         if parameter == "arrival":
             score = np.sum(1.0 / lam - arrivals, axis=1)

@@ -1,11 +1,18 @@
-"""Least-squares estimation of the difference-estimator constants, plus the
-closed-form diagnostics that describe those estimators.
+"""Least-squares estimation of the difference-estimator constants, plus
+closed-form diagnostics of the bias design.
 
 The bias fit regresses per-perturbation means on ``(1, h^2)``; its intercept
 estimates the derivative and its slope the quadratic-bias constant.  The
 noise fit inverts the linear relation between resampling variances and
 ``1/h^2``.  Heteroscedasticity across perturbations is handled by reweighting
 rows (bias fit) or multiplying through by ``h^2`` (noise fit).
+
+The diagnostics describe unweighted fits, not these weighted ones:
+:func:`theory_constants` gives the moments of an equal-weight bias fit and of
+the plain regression of the noise relation, and
+:func:`projection_diagnostics` uses the equal-weight projector.  The
+estimators run the weighted fits, whose slope and intercept variances are
+smaller.
 """
 from __future__ import annotations
 
@@ -20,7 +27,6 @@ __all__ = [
     "TheoryConstants",
     "fit_bias_wls",
     "fit_var_wls",
-    "fit_var_unweighted",
     "clamp_bias_constant",
     "clamp_floor",
     "projection_diagnostics",
@@ -110,23 +116,6 @@ def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float | np.ndarray:
     return _float_if_scalar(2.0 * n_b**2 / (n_b - 1) * ((h * h * s2).sum(axis=-1) / h.shape[-1]))
 
 
-def fit_var_unweighted(h: np.ndarray, s2: np.ndarray, n_b: int) -> float:
-    """Noise-variance fit without the ``h^2`` reweighting.
-
-    This is the plain regression of the variance relation; its sampling
-    moments are the ones the closed-form ``noise_*`` coefficients of
-    :func:`theory_constants` describe, so rate diagnostics use this form.
-    """
-    h = np.asarray(h, dtype=float).ravel()
-    s2 = np.asarray(s2, dtype=float).ravel()
-    if h.size < 1 or s2.size != h.size:
-        raise ValueError("need matching, nonempty h and s2")
-    if n_b < 2:
-        raise ValueError(f"need n_b >= 2, got {n_b}")
-    x = (n_b - 1) / (2.0 * n_b**2 * h * h)
-    return float(np.dot(x, s2) / np.dot(x, x))
-
-
 def clamp_floor(intercept, scale: float) -> float | np.ndarray:
     """Clamp threshold: ``scale`` relative to the fitted derivative, at least
     ``scale``; elementwise on an array of intercepts."""
@@ -185,7 +174,9 @@ def projection_diagnostics(c: np.ndarray) -> ProjectionDiagnostics:
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Leading coefficients of the constant estimators' sampling moments.
+    """Leading coefficients of the sampling moments of the unweighted constant
+    fits: an equal-weight bias fit, and the noise fit without the ``h^2``
+    reweighting.  Neither is the weighted fit the estimators run.
 
     For pilot size m and perturbations ``c_k * m**gamma``:
 
@@ -193,7 +184,7 @@ class TheoryConstants:
       variance ~ slope_var * noise_var / (2 * m**(1 + 6*gamma));
     - intercept estimate: bias ~ intercept_bias * m**(4*gamma),
       variance ~ intercept_var * noise_var / (2 * m**(1 + 2*gamma));
-    - unweighted noise fit: bias ~ noise_bias * m**(2*gamma),
+    - noise estimate: bias ~ noise_bias * m**(2*gamma),
       variance ~ noise_var_coeff * (4*nu4*(m-1) - sigma^4*(m-3)) / (m*(m-1)),
       with nu4 the limiting fourth moment of the scaled difference error.
     """
@@ -207,7 +198,8 @@ class TheoryConstants:
 
 
 def theory_constants(c: np.ndarray, fifth_const: float, noise_slope: float) -> TheoryConstants:
-    """Evaluate the closed-form moment coefficients for coefficients ``c``.
+    """Evaluate the closed-form moment coefficients of the unweighted fits
+    (see :class:`TheoryConstants`) for coefficients ``c``.
 
     ``fifth_const`` is the quartic-bias constant of the problem and
     ``noise_slope`` the derivative of the response's standard deviation at

@@ -153,48 +153,33 @@ class PerturbationGenerator:
         return np.clip(out, self.lower, self.upper, out=out)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        """Draw from the truncated distribution.
+        """Draw from the truncated distribution: one value, or ``size`` values
+        equal to those of ``size`` successive one-value calls, consuming the
+        same random numbers in the same order.
 
         Rejection sampling when the acceptance region is wide enough,
         inverse-CDF on the truncated interval otherwise; either way the
-        expected work per draw is bounded.
+        expected work per draw is bounded.  A one-value rejection draw takes
+        batches of one fixed width until one holds an accepted value and
+        returns the first; ``size`` values draw all batches still needed as
+        the rows of one array.
         """
         accept = self._checked_acceptance()
-        n = 1 if size is None else int(size)
-        if accept >= 0.1:
-            out = np.empty(n)
-            filled = 0
-            while filled < n:
-                # Oversize the batch so one pass usually suffices.
-                want = n - filled
-                batch = rng.normal(self.mu0, self.sigma0, size=max(16, int(want / accept * 1.2)))
-                kept = batch[(batch >= self.lower) & (batch <= self.upper)]
-                take = min(want, kept.size)
-                out[filled : filled + take] = kept[:take]
-                filled += take
-        else:
-            out = self._inverse_cdf(rng, n)
-        return float(out[0]) if size is None else out
-
-    def sample_successive(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The values of ``count`` successive ``sample(rng)`` calls, drawn
-        together: the same random numbers, consumed in the same order.
-
-        A rejection-sampling call draws batches of one fixed width until one
-        holds an accepted value and returns the first; here all batches
-        still needed are drawn as the rows of one array.
-        """
-        accept = self._checked_acceptance()
+        count = 1 if size is None else int(size)
         if accept < 0.1:
-            return self._inverse_cdf(rng, count)
-        width = max(16, int(1 / accept * 1.2))
-        values: list[float] = []
-        while len(values) < count:
-            batch = rng.normal(self.mu0, self.sigma0, size=(count - len(values), width))
-            inside = (batch >= self.lower) & (batch <= self.upper)
-            hit = inside.any(axis=1)
-            values += batch[hit, inside[hit].argmax(axis=1)].tolist()
-        return np.array(values)
+            out = self._inverse_cdf(rng, count)
+        else:
+            width = max(16, int(1 / accept * 1.2))
+            out = np.empty(count)
+            filled = 0
+            while filled < count:
+                batch = rng.normal(self.mu0, self.sigma0, size=(count - filled, width))
+                inside = (batch >= self.lower) & (batch <= self.upper)
+                hit = inside.any(axis=1)
+                kept = batch[hit, inside[hit].argmax(axis=1)]
+                out[filled : filled + kept.size] = kept
+                filled += kept.size
+        return float(out[0]) if size is None else out
 
 
 @dataclass(frozen=True)
@@ -252,7 +237,7 @@ def draw_perturbation_set(
     while len(accepted) < K:
         # One draw per missing coefficient, exactly as one-at-a-time draws
         # would consume them; a tie costs one more draw in the next round.
-        for c in gen.sample_successive(rng, K - len(accepted)).tolist():
+        for c in gen.sample(rng, K - len(accepted)).tolist():
             if _has_square_tie(c, accepted):
                 rejections += 1
                 if rejections >= _MAX_REDRAWS:

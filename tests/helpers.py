@@ -39,3 +39,14 @@ def simulate_queue_loop(lam, mu, horizon, measure, rng, size):
     if measure == "sojourn":
         total += services.sum(axis=1)
     return total / horizon, arrivals, services
+
+
+def fit_var_unweighted(h, s2, n_b):
+    """Noise-variance fit without the ``h^2`` reweighting: the plain
+    least-squares regression of ``s2`` on ``(n_b - 1) / (2 n_b^2 h^2)``.  Its
+    sampling moments are the ones the ``noise_*`` coefficients of
+    ``corfd.regression.theory_constants`` describe."""
+    h = np.asarray(h, dtype=float).ravel()
+    s2 = np.asarray(s2, dtype=float).ravel()
+    x = (n_b - 1) / (2.0 * n_b**2 * h * h)
+    return float(np.dot(x, s2) / np.dot(x, x))

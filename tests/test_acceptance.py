@@ -16,7 +16,6 @@ from corfd import (
     boot_cfd,
     cor_cfd,
     corcfd_lbfgs,
-    estimate_constants,
     lr_derivative_oracle,
     parse_problem,
     run_replications,
@@ -24,10 +23,11 @@ from corfd import (
     theory_constants,
 )
 from corfd.bootstrap import column_moments
+from corfd.estimators import _pilot_stage
 from corfd.oracle import QueueSpec, poly_oracle, sin_oracle
-from corfd.regression import fit_bias_wls, fit_var_unweighted, projection_diagnostics
+from corfd.regression import fit_bias_wls, projection_diagnostics
 from corfd.sampling import PerturbationSet, difference_samples
-from helpers import deterministic_oracle
+from helpers import deterministic_oracle, fit_var_unweighted
 
 
 def report(criterion: str, detail: str) -> None:
@@ -174,7 +174,7 @@ def test_criterion_4_sine_constant_estimation():
     cfg = EstimatorConfig(K=10, pilot_size=20)
     bias_consts, noise_vars, perturbations = [], [], []
     for rep in stream(41).spawn(1000):
-        constants, _ = estimate_constants(orc, [0.0], 0, 200, cfg, rep)
+        (constants,) = _pilot_stage(orc, [0.0], [0], 200, cfg, [rep], 200).constants()
         bias_consts.append(constants.bias_const)
         noise_vars.append(constants.noise_var)
         perturbations.append(constants.perturbation)

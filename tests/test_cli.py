@@ -79,6 +79,22 @@ class TestEstimateCommand:
         ])
         assert code == 1
 
+    def test_default_boot_names_the_pilot_settings(self, tmp_path, capsys):
+        # The default r = 1 spends the whole budget on pilots, which boot discards.
+        code = main([
+            "estimate", "--problem", "poly@3", "--method", "boot", "--pairs", "5000",
+            "--reps", "5", "--out", str(tmp_path / "x.csv"),
+            "--summary-out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: poly@3/boot/5000: BudgetError: budget 5000 leaves no fresh pairs after "
+            "5000 pilot pairs; boot needs pilot_fraction (r) below 1 or a smaller "
+            "pilot_size (n_b)\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_estimation_error_is_a_cell_failure(self, tmp_path, capsys):
         # Waiting times at a lightly loaded queue are mostly zero, so some
         # pilot columns are constant and others are not.

@@ -5,17 +5,24 @@ from corfd.estimators import (
     BudgetError,
     EstimationError,
     EstimatorConfig,
+    _pilot_stage,
     boot_cfd,
     cor_cfd,
-    estimate_constants,
     opt_cfd,
     optimal_perturbation,
     tra_cfd,
     transform_pilot_sample,
 )
-from corfd.oracle import GroundTruth, poly_oracle, sin_oracle
+from corfd.oracle import GroundTruth, SimulationOracle, poly_oracle, sin_oracle
 from corfd.sampling import difference_samples, stream
 from helpers import deterministic_oracle
+
+
+def pilot_stage(oracle, n, cfg, rng, budget=None):
+    """The pilot stage of one coordinate at ``theta0 = 0``: its constants,
+    its perturbations (K,) and its samples (K, n_b)."""
+    stage = _pilot_stage(oracle, [0.0], [0], n, cfg, [rng], n if budget is None else budget)
+    return stage.constants()[0], stage.h[0], stage.samples[0]
 
 
 def cubic_oracle():
@@ -107,8 +114,8 @@ class TestTransform:
 class TestEstimateConstants:
     def test_recovers_poly_constants_roughly(self):
         cfg = EstimatorConfig(pilot_size=200, K=10)
-        constants, pilot = estimate_constants(poly_oracle(), [0.0], 0, 2000, cfg, stream(6))
-        assert pilot.samples.shape == (10, 200)
+        constants, _, samples = pilot_stage(poly_oracle(), 2000, cfg, stream(6))
+        assert samples.shape == (10, 200)
         assert constants.deriv == pytest.approx(-6.0, abs=0.5)
         assert constants.bias_const == pytest.approx(-2.5, rel=0.6)
         assert constants.noise_var == pytest.approx(1.0, rel=0.3)
@@ -120,20 +127,20 @@ class TestEstimateConstants:
         # The bootstrap has its own stream, so both modes fit the same pilot
         # samples.  At I=1000 the Monte Carlo variances scatter about 4.5%
         # around the closed form, and the means by about 0.01 here.
-        exact, pilot_exact = estimate_constants(
-            poly_oracle(), [0.0], 0, 500, EstimatorConfig(pilot_size=100, K=5), stream(7)
+        exact, _, samples_exact = pilot_stage(
+            poly_oracle(), 500, EstimatorConfig(pilot_size=100, K=5), stream(7)
         )
         cfg_mc = EstimatorConfig(pilot_size=100, K=5, bootstrap_reps=1000)
-        mc, pilot_mc = estimate_constants(poly_oracle(), [0.0], 0, 500, cfg_mc, stream(7))
-        np.testing.assert_array_equal(pilot_exact.samples, pilot_mc.samples)
+        mc, _, samples_mc = pilot_stage(poly_oracle(), 500, cfg_mc, stream(7))
+        np.testing.assert_array_equal(samples_exact, samples_mc)
         assert exact.noise_var > 0
         assert mc.noise_var == pytest.approx(exact.noise_var, rel=0.2)
         assert mc.deriv == pytest.approx(exact.deriv, abs=0.05)
 
     def test_budget_override_changes_perturbation_only(self):
         cfg = EstimatorConfig(pilot_size=50, K=5)
-        a, _ = estimate_constants(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(8))
-        b, _ = estimate_constants(sin_oracle(10, 1), [0.0], 0, 1000, cfg, stream(8), budget=300)
+        a, _, _ = pilot_stage(sin_oracle(10, 1), 1000, cfg, stream(8))
+        b, _, _ = pilot_stage(sin_oracle(10, 1), 1000, cfg, stream(8), budget=300)
         assert (a.deriv, a.bias_const, a.noise_var) == (b.deriv, b.bias_const, b.noise_var)
         assert b.perturbation == pytest.approx(
             optimal_perturbation(b.noise_var, b.bias_const, 300), rel=1e-12
@@ -142,9 +149,9 @@ class TestEstimateConstants:
 
     def test_noise_free_pilots_fall_back_gracefully(self):
         cfg = EstimatorConfig(pilot_size=5, K=4)
-        constants, pilot = estimate_constants(cubic_oracle(), [0.0], 0, 20, cfg, stream(9))
+        constants, h, _ = pilot_stage(cubic_oracle(), 20, cfg, stream(9))
         assert constants.noise_var == 0.0
-        assert constants.perturbation == float(np.max(pilot.perturbations.perturbations))
+        assert constants.perturbation == float(np.max(h))
         # Derivative and bias constant are exact on a noise-free cubic.
         assert constants.deriv == pytest.approx(2.0, abs=1e-9)
         assert constants.bias_const == pytest.approx(1.0, abs=1e-9)
@@ -196,12 +203,11 @@ class TestCorCfd:
         assert est.pairs_used == n
         # Reconstruct: same stream layout, stop before fresh sampling.
         est_rng, _ = stream(14).spawn(2)
-        constants, pilot = estimate_constants(sin_oracle(10, 1), [0.0], 0, n, cfg, est_rng, budget=n)
-        h = pilot.perturbations.perturbations
+        constants, h, samples = pilot_stage(sin_oracle(10, 1), n, cfg, est_rng)
         fitted = constants.deriv + constants.bias_const * h * h
         fitted_n = constants.deriv + constants.bias_const * constants.perturbation**2
         transformed = (np.abs(h) / abs(constants.perturbation))[:, None] * (
-            pilot.samples - fitted[:, None]
+            samples - fitted[:, None]
         ) + fitted_n
         assert est.value == pytest.approx(float(transformed.sum()) / n, abs=1e-14)
         assert est.constants == constants
@@ -213,12 +219,11 @@ class TestCorCfd:
         n = 260
         est = cor_cfd(sin_oracle(10, 1), [0.0], 0, n, cfg, stream(15))
         est_rng, fresh_rng = stream(15).spawn(2)
-        constants, pilot = estimate_constants(sin_oracle(10, 1), [0.0], 0, n, cfg, est_rng, budget=n)
-        h = pilot.perturbations.perturbations
+        constants, h, samples = pilot_stage(sin_oracle(10, 1), n, cfg, est_rng)
         fitted = constants.deriv + constants.bias_const * h * h
         fitted_n = constants.deriv + constants.bias_const * constants.perturbation**2
         transformed = (np.abs(h) / abs(constants.perturbation))[:, None] * (
-            pilot.samples - fitted[:, None]
+            samples - fitted[:, None]
         ) + fitted_n
         fresh = difference_samples(
             sin_oracle(10, 1), [0.0], 0, constants.perturbation, fresh_rng, n - 100
@@ -291,16 +296,13 @@ class TestQueueComparison:
 class TestErrorPaths:
     def test_mixed_zero_variance_columns_rejected(self):
         # One deterministic column among noisy ones breaks the weighting.
-        class HalfNoisy:
-            dim = 1
-            label = "half"
+        def sample(theta, rng, size):
+            t = float(np.atleast_1d(theta)[0])
+            if abs(t) > 0.55:  # only the largest perturbation is noisy
+                return rng.normal(t, 1.0, size)
+            return np.full(size, t)
 
-            @staticmethod
-            def sample(theta, rng, size):
-                t = float(np.atleast_1d(theta)[0])
-                if abs(t) > 0.55:  # only the largest perturbation is noisy
-                    return rng.normal(t, 1.0, size)
-                return np.full(size, t)
+        half_noisy = SimulationOracle(dim=1, label="half", sample=sample)
 
         pert_gen_cfg = EstimatorConfig(K=3, pilot_size=10)
         with pytest.raises(EstimationError):
@@ -308,4 +310,4 @@ class TestErrorPaths:
             # [0.1, ...]; seed chosen so at least one column is deterministic
             # and one noisy.
             for seed in range(5):
-                estimate_constants(HalfNoisy(), [0.0], 0, 30, pert_gen_cfg, stream(23, seed))
+                pilot_stage(half_noisy, 30, pert_gen_cfg, stream(23, seed))

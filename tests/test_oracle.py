@@ -74,7 +74,7 @@ class TestPolyOracle:
 
 
 def per_point(oracle, points, seeds, size):
-    """Reference for ``sample_batch``: one ``sample`` call per point, each
+    """Reference for a block of points: one ``sample`` call per point, each
     from a fresh copy of its stream; rows naming the same seed share it."""
     rngs = {seed: stream(*seed) for seed in set(seeds)}
     return np.stack([oracle.sample(p, rngs[seed], size) for p, seed in zip(points, seeds)])
@@ -90,7 +90,7 @@ class TestSampleBatch:
         assert oracle.sample_rows is None
         points = np.array([[2.9], [3.1], [2.5], [3.5], [3.0]])
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
-        got = oracle.sample_batch(points, [rngs[seed] for seed in self.SEEDS], 7)
+        got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
 
     @pytest.mark.parametrize("fn, d", [("zakharov", 10), ("zakharov", 100), ("rosenbrock", 2)])
@@ -98,7 +98,7 @@ class TestSampleBatch:
         oracle = noisy_bench_oracle(fn, d)
         points = stream(41).normal(0.0, 2.0, size=(5, d))
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
-        got = oracle.sample_batch(points, [rngs[seed] for seed in self.SEEDS], 7)
+        got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
 
     @pytest.mark.parametrize("d", [10, 100])
@@ -256,11 +256,6 @@ class TestLrDerivative:
         with pytest.raises(ValueError):
             lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 0, stream(16))
 
-    def test_batch_validation(self):
-        for batch in (0, -1):
-            with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
-                lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 10, stream(16), batch=batch)
-
 
 class TestGroundTruth:
     def test_nonpositive_noise_rejected(self):
@@ -317,13 +312,10 @@ def nan_sampler(rate):
 
 class TestNonFiniteResponses:
     def test_estimator_names_oracle_and_point(self):
-        class Flaky:  # duck-typed: only ``sample`` and ``label``
-            label = "flaky"
-            sample = staticmethod(nan_sampler(0.01))
-
+        flaky = SimulationOracle(dim=1, label="flaky", sample=nan_sampler(0.01))
         with pytest.raises(NonFiniteResponseError,
                            match=r"^oracle flaky returned a non-finite response at theta=\[-?[0-9.e-]+\]$"):
-            cor_cfd(Flaky(), [0.0], 0, 1000, EstimatorConfig(), stream(30))
+            cor_cfd(flaky, [0.0], 0, 1000, EstimatorConfig(), stream(30))
 
     def test_line_search_names_oracle_and_point(self):
         orc = SimulationOracle(dim=1, label="flaky", sample=nan_sampler(1.0))

@@ -8,12 +8,12 @@ from corfd.regression import (
     clamp_bias_constant,
     clamp_floor,
     fit_bias_wls,
-    fit_var_unweighted,
     fit_var_wls,
     projection_diagnostics,
     theory_constants,
 )
 from corfd.sampling import stream
+from helpers import fit_var_unweighted
 
 
 class TestBiasFit:

@@ -159,7 +159,7 @@ class TestNormalFunctions:
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
     def test_default_coefficients_unchanged(self):
-        got = PerturbationGenerator().sample_successive(stream(0), 50)
+        got = PerturbationGenerator().sample(stream(0), 50)
         np.testing.assert_array_equal(got, DEFAULT_FIRST_50)
 
     def test_far_right_tail_draws_are_finite_and_spread(self):
@@ -190,7 +190,7 @@ class TestSuccessiveDraws:
     def test_equal_to_one_call_at_a_time(self, gen):
         for seed in range(20):
             together, one_by_one = stream(11, seed), stream(11, seed)
-            got = gen.sample_successive(together, 12)
+            got = gen.sample(together, 12)
             expected = [gen.sample(one_by_one) for _ in range(12)]
             np.testing.assert_array_equal(got, expected)
             assert together.bit_generator.state == one_by_one.bit_generator.state

@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation
 from .oracle import SimulationOracle
-from .sampling import PerturbationGenerator, difference_samples, spawn_seeds
+from .sampling import PerturbationGenerator, difference_samples, spawn
 
 __all__ = [
     "DfoConfig",
@@ -216,25 +216,26 @@ def gradient_via_corcfd(
     theta: np.ndarray,
     pairs_per_coord: int,
     cfg: EstimatorConfig,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
     """Coordinate-wise gradient estimate, one independent pipeline run per
     coordinate, all in one batched call; costs ``2 * dim * pairs_per_coord``
-    evaluations."""
+    evaluations.  Coordinate ``i`` runs on child ``i`` of ``rng``, a
+    generator (which spawns ``dim`` children, as ``rng.spawn(dim)`` would)
+    or a one-row :class:`~corfd.sampling.Streams` level."""
     theta = np.asarray(theta, dtype=float)
-    streams = spawn_seeds(rng, theta.size)
+    streams = spawn(rng, theta.size)
     estimates = cor_cfd(oracle, theta, range(theta.size), pairs_per_coord, cfg, streams)
     return np.array([est.value for est in estimates])
 
 
-def _gradient_tra(
-    oracle: SimulationOracle, theta: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _gradient_tra(oracle: SimulationOracle, theta: np.ndarray, rng) -> np.ndarray:
     # One sample pair per coordinate at the fixed assumed-constants step,
     # all coordinates in one oracle batch.
     h = optimal_perturbation(_TRA_NOISE_VAR, _TRA_BIAS_CONST, 1)
     d = theta.size
-    return difference_samples(oracle, theta, range(d), np.full(d, h), rng.spawn(d), 1)[:, 0]
+    rngs = spawn(rng, d).generators()
+    return difference_samples(oracle, theta, range(d), np.full(d, h), rngs, 1)[:, 0]
 
 
 @dataclass
@@ -280,8 +281,10 @@ def corcfd_lbfgs(
     def f_true(point):
         return float(oracle.mean(point)) if oracle.mean is not None else np.nan
 
-    init_rng, loop_rng = rng.spawn(2)
-    g = new_gradient(theta, batch, init_rng)
+    # Only the caller's generator spawns for real; the tree beneath it is
+    # derived, with the streams rng.spawn would give.
+    init, loop = spawn(rng, 2)
+    g = new_gradient(theta, batch, init)
     t = 2 * d * batch
     trace.record(
         k=-1, t=t, step=np.nan, batch=batch, y_start=np.nan,
@@ -291,7 +294,8 @@ def corcfd_lbfgs(
 
     k = 0
     while t < 2 * cfg.budget:
-        ls_rng, grad_rng = loop_rng.spawn(2)
+        ls_stream, grad_stream = loop.spawn(2)
+        (ls_rng,) = ls_stream.generators()
         hg = two_loop_direction(memory, g)
         decrease = float(g @ hg)
         if decrease <= 0:
@@ -305,7 +309,7 @@ def corcfd_lbfgs(
         t += ls.evals
         theta_next = theta - ls.step * hg
         next_batch = batch_schedule(batch, k, cfg.K) if use_cor else 1
-        g_next = new_gradient(theta_next, next_batch, grad_rng)
+        g_next = new_gradient(theta_next, next_batch, grad_stream)
         t += 2 * d * next_batch
         memory.push(theta_next - theta, g_next - g)
         trace.record(

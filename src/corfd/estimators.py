@@ -23,10 +23,10 @@ from .regression import clamp_bias_constant, clamp_floor, fit_bias_wls, fit_var_
 from .sampling import (
     DEFAULT_PILOT_EXPONENT,
     PerturbationGenerator,
+    Streams,
     difference_samples,
     draw_perturbation_set,
-    seeded,
-    spawn_seeds,
+    spawn,
 )
 
 __all__ = [
@@ -202,8 +202,9 @@ def _pilot_stage(
     streams,
     budget: int,
 ) -> _PilotStage:
-    """Run the pilot stage for coordinate ``coords[j]`` on stream ``streams[j]``
-    (a generator or its seed).
+    """Run the pilot stage for coordinate ``coords[j]`` on stream ``streams[j]``:
+    a :class:`~corfd.sampling.Streams` level, or one generator or seed per
+    coordinate.
 
     Each stream spawns its coefficient, pilot and bootstrap streams, and the
     pilot stream one stream per column, as a single-coordinate run does;
@@ -211,23 +212,22 @@ def _pilot_stage(
     """
     n_b = cfg.resolve_pilot_size(n)
     K = cfg.K
-    perturbations, columns, boot_seeds = [], [], []
-    for parent in streams:
-        coeff_seed, pilot_seed, boot_seed = spawn_seeds(parent, 3)
-        pert = draw_perturbation_set(K, n_b, cfg.coeff_gen, seeded(coeff_seed), cfg.pilot_exponent)
-        perturbations.append(pert.perturbations)
-        columns += map(seeded, spawn_seeds(pilot_seed, K))
-        boot_seeds.append(boot_seed)
-    h = np.array(perturbations)
+    children = spawn(streams, 3)
+    coeff, pilot, boot = children[0::3], children[1::3], children[2::3]
+    h = np.array([
+        draw_perturbation_set(K, n_b, cfg.coeff_gen, rng, cfg.pilot_exponent).perturbations
+        for rng in coeff.generators()
+    ])
     m = len(h)
+    columns = pilot.spawn(K).generators()
     block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), columns, n_b)
     if cfg.bootstrap_reps is None:
         means, variances = column_moments(block, None, None)
     else:
         # Each coordinate resamples its own columns from its own stream.
         per_coord = [
-            column_moments(rows, cfg.bootstrap_reps, seeded(boot_seed))
-            for rows, boot_seed in zip(np.split(block, m), boot_seeds)
+            column_moments(rows, cfg.bootstrap_reps, rng)
+            for rows, rng in zip(np.split(block, m), boot.generators())
         ]
         means, variances = (np.concatenate(v) for v in zip(*per_coord))
     means, variances = means.reshape(m, K), variances.reshape(m, K)
@@ -318,10 +318,11 @@ def boot_cfd(
             f"budget {n} leaves no fresh pairs after {cfg.K * n_b} pilot pairs; boot "
             "needs pilot_fraction (r) below 1 or a smaller pilot_size (n_b)"
         )
-    est_seed, fresh_seed = spawn_seeds(rng, 2)
-    (constants,) = _pilot_stage(oracle, theta0, [coord], n, cfg, [est_seed], n2).constants()
+    est_stream, fresh_stream = spawn(rng, 2)
+    (constants,) = _pilot_stage(oracle, theta0, [coord], n, cfg, est_stream, n2).constants()
     h_n = constants.perturbation
-    fresh = difference_samples(oracle, theta0, coord, h_n, seeded(fresh_seed), n2)
+    (fresh_rng,) = fresh_stream.generators()
+    fresh = difference_samples(oracle, theta0, coord, h_n, fresh_rng, n2)
     return GradientEstimate(float(fresh.mean()), "boot", n, h_n, constants)
 
 
@@ -342,16 +343,20 @@ def cor_cfd(
 
     ``coord`` may also be a sequence of coordinates, with ``rng`` a sequence
     of generators, one each; a generator's seed sequence may stand in for
-    it.  The call then returns one estimate per coordinate, each equal to
-    what a single-coordinate call on its generator returns; the pilots of
-    all coordinates are drawn in one oracle batch and fitted together.
+    it, and a :class:`~corfd.sampling.Streams` level for the sequence.  The
+    call then returns one estimate per coordinate, each equal to what a
+    single-coordinate call on its generator returns; the pilots of all
+    coordinates are drawn in one oracle batch and fitted together.  Each
+    generator or seed spawns two children, as ``rng.spawn(2)`` would.
     """
     single = isinstance(coord, (int, np.integer))
-    coords, rngs = ([coord], [rng]) if single else (list(coord), list(rng))
+    if single:
+        coord, rng = [coord], [rng]
+    coords, rngs = list(coord), rng if isinstance(rng, Streams) else list(rng)
     if len(coords) != len(rngs):
         raise ValueError(f"need one generator per coordinate, got {len(rngs)} for {len(coords)}")
-    est_seeds, fresh_seeds = zip(*(spawn_seeds(r, 2) for r in rngs))
-    stage = _pilot_stage(oracle, theta0, coords, n, cfg, est_seeds, budget=n)
+    children = spawn(rngs, 2)
+    stage = _pilot_stage(oracle, theta0, coords, n, cfg, children[0::2], budget=n)
     h_n = stage.perturbation
     if np.any(h_n == 0):
         raise EstimationError("estimated perturbation is zero")
@@ -359,7 +364,7 @@ def cor_cfd(
     total = transformed.reshape(len(coords), -1).sum(axis=-1)
     n2 = n - stage.samples[0].size
     if n2 > 0:
-        fresh_rngs = [seeded(seed) for seed in fresh_seeds]
+        fresh_rngs = children[1::2].generators()
         total += difference_samples(oracle, theta0, coords, h_n, fresh_rngs, n2).sum(axis=-1)
     estimates = [
         GradientEstimate(value, "cor", n, h, constants)

@@ -2,12 +2,13 @@
 central-difference sampling.
 
 All randomness flows through ``numpy.random.Generator`` objects.  Substreams
-are derived by index (``stream``, ``Generator.spawn``, or ``spawn_seeds``,
-which builds only the generators that draw) so that serial and parallel
+are derived by index (``stream``, or ``spawn``, which derives a whole level
+of ``Generator.spawn``'s tree in arrays) so that serial and parallel
 executions of the same experiment consume identical random numbers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -21,8 +22,8 @@ __all__ = [
     "PerturbationGenerator",
     "PerturbationSet",
     "stream",
-    "spawn_seeds",
-    "seeded",
+    "Streams",
+    "spawn",
     "draw_perturbation_set",
     "difference_samples",
 ]
@@ -36,6 +37,10 @@ DEFAULT_PILOT_EXPONENT = -0.1
 _SQUARE_TIE_RTOL = 1e-6
 
 _MAX_REDRAWS = 1000
+
+# A rejection draw of many values takes its normals in chunks of at most
+# this many, so that its memory stays bounded whatever the sample size.
+_NORMALS_PER_CHUNK = 1 << 16
 
 _SQRT_HALF = math.sqrt(0.5)
 _STANDARD_NORMAL = NormalDist()
@@ -70,24 +75,183 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
-def spawn_seeds(
-    parent: np.random.Generator | np.random.SeedSequence, n: int
-) -> list[np.random.SeedSequence]:
-    """The seeds of ``parent.spawn(n)``, spawned from ``parent`` as that call
-    would, but not yet built into generators.
+class Streams:
+    """One level of a tree of PCG64 streams, held as arrays.
 
-    :func:`seeded` builds a child when it is drawn from, so a child that
-    only spawns further, or is never used, costs only its seed.
+    Row ``j`` stands for a numpy ``SeedSequence``: ``pools[j]`` is its hash
+    pool and ``words[j]`` the number of 32-bit entropy words mixed into it
+    (its entropy, padded to the pool size, then its spawn key).  The rows
+    spawn together, so ``spawned`` counts the children each has spawned.
+    numpy's hash, O'Neill's ``seed_seq`` in PCG's report (HMC-CS-2014-0905),
+    makes a child's pool from its parent's pool and one more word, the
+    child's index.  So :meth:`spawn` derives a whole level's children in a
+    fixed number of array operations, and :meth:`generators` builds the
+    generators that ``Generator.spawn`` would build, every stream unchanged.
     """
-    if isinstance(parent, np.random.Generator):
-        parent = parent.bit_generator.seed_seq
-    return parent.spawn(n)
+
+    __slots__ = ("pools", "words", "spawned")
+
+    def __init__(self, pools: np.ndarray, words: np.ndarray, spawned: int = 0):
+        self.pools = pools
+        self.words = words
+        self.spawned = spawned
+
+    @classmethod
+    def of(cls, seeds) -> Streams:
+        """The level of the given seed sequences, read without spawning from
+        them."""
+        if len({(seed.pool_size, seed.n_children_spawned) for seed in seeds}) != 1:
+            raise ValueError("the streams of one level must share a pool size and a spawn count")
+        words = [
+            max(_entropy_words(seed.entropy), seed.pool_size) + _entropy_words(seed.spawn_key)
+            for seed in seeds
+        ]
+        return cls(np.array([seed.pool for seed in seeds]), np.array(words),
+                   seeds[0].n_children_spawned)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, rows: int | slice) -> Streams:
+        """Rows ``rows`` as a level of their own, with its own spawn count."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return Streams(self.pools[rows], self.words[rows], self.spawned)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    def spawn(self, n: int) -> Streams:
+        """The next ``n`` children of every row, row ``j * n + i`` holding
+        child ``i`` of row ``j``, as ``SeedSequence.spawn(n)`` makes them.
+
+        Each child mixes its index into its parent's pool as one more
+        entropy word, past the pool size: word ``w`` of a pool of ``P``
+        words is hashed at hash steps ``w * P`` to ``w * P + P - 1``, once
+        for each pool word it is mixed into.
+        """
+        if self.spawned + n >= 1 << 32:
+            raise OverflowError("a stream's spawn counter holds 32 bits")
+        index = np.arange(self.spawned, self.spawned + n, dtype=np.uint32)
+        size = self.pools.shape[1]
+        table_rows = 1 << int(self.words.max()).bit_length()
+        xor, mult = (c[self.words] for c in _mix_constants(size, table_rows))
+        mixed = _MIX_L * self.pools[:, None] - _MIX_R * _hashmix(index[:, None], xor, mult)
+        mixed ^= mixed >> _XSHIFT
+        self.spawned += n
+        return Streams(mixed.reshape(-1, size), np.repeat(self.words + 1, n))
+
+    def generators(self) -> list[np.random.Generator]:
+        """One generator per row: ``Generator(PCG64(seed))`` for the row's
+        seed sequence ``seed``.  They draw what those generators draw, but
+        their seeds hold only a pool and a state, so they do not spawn."""
+        seed, bits, generator = _derived_seed_type(), np.random.PCG64, np.random.Generator
+        states = _generate_state(self.pools, 4, np.uint64)
+        return [generator(bits(seed(pool, state))) for pool, state in zip(self.pools, states)]
 
 
-def seeded(seed: np.random.SeedSequence) -> np.random.Generator:
-    """The generator that ``Generator.spawn`` builds from ``seed``; every
-    stream here is a PCG64 stream, as :func:`stream` makes them."""
-    return np.random.Generator(np.random.PCG64(seed))
+def spawn(parents, n: int) -> Streams:
+    """The streams of ``parent.spawn(n)`` for every parent, row ``j * n + i``
+    holding child ``i`` of parent ``j``.
+
+    A :class:`Streams` level derives its children in arrays.  A generator
+    or seed sequence, or a sequence of them, spawns its ``n`` children for
+    real, so that its spawn counter moves on as ``Generator.spawn(n)``
+    moves it; everything beneath them is derived.
+    """
+    if isinstance(parents, Streams):
+        return parents.spawn(n)
+    if isinstance(parents, (np.random.Generator, np.random.SeedSequence)):
+        parents = [parents]
+    seeds = [
+        parent.bit_generator.seed_seq if isinstance(parent, np.random.Generator) else parent
+        for parent in parents
+    ]
+    if not all(isinstance(seed, np.random.SeedSequence) for seed in seeds):
+        raise TypeError("only a generator seeded by a SeedSequence can spawn")
+    return Streams.of([child for seed in seeds for child in seed.spawn(n)])
+
+
+# The constants of numpy's SeedSequence hash.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _entropy_words(value) -> int:
+    """The number of 32-bit words a SeedSequence makes of an entropy or
+    spawn-key value: an integer takes as many as it needs and at least one,
+    a sequence the sum over its items."""
+    if isinstance(value, (int, np.integer)):
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(map(_entropy_words, value))
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**k`` modulo 2**32 for ``k < n``: the hash constant at
+    the hash's ``k``-th step."""
+    # uint64 products wrap modulo 2**64; their low 32 bits are exact.
+    powers = np.ones(n, dtype=np.uint64)
+    powers[1:] = np.cumprod(np.full(n - 1, mult, dtype=np.uint64))
+    consts = (powers * np.uint64(init)).astype(np.uint32)
+    consts.flags.writeable = False  # cached and shared by every caller
+    return consts
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The hash of ``value`` at the steps whose constants are ``xor``;
+    ``mult`` holds the constant of each next step."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+@functools.cache
+def _mix_constants(pool_size: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constants that mix entropy word ``w < n_words`` into a pool
+    of ``pool_size`` words, as ``(n_words, 1, pool_size)`` arrays of the
+    xor and multiplier constants."""
+    h = _hash_constants(_INIT_A, _MULT_A, n_words * pool_size + 1)
+    return h[:-1].reshape(n_words, 1, pool_size), h[1:].reshape(n_words, 1, pool_size)
+
+
+@functools.cache
+def _state_constants(pool_size: int, n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pool word and the hash constants of each of ``n_words`` output
+    words."""
+    h = _hash_constants(_INIT_B, _MULT_B, n_words + 1)
+    return np.arange(n_words) % pool_size, h[:-1], h[1:]
+
+
+def _generate_state(pools: np.ndarray, n_words: int, dtype) -> np.ndarray:
+    """``SeedSequence.generate_state(n_words, dtype)`` for every row's pool."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.uint32, np.uint64):
+        raise ValueError("only support uint32 or uint64")
+    cycle, xor, mult = _state_constants(pools.shape[1], n_words * dtype.itemsize // 4)
+    return _hashmix(np.take(pools, cycle, axis=1), xor, mult).view(dtype)
+
+
+@functools.cache
+def _derived_seed_type():
+    """The seed type of derived generators.  It is made on first use, as
+    importing ``numpy.random`` costs start-up time that ``import corfd``
+    does not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class DerivedSeed(ISeedSequence):
+        """A seed sequence's pool, with the PCG64 seeding state precomputed."""
+
+        def __init__(self, pool: np.ndarray, state: np.ndarray):
+            self.pool = pool
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and dtype is np.uint64:
+                return self.state
+            return _generate_state(self.pool[None], n_words, dtype)[0]
+
+    return DerivedSeed
 
 
 @dataclass(frozen=True)
@@ -161,8 +325,8 @@ class PerturbationGenerator:
         inverse-CDF on the truncated interval otherwise; either way the
         expected work per draw is bounded.  A one-value rejection draw takes
         batches of one fixed width until one holds an accepted value and
-        returns the first; ``size`` values draw all batches still needed as
-        the rows of one array.
+        returns the first; ``size`` values draw the batches still needed as
+        the rows of arrays of at most ``_NORMALS_PER_CHUNK`` normals.
         """
         accept = self._checked_acceptance()
         count = 1 if size is None else int(size)
@@ -170,10 +334,12 @@ class PerturbationGenerator:
             out = self._inverse_cdf(rng, count)
         else:
             width = max(16, int(1 / accept * 1.2))
+            rows = max(1, _NORMALS_PER_CHUNK // width)
             out = np.empty(count)
             filled = 0
             while filled < count:
-                batch = rng.normal(self.mu0, self.sigma0, size=(count - filled, width))
+                shape = (min(count - filled, rows), width)
+                batch = rng.normal(self.mu0, self.sigma0, size=shape)
                 inside = (batch >= self.lower) & (batch <= self.upper)
                 hit = inside.any(axis=1)
                 kept = batch[hit, inside[hit].argmax(axis=1)]

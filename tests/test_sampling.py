@@ -4,19 +4,27 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm, truncnorm
 
 import corfd
-from corfd.oracle import poly_oracle, sin_oracle
+from corfd import sampling
+from corfd.dfo import DfoConfig, corcfd_lbfgs, gradient_via_corcfd
+from corfd.estimators import EstimatorConfig, boot_cfd, cor_cfd
+from corfd.oracle import parse_problem, poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
     PerturbationGenerator,
+    Streams,
+    _generate_state,
     _ndtr,
     _ndtri,
     difference_samples,
     draw_perturbation_set,
+    spawn,
     stream,
 )
 from helpers import deterministic_oracle
@@ -32,6 +40,139 @@ class TestStream:
         a = stream(7, 1).standard_normal(8)
         b = stream(7, 2).standard_normal(8)
         assert not np.allclose(a, b)
+
+
+ENTROPIES = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**96, 2**128 - 1),  # the size of SeedSequence().entropy
+    st.integers(2**128, 2**300),
+    st.lists(st.integers(0, 2**70), max_size=12),
+)
+
+
+def first_draws(generators):
+    return [g.random() for g in generators]
+
+
+class TestStreams:
+    """A derived level equals what numpy's ``SeedSequence.spawn`` makes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entropy=ENTROPIES,
+        spawn_key=st.lists(st.integers(0, 2**40), max_size=4),
+        pool_size=st.sampled_from([4, 8]),
+        spawned=st.integers(0, 1000),
+        n=st.integers(1, 4),
+    )
+    def test_children_and_grandchildren_match_numpy(self, entropy, spawn_key, pool_size, spawned, n):
+        def root():
+            return np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key), pool_size=pool_size,
+                                          n_children_spawned=spawned)
+
+        level, seq = Streams.of([root()]), [root()]
+        for width in (n, 2):
+            level, seq = level.spawn(width), [g for s in seq for g in s.spawn(width)]
+            np.testing.assert_array_equal(level.pools, [s.pool for s in seq])
+            np.testing.assert_array_equal(
+                _generate_state(level.pools, 4, np.uint64), [s.generate_state(4, np.uint64) for s in seq]
+            )
+            expected = [np.random.Generator(np.random.PCG64(s)) for s in seq]
+            assert first_draws(level.generators()) == first_draws(expected)
+
+    def test_spawn_counter_and_successive_spawns(self):
+        seq = stream(3).bit_generator.seed_seq
+        level = Streams.of([stream(3).bit_generator.seed_seq])
+        for n in (2, 3):
+            np.testing.assert_array_equal(level.spawn(n).pools, [s.pool for s in seq.spawn(n)])
+            assert level.spawned == seq.n_children_spawned
+
+    def test_derived_seeds_generate_any_state(self):
+        (derived,) = Streams.of([stream(4).bit_generator.seed_seq]).spawn(1).generators()
+        (child,) = stream(4).bit_generator.seed_seq.spawn(1)
+        for n_words, dtype in [(3, np.uint32), (8, np.uint32), (2, np.uint64), (4, np.dtype(np.uint64))]:
+            np.testing.assert_array_equal(
+                derived.bit_generator.seed_seq.generate_state(n_words, dtype),
+                child.generate_state(n_words, dtype),
+            )
+        with pytest.raises(ValueError, match="uint32 or uint64"):
+            derived.bit_generator.seed_seq.generate_state(4, np.int64)
+
+    def test_mixed_roots_in_one_level(self):
+        # Roots with different numbers of entropy words, spawned for real
+        # and then derived.
+        def roots():
+            return [np.random.SeedSequence(5),
+                    np.random.SeedSequence([1, 2, 3, 4, 5, 6], spawn_key=(9,))]
+
+        level = spawn(roots(), 1).spawn(2)
+        real = [g for r in roots() for c in r.spawn(1) for g in c.spawn(2)]
+        np.testing.assert_array_equal(level.pools, [s.pool for s in real])
+
+    def test_level_must_share_pool_size_and_count(self):
+        with pytest.raises(ValueError, match="share a pool size"):
+            Streams.of([np.random.SeedSequence(1), np.random.SeedSequence(1, pool_size=8)])
+        with pytest.raises(ValueError, match="share a pool size"):
+            Streams.of([np.random.SeedSequence(1), np.random.SeedSequence(1, n_children_spawned=1)])
+
+    def test_counter_past_uint32_is_refused(self):
+        # numpy's counter is a uint32: 2**32 - 1 children at most.
+        level = Streams.of([np.random.SeedSequence(1, n_children_spawned=2**32 - 3)])
+        level.spawn(2)
+        with pytest.raises(OverflowError):
+            level.spawn(1)
+
+    def test_derived_generators_do_not_spawn(self):
+        (derived,) = spawn(stream(5), 1).generators()
+        with pytest.raises(TypeError, match="seeded by a SeedSequence"):
+            spawn(derived, 2)
+        with pytest.raises(TypeError):
+            derived.spawn(2)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(corfd.__file__)))
+        code = "import corfd, corfd.cli, sys; assert 'numpy.random' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestCallerSpawnCounter:
+    """Public entry points advance the caller's generator as ``rng.spawn``
+    would, and only by the children they take."""
+
+    def test_two_cor_calls_on_one_generator(self):
+        sin1 = parse_problem("sin1")
+        cfg = EstimatorConfig(pilot_fraction=0.5)
+        rng = stream(21)
+        first = cor_cfd(sin1.oracle, sin1.theta0, 0, 100, cfg, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 2
+        second = cor_cfd(sin1.oracle, sin1.theta0, 0, 100, cfg, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 4
+        assert first.value != second.value
+        # The second call runs on children 2 and 3, as a generator that has
+        # already spawned two children gives them.
+        seq = stream(21).bit_generator.seed_seq
+        resumed = np.random.default_rng(
+            np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key, n_children_spawned=2)
+        )
+        assert cor_cfd(sin1.oracle, sin1.theta0, 0, 100, cfg, resumed) == second
+
+    def test_entry_point_counters(self):
+        zak = parse_problem("zakharov@3")
+        cfg = EstimatorConfig(K=5, pilot_fraction=0.5)
+        runs = [
+            (lambda r: cor_cfd(zak.oracle, zak.theta0, 0, 40, cfg, r), 2),
+            (lambda r: cor_cfd(zak.oracle, zak.theta0, range(3), 40, cfg, [r, stream(1), stream(2)]), 2),
+            (lambda r: boot_cfd(zak.oracle, zak.theta0, 1, 40, cfg, r), 2),
+            (lambda r: gradient_via_corcfd(zak.oracle, zak.theta0, 20, EstimatorConfig(K=5), r), 3),
+            (lambda r: corcfd_lbfgs(zak.oracle, zak.theta0, DfoConfig(budget=500), r), 2),
+            (lambda r: corcfd_lbfgs(zak.oracle, zak.theta0,
+                                    DfoConfig(budget=500, gradient_method="tra"), r), 2),
+        ]
+        for run, children in runs:
+            rng = stream(22)
+            run(rng)
+            assert rng.bit_generator.seed_seq.n_children_spawned == children
 
 
 class TestTruncatedNormal:
@@ -194,6 +335,29 @@ class TestSuccessiveDraws:
             expected = [gen.sample(one_by_one) for _ in range(12)]
             np.testing.assert_array_equal(got, expected)
             assert together.bit_generator.state == one_by_one.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "gen", [PerturbationGenerator(), PerturbationGenerator(0.0, 1.0, 1.2)],
+        ids=["default", "sparse-rejection"],
+    )
+    def test_chunked_draws_equal_one_call_at_a_time(self, gen, monkeypatch):
+        # Chunks of 4 rows of 16 normals: 30 values cross several chunk
+        # boundaries, with rows that hold no draw among them.
+        monkeypatch.setattr(sampling, "_NORMALS_PER_CHUNK", 64)
+        for seed in range(5):
+            together, one_by_one = stream(13, seed), stream(13, seed)
+            got = gen.sample(together, 30)
+            expected = [gen.sample(one_by_one) for _ in range(30)]
+            np.testing.assert_array_equal(got, expected)
+            assert together.bit_generator.state == one_by_one.bit_generator.state
+
+    def test_draws_across_the_default_chunk_boundary(self):
+        gen = PerturbationGenerator()
+        size = sampling._NORMALS_PER_CHUNK // 16 + 5
+        together, one_by_one = stream(14), stream(14)
+        got = gen.sample(together, size)
+        np.testing.assert_array_equal(got, [gen.sample(one_by_one) for _ in range(size)])
+        assert together.bit_generator.state == one_by_one.bit_generator.state
 
     def test_perturbation_set_with_ties_matches_one_at_a_time_draws(self):
         # Squares within 1e-6 of each other tie, so this sliver forces redraws.

@@ -42,7 +42,6 @@ from .regression import (
 )
 from .sampling import (
     PerturbationGenerator,
-    PerturbationSet,
     difference_samples,
     draw_perturbation_set,
     stream,

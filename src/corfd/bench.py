@@ -94,6 +94,12 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")
+        est = self.estimator
+        if "boot" in self.methods and est.pilot_size is None and est.pilot_fraction == 1:
+            raise ValueError(
+                "boot discards its pilots, so it needs pilot_fraction (r) below 1 or "
+                "pilot_size (n_b) set: at r = 1 the pilots leave fewer than K fresh pairs"
+            )
         if not self.budgets or min(self.budgets) < 1:
             raise ValueError(f"budgets must be one or more values >= 1, got {list(self.budgets)}")
         if not 0 < abs(self.tra_bias_const) < np.inf:

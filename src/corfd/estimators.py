@@ -21,7 +21,6 @@ from .bootstrap import column_moments
 from .oracle import GroundTruth, SimulationOracle
 from .regression import clamp_bias_constant, clamp_floor, fit_bias_wls, fit_var_wls
 from .sampling import (
-    DEFAULT_PILOT_EXPONENT,
     PerturbationGenerator,
     Streams,
     difference_samples,
@@ -44,8 +43,13 @@ __all__ = [
 ]
 
 
+# Optimal pilot-perturbation scaling exponent for the constant-estimation
+# stage (the gradient stage itself uses a -1/6 scaling).
+DEFAULT_PILOT_EXPONENT = -0.1
+
+
 class EstimationError(ValueError):
-    """The constant-estimation stage produced unusable values."""
+    """The estimator's constants, estimated or true, give unusable values."""
 
 
 class BudgetError(ValueError):
@@ -141,7 +145,12 @@ def optimal_perturbation(noise_var: float, bias_const: float, n: int) -> float:
         raise ValueError("bias constant must be nonzero")
     if n < 1:
         raise ValueError(f"budget must be >= 1, got {n}")
-    return float((noise_var / (4.0 * n * bias_const**2)) ** (1.0 / 6.0))
+    try:
+        return float((noise_var / (4.0 * n * bias_const**2)) ** (1.0 / 6.0))
+    except OverflowError:
+        raise EstimationError(
+            f"bias constant {bias_const:.6g} is out of range: its square overflows"
+        ) from None
 
 
 def transform_pilot_sample(
@@ -214,10 +223,16 @@ def _pilot_stage(
     K = cfg.K
     children = spawn(streams, 3)
     coeff, pilot, boot = children[0::3], children[1::3], children[2::3]
-    h = np.array([
-        draw_perturbation_set(K, n_b, cfg.coeff_gen, rng, cfg.pilot_exponent).perturbations
-        for rng in coeff.generators()
+    coefficients = np.array([
+        draw_perturbation_set(K, cfg.coeff_gen, rng) for rng in coeff.generators()
     ])
+    try:
+        h = coefficients * float(n_b) ** cfg.pilot_exponent
+    except OverflowError:
+        raise EstimationError(
+            f"pilot perturbations c * n_b**gamma overflow: n_b = {n_b}, "
+            f"pilot_exponent (gamma) = {cfg.pilot_exponent}"
+        ) from None
     m = len(h)
     columns = pilot.spawn(K).generators()
     block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), columns, n_b)

@@ -7,6 +7,7 @@ given the stream and safe to run concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,7 +98,8 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
     block has shape ``(m, size)``.  Row ``j`` is drawn from ``rng[j]``, and
     rows that share a generator draw from it in row order: by the oracle's
     ``sample_rows`` when it has one, otherwise by one ``sample`` call per
-    row.  The error names the first point whose draws are not all finite.
+    row.  The error names the first point whose draws are not all finite;
+    a ``sample`` call that overflows counts as infinite draws.
     """
     theta = np.asarray(theta)
     if theta.ndim == 2:
@@ -108,9 +110,9 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
         else:
             y = np.empty((len(rng), size))
             for j, row_rng in enumerate(rng):
-                y[j] = oracle.sample(theta[j], row_rng, size)
+                y[j] = _sample(oracle, theta[j], row_rng, size)
     else:
-        y = oracle.sample(theta, rng, size)
+        y = _sample(oracle, theta, rng, size)
     finite = np.isfinite(y)
     if not finite.all():
         point = theta if theta.ndim < 2 else theta[np.argmin(finite.all(axis=-1))]
@@ -120,20 +122,37 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
     return y
 
 
+def _sample(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
+    """``oracle.sample``, reading an overflow as infinite draws: Python's
+    float power raises OverflowError past the float range, where numpy's
+    gives infinity."""
+    try:
+        return oracle.sample(theta, rng, size)
+    except OverflowError:
+        return np.full(size, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Scaled sine (homoscedastic and heteroscedastic noise)
 # ---------------------------------------------------------------------------
 
-def sin_oracle(kappa: float, case: int | str = 1) -> SimulationOracle:
+def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
     """Mean response ``kappa*sin(theta)`` with Gaussian noise.
 
-    Case 1 ("homoscedastic"): unit noise variance everywhere.
-    Case 2 ("heteroscedastic"): noise variance ``exp(-3*theta)``.
+    Case 1 (homoscedastic): unit noise variance everywhere.
+    Case 2 (heteroscedastic): noise variance ``exp(-3*theta)``.
     """
     if not (np.isfinite(kappa) and kappa != 0):
         raise ValueError(f"kappa must be finite and nonzero, got {kappa}")
-    case_id = {1: 1, 2: 2, "homoscedastic": 1, "heteroscedastic": 2}.get(case)
-    if case_id is None:
+    try:
+        # The optimal perturbation squares the bias constant, which is at
+        # most kappa/6 in magnitude.
+        (kappa / 6.0) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"kappa is out of range: the square of its bias constant kappa/6 overflows, got {kappa}"
+        ) from None
+    if case not in (1, 2):
         raise ValueError(f"unknown case {case!r}")
 
     def mean(theta):
@@ -141,7 +160,7 @@ def sin_oracle(kappa: float, case: int | str = 1) -> SimulationOracle:
 
     def sd(theta):
         t = float(np.atleast_1d(theta)[0])
-        return 1.0 if case_id == 1 else float(np.exp(-1.5 * t))
+        return 1.0 if case == 1 else float(np.exp(-1.5 * t))
 
     def sample(theta, rng, size):
         return rng.normal(mean(theta), sd(theta), size)
@@ -156,7 +175,7 @@ def sin_oracle(kappa: float, case: int | str = 1) -> SimulationOracle:
             noise_var=sd(t) ** 2,
         )
 
-    return SimulationOracle(dim=1, label=f"sin{case_id}", sample=sample, mean=mean, truth=truth)
+    return SimulationOracle(dim=1, label=f"sin{case}", sample=sample, mean=mean, truth=truth)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +213,31 @@ def poly_oracle() -> SimulationOracle:
 # round the last bit differently, and a block must reproduce the values of
 # its points taken one at a time.
 
+def _rowwise(value: Callable[..., float], *columns: list[float]) -> list[float]:
+    """``value`` of each row of ``columns``.  Python's float power raises
+    OverflowError past the float range; such a row is infinite, as numpy
+    makes it.  Both benchmark functions are sums of even powers, so the
+    infinity is positive."""
+    try:
+        return list(map(value, *columns))
+    except OverflowError:
+        return [_or_inf(value, row) for row in zip(*columns)]
+
+
+def _or_inf(value: Callable[..., float], row) -> float:
+    try:
+        return value(*row)
+    except OverflowError:
+        return math.inf
+
+
 def rosenbrock(x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
-    f = [100.0 * (x2 - x1 * x1) ** 2 + (x1 - 1.0) ** 2 for x1, x2 in x.reshape(-1, 2).tolist()]
+    pairs = x.reshape(-1, 2)
+    f = _rowwise(
+        lambda x1, x2: 100.0 * (x2 - x1 * x1) ** 2 + (x1 - 1.0) ** 2,
+        pairs[:, 0].tolist(), pairs[:, 1].tolist(),
+    )
     return f[0] if x.ndim == 1 else np.array(f)
 
 
@@ -206,7 +247,7 @@ def zakharov(x: np.ndarray) -> float | np.ndarray:
     i = np.arange(1, rows.shape[-1] + 1)
     squares = np.sum(rows * rows, axis=-1).tolist()
     sums = np.sum(0.5 * i * rows, axis=-1).tolist()
-    f = [q + s**2 + s**4 for q, s in zip(squares, sums)]
+    f = _rowwise(lambda q, s: q + s**2 + s**4, squares, sums)
     return f[0] if x.ndim == 1 else np.array(f)
 
 
@@ -434,7 +475,13 @@ def parse_problem(problem_id: str, kappa: float = DEFAULT_KAPPA) -> Problem:
         if not np.isfinite(theta0[0]):
             raise ValueError(f"poly point must be finite, got {pid!r}")
         oracle = poly_oracle()
-        return Problem(oracle, theta0, oracle.truth(theta0))
+        try:
+            truth = oracle.truth(theta0)
+        except OverflowError:
+            raise ValueError(
+                f"poly point must keep its ground truth within the float range, got {pid!r}"
+            ) from None
+        return Problem(oracle, theta0, truth)
     if name == "rosenbrock":
         if arg:
             raise ValueError(f"rosenbrock takes no parameters, got {pid!r}")

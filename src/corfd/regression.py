@@ -135,6 +135,17 @@ def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
     return _float_if_scalar(np.where(np.asarray(bhat) >= 0, magnitude, -magnitude))
 
 
+def _checked_coefficients(c) -> np.ndarray:
+    """The magnitudes of at least two finite, nonzero coefficients."""
+    c = np.asarray(c, dtype=float).ravel()
+    if c.size < 2:
+        raise ValueError(f"need at least 2 coefficients, got {c.size}")
+    bad = c[~(np.isfinite(c) & (c != 0))]
+    if bad.size:
+        raise ValueError(f"coefficients must be finite and nonzero, got {bad[0]}")
+    return np.abs(c)
+
+
 @dataclass(frozen=True)
 class ProjectionDiagnostics:
     """Residual projector of the bias design and its derived constants.
@@ -156,12 +167,8 @@ def projection_diagnostics(c: np.ndarray) -> ProjectionDiagnostics:
     The column space is invariant to the pilot-size scaling of the actual
     perturbations, so the coefficients themselves parameterize it.
     """
-    c = np.abs(np.asarray(c, dtype=float).ravel())
+    c = _checked_coefficients(c)
     K = c.size
-    if K < 2:
-        raise ValueError(f"need at least 2 coefficients, got {K}")
-    if not np.all(c > 0):
-        raise ValueError("coefficients must be nonzero")
     design = np.column_stack([np.ones(K), c * c])
     if np.linalg.matrix_rank(design) < 2:
         raise SingularDesignError("coefficients have coincident squares")
@@ -205,10 +212,11 @@ def theory_constants(c: np.ndarray, fifth_const: float, noise_slope: float) -> T
     ``noise_slope`` the derivative of the response's standard deviation at
     the evaluation point (only the noise-fit bias uses it).
     """
-    c = np.abs(np.asarray(c, dtype=float).ravel())
+    c = _checked_coefficients(c)
+    for name, value in (("fifth_const", fifth_const), ("noise_slope", noise_slope)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     K = c.size
-    if K < 2 or not np.all(c > 0):
-        raise ValueError("need K >= 2 positive coefficients")
     s2, s4, s6 = (float(np.sum(c**p)) for p in (2, 4, 6))
     inv2, inv4, inv8 = (float(np.sum(c**-p)) for p in (2, 4, 8))
     den = K * s4 - s2 * s2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -20,17 +20,12 @@ from .oracle import draw_responses
 __all__ = [
     "DegenerateRegionError",
     "PerturbationGenerator",
-    "PerturbationSet",
     "stream",
     "Streams",
     "spawn",
     "draw_perturbation_set",
     "difference_samples",
 ]
-
-# Optimal pilot-perturbation scaling exponent for the constant-estimation
-# stage (the gradient stage itself uses a -1/6 scaling).
-DEFAULT_PILOT_EXPONENT = -0.1
 
 # Coefficients whose squares are closer than this (relative) count as ties
 # and are redrawn: the bias design matrix needs distinct squared entries.
@@ -260,7 +255,9 @@ class PerturbationGenerator:
 
     Draws from Normal(mu0, sigma0^2) conditioned on [lower, upper].  The
     support must sit strictly inside the positive axis so that every
-    coefficient is bounded away from zero.
+    coefficient is bounded away from zero, and must carry probability mass:
+    an interval with (numerically) none raises
+    :class:`DegenerateRegionError` when the generator is built.
     """
 
     mu0: float = 0.0
@@ -276,6 +273,12 @@ class PerturbationGenerator:
         if not 0 < self.lower < self.upper:
             raise ValueError(
                 f"need 0 < lower < upper, got [{self.lower}, {self.upper}]"
+            )
+        if self.acceptance_probability <= 1e-12:
+            raise DegenerateRegionError(
+                f"truncation interval [{self.lower}, {self.upper}] has acceptance "
+                f"probability {self.acceptance_probability:.3e} under "
+                f"Normal({self.mu0}, {self.sigma0}^2)"
             )
 
     @property
@@ -301,79 +304,40 @@ class PerturbationGenerator:
         a, b = self._cdf_bounds
         return abs(b - a)
 
-    def _checked_acceptance(self) -> float:
-        accept = self.acceptance_probability
-        if accept <= 1e-12:
-            raise DegenerateRegionError(
-                f"truncation interval [{self.lower}, {self.upper}] has acceptance "
-                f"probability {accept:.3e} under Normal({self.mu0}, {self.sigma0}^2)"
-            )
-        return accept
-
     def _inverse_cdf(self, rng: np.random.Generator, n: int) -> np.ndarray:
         a, b = self._cdf_bounds
         z = np.array([_ndtri(p) for p in (a + (b - a) * rng.random(n)).tolist()])
         out = self.mu0 + self._sign * self.sigma0 * z
         return np.clip(out, self.lower, self.upper, out=out)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        """Draw from the truncated distribution: one value, or ``size`` values
-        equal to those of ``size`` successive one-value calls, consuming the
-        same random numbers in the same order.
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` values from the truncated distribution.  They equal
+        the values of ``size`` successive ``sample(rng, 1)`` calls, consuming
+        the same random numbers in the same order.
 
         Rejection sampling when the acceptance region is wide enough,
         inverse-CDF on the truncated interval otherwise; either way the
-        expected work per draw is bounded.  A one-value rejection draw takes
-        batches of one fixed width until one holds an accepted value and
-        returns the first; ``size`` values draw the batches still needed as
-        the rows of arrays of at most ``_NORMALS_PER_CHUNK`` normals.
+        expected work per draw is bounded.  A rejection draw takes, for each
+        value, batches of one fixed width until one holds an accepted value,
+        and keeps the first; the batches are drawn as the rows of arrays of
+        at most ``_NORMALS_PER_CHUNK`` normals.
         """
-        accept = self._checked_acceptance()
-        count = 1 if size is None else int(size)
+        accept = self.acceptance_probability
         if accept < 0.1:
-            out = self._inverse_cdf(rng, count)
-        else:
-            width = max(16, int(1 / accept * 1.2))
-            rows = max(1, _NORMALS_PER_CHUNK // width)
-            out = np.empty(count)
-            filled = 0
-            while filled < count:
-                shape = (min(count - filled, rows), width)
-                batch = rng.normal(self.mu0, self.sigma0, size=shape)
-                inside = (batch >= self.lower) & (batch <= self.upper)
-                hit = inside.any(axis=1)
-                kept = batch[hit, inside[hit].argmax(axis=1)]
-                out[filled : filled + kept.size] = kept
-                filled += kept.size
-        return float(out[0]) if size is None else out
-
-
-@dataclass(frozen=True)
-class PerturbationSet:
-    """Pilot perturbations ``h_k = c_k * n_b**exponent``."""
-
-    coefficients: np.ndarray
-    pilot_size: int
-    exponent: float = DEFAULT_PILOT_EXPONENT
-    perturbations: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.size < 2:
-            raise ValueError("need at least two perturbation coefficients")
-        if not np.all(c > 0):
-            raise ValueError("perturbation coefficients must be positive")
-        c2 = np.sort(c * c)
-        if np.any(np.diff(c2) <= _SQUARE_TIE_RTOL * c2[1:]):
-            raise ValueError("squared coefficients must be pairwise distinct")
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(
-            self, "perturbations", c * float(self.pilot_size) ** self.exponent
-        )
-
-    @property
-    def size(self) -> int:
-        return int(self.coefficients.size)
+            return self._inverse_cdf(rng, size)
+        width = max(16, int(1 / accept * 1.2))
+        rows = max(1, _NORMALS_PER_CHUNK // width)
+        out = np.empty(size)
+        filled = 0
+        while filled < size:
+            shape = (min(size - filled, rows), width)
+            batch = rng.normal(self.mu0, self.sigma0, size=shape)
+            inside = (batch >= self.lower) & (batch <= self.upper)
+            hit = inside.any(axis=1)
+            kept = batch[hit, inside[hit].argmax(axis=1)]
+            out[filled : filled + kept.size] = kept
+            filled += kept.size
+        return out
 
 
 def _has_square_tie(value: float, accepted: list[float]) -> bool:
@@ -382,22 +346,14 @@ def _has_square_tie(value: float, accepted: list[float]) -> bool:
 
 
 def draw_perturbation_set(
-    K: int,
-    n_b: int,
-    gen: PerturbationGenerator,
-    rng: np.random.Generator,
-    exponent: float = DEFAULT_PILOT_EXPONENT,
-) -> PerturbationSet:
-    """Draw ``K`` i.i.d. coefficients and scale them by ``n_b**exponent``.
+    K: int, gen: PerturbationGenerator, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``K`` i.i.d. pilot-perturbation coefficients.
 
     Coefficients whose squared values collide (to relative tolerance 1e-6)
     with an earlier draw are redrawn, keeping the i.i.d. description while
     guaranteeing a rank-2 bias design.
     """
-    if K < 2:
-        raise ValueError(f"need K >= 2 perturbations, got {K}")
-    if n_b < 2:
-        raise ValueError(f"need n_b >= 2 pilot pairs per perturbation, got {n_b}")
     accepted: list[float] = []
     rejections = 0
     while len(accepted) < K:
@@ -414,7 +370,7 @@ def draw_perturbation_set(
                 continue
             rejections = 0
             accepted.append(c)
-    return PerturbationSet(np.array(accepted), n_b, exponent)
+    return np.array(accepted)
 
 
 def difference_samples(

@@ -26,7 +26,7 @@ from corfd.bootstrap import column_moments
 from corfd.estimators import _pilot_stage
 from corfd.oracle import QueueSpec, poly_oracle, sin_oracle
 from corfd.regression import fit_bias_wls, projection_diagnostics
-from corfd.sampling import PerturbationSet, difference_samples
+from corfd.sampling import difference_samples
 from helpers import deterministic_oracle, fit_var_unweighted
 
 
@@ -233,17 +233,17 @@ def test_criterion_6_constant_estimator_rates():
     reps = 2000
     measured = {}
     for n_b in (200, 800):
-        pert = PerturbationSet(c_fixed, n_b)
+        h = c_fixed * float(n_b) ** -0.1
         slopes = np.empty(reps)
         noise_fits = np.empty(reps)
         for i, rep in enumerate(stream(61).spawn(reps)):
             pilot = np.stack([
                 difference_samples(orc, [0.0], 0, float(hk), rep.spawn(1)[0], n_b)
-                for hk in pert.perturbations
+                for hk in h
             ])
             means, variances = column_moments(pilot, None, None)
-            slopes[i] = fit_bias_wls(pert.perturbations, means, np.ones(c_fixed.size)).slope
-            noise_fits[i] = fit_var_unweighted(pert.perturbations, variances, n_b)
+            slopes[i] = fit_bias_wls(h, means, np.ones(c_fixed.size)).slope
+            noise_fits[i] = fit_var_unweighted(h, variances, n_b)
         bias_b = slopes.mean() - (-2.5)
         var_b = slopes.var(ddof=1)
         bias_s = noise_fits.mean() - sigma2

@@ -90,6 +90,10 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# Pilots of 5 x 20 pairs spend a budget of 100 pairs, which leaves boot none.
+ALL_PILOTS = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=100)
+
+
 class TestRunReplications:
     def test_detail_and_summary_shapes(self):
         detail, summary, failures = run_replications(small_config())
@@ -111,9 +115,10 @@ class TestRunReplications:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_parallel_schedule_matches_serial(self, monkeypatch):
-        # An infeasible cell (boot at r=1) sits between two feasible ones, so
-        # the grid's one pool keeps serving cells after a failed cell.
-        cfg = small_config(methods=("cor", "boot", "opt"))
+        # An infeasible cell (boot with every pair a pilot) sits between two
+        # feasible ones, so the grid's one pool keeps serving cells after a
+        # failed cell.
+        cfg = small_config(methods=("cor", "boot", "opt"), estimator=ALL_PILOTS)
         serial = run_replications(cfg)
         pools = []
 
@@ -137,7 +142,7 @@ class TestRunReplications:
             run_replications(small_config())
 
     def test_infeasible_cell_reported_others_run(self):
-        cfg = small_config(methods=("boot", "cor"))  # boot needs fresh pairs at r=1
+        cfg = small_config(methods=("boot", "cor"), estimator=ALL_PILOTS)  # boot needs fresh pairs
         detail, summary, failures = run_replications(cfg)
         assert len(failures) == 1 and "boot" in failures[0][0]
         assert failures[0][1] == "BudgetError"
@@ -162,3 +167,8 @@ class TestRunReplications:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             small_config(methods=("em",))
+
+    def test_boot_under_default_r_rejected(self):
+        with pytest.raises(ValueError, match=r"pilot_fraction \(r\).*pilot_size \(n_b\)"):
+            small_config(methods=("cor", "boot"))
+        small_config(methods=("boot",), estimator=EstimatorConfig(K=5, pilot_fraction=0.5))

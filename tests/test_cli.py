@@ -80,7 +80,8 @@ class TestEstimateCommand:
         assert code == 1
 
     def test_default_boot_names_the_pilot_settings(self, tmp_path, capsys):
-        # The default r = 1 spends the whole budget on pilots, which boot discards.
+        # The default r = 1 spends the budget on pilots, which boot discards:
+        # a configuration error, reported before any cell runs.
         code = main([
             "estimate", "--problem", "poly@3", "--method", "boot", "--pairs", "5000",
             "--reps", "5", "--out", str(tmp_path / "x.csv"),
@@ -89,9 +90,8 @@ class TestEstimateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == (
-            "error: poly@3/boot/5000: BudgetError: budget 5000 leaves no fresh pairs after "
-            "5000 pilot pairs; boot needs pilot_fraction (r) below 1 or a smaller "
-            "pilot_size (n_b)\n"
+            "error: boot discards its pilots, so it needs pilot_fraction (r) below 1 or "
+            "pilot_size (n_b) set: at r = 1 the pilots leave fewer than K fresh pairs\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -125,6 +125,28 @@ class TestEstimateCommand:
                 "perturbation generator is nearly degenerate") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--problem", "sin1", "--kappa", "1e300", "--method", "cor"],
+         "kappa is out of range: the square of its bias constant kappa/6 overflows, got 1e+300"),
+        (["--problem", "sin2", "--kappa", "1e300", "--method", "opt"],
+         "kappa is out of range: the square of its bias constant kappa/6 overflows, got 1e+300"),
+        (["--problem", "poly@1e62", "--method", "cor"],
+         "poly@1e62/cor/100: NonFiniteResponseError: oracle poly returned a non-finite "
+         "response at theta=[1e+62]"),
+        (["--problem", "poly@1e100", "--method", "cor"],
+         "poly point must keep its ground truth within the float range, got 'poly@1e100'"),
+        (["--problem", "sin1", "--method", "cor", "--gamma", "1e10"],
+         "sin1/cor/100: EstimationError: pilot perturbations c * n_b**gamma overflow: "
+         "n_b = 10, pilot_exponent (gamma) = 10000000000.0"),
+    ], ids=["sin1_kappa", "sin2_kappa_opt", "poly_mean", "poly_truth", "gamma"])
+    def test_overflow_is_a_typed_error(self, argv, message, tmp_path, capsys):
+        code = main(["estimate", *argv, "--pairs", "100", "--out", str(tmp_path / "x.csv"),
+                     "--summary-out", str(tmp_path / "y.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestDfoCommand:
     def test_trace_and_summary_line(self, tmp_path, capsys):
@@ -155,6 +177,19 @@ class TestDfoCommand:
         assert capsys.readouterr().out.startswith("SG=")
         assert main(args + ["--start", "1,2,3"]) == 1
         assert "error: --start has 3 coordinates, problem needs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,start,label", [
+        ("zakharov@2", "1e100,1", "zakharov@2"), ("rosenbrock", "1e200,1", "rosenbrock@2"),
+    ], ids=["zakharov", "rosenbrock"])
+    def test_overflowing_start_is_a_typed_error(self, problem, start, label, tmp_path, capsys):
+        code = main(["dfo", "--problem", problem, "--budget", "100", "--start", start,
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        point = float(start.split(",")[0])
+        assert err.startswith(f"error: oracle {label} returned a non-finite response "
+                              f"at theta=[{point}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_problem_without_minimizer_prints_final_point(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -229,10 +264,10 @@ class TestBenchCommand:
         code = main([
             "bench", "--set", "problem=sin1", "--set", "methods=cor,boot",
             "--set", "budgets=100", "--set", "reps=3", "--set", "K=5",
-            "--set", "I=100", "--set", "r=1.0",
+            "--set", "I=100", "--set", "n_b=20",
             "--set", f"out={out}",
         ])
-        assert code == 2  # boot infeasible at r=1, cor ran
+        assert code == 2  # boot infeasible with 5 x 20 pilot pairs, cor ran
 
     def test_bad_key_is_config_error(self, tmp_path):
         code = main(["bench", "--set", "bogus_key=1"])
@@ -253,6 +288,9 @@ class TestBenchCommand:
         ("sigma0", "inf", "sigma0 must be finite and positive, got inf"),
         ("problem", "poly@nan", "poly point must be finite, got 'poly@nan'"),
         ("gamma", "nan", "pilot_exponent (gamma) must be finite, got nan"),
+        ("L", "40", "truncation interval [40.0, inf] has acceptance probability 0.000e+00"),
+        ("methods", "cor,opt,boot", "boot discards its pilots, so it needs pilot_fraction (r) "
+         "below 1 or pilot_size (n_b) set"),
         ("kappa", "nan", "kappa must be finite and nonzero, got nan"),
         ("methods", "", "methods must name at least one method"),
         ("budgets", "", "budgets must be one or more values >= 1, got []"),
@@ -263,7 +301,8 @@ class TestBenchCommand:
         ("tra_B", "0", "tra_bias_const (tra_B) must be finite and nonzero, got 0.0"),
         ("tra_sigma2", "nan", "tra_noise_var (tra_sigma2) must be finite and positive, got nan"),
     ], ids=["K", "r", "n_b", "I", "clamp_scale", "clamp_scale_inf", "mu0_nan", "mu0_inf",
-            "sigma0_inf", "poly_nan", "gamma", "kappa", "methods", "budgets",
+            "sigma0_inf", "poly_nan", "gamma", "massless_L", "default_r_boot", "kappa",
+            "methods", "budgets",
             "budget_zero", "tra_h_nan", "tra_h_zero", "truth", "tra_B", "tra_sigma2"])
     def test_bad_setting_rejected_before_any_cell(self, key, value, message, tmp_path, capsys):
         out = tmp_path / "summary.csv"
@@ -280,10 +319,10 @@ class TestBenchCommand:
         assert set(re.findall(r"`(\w+)`", listed)) == set(_BENCH_DEFAULTS) | set(_ESTIMATE_KEYS)
 
     def test_cell_failure_names_the_error_type(self, tmp_path, capsys):
-        # boot needs fresh pairs, which the default r = 1 leaves none of.
+        # boot needs fresh pairs, which 10 pilots of 10 pairs leave none of.
         code = main([
             "bench", "--set", "problem=sin1", "--set", "methods=boot,cor", "--set", "budgets=100",
-            "--set", "reps=2", "--set", f"out={tmp_path / 's.csv'}",
+            "--set", "n_b=10", "--set", "reps=2", "--set", f"out={tmp_path / 's.csv'}",
         ])
         assert code == 2  # cor ran
         err = capsys.readouterr().err
@@ -368,3 +407,15 @@ class TestDiagCommand:
 
     def test_bad_vector_is_error(self):
         assert main(["diag", "--c", "1.0"]) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--c", "1,inf,2"], "coefficients must be finite and nonzero, got inf"),
+        (["--c", "1,nan,2"], "coefficients must be finite and nonzero, got nan"),
+        (["--c", "1,2,3", "--fifth-const", "nan"], "fifth_const must be finite, got nan"),
+        (["--c", "1,2,3", "--noise-slope", "nan"], "noise_slope must be finite, got nan"),
+    ], ids=["c_inf", "c_nan", "fifth_const_nan", "noise_slope_nan"])
+    def test_bad_value_is_named(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "diag.csv"
+        assert main(["diag", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -169,8 +169,8 @@ class TestGradient:
         coords = stream(7).spawn(4)
         for i, gi in enumerate(g):
             coeff_rng = coords[i].spawn(2)[0].spawn(3)[0]
-            pert = draw_perturbation_set(5, 4, cfg.coeff_gen, coeff_rng)
-            bound = clamp_floor(2.0, cfg.clamp_scale) * float(np.max(pert.perturbations)) ** 2
+            h = draw_perturbation_set(5, cfg.coeff_gen, coeff_rng) * 4.0**cfg.pilot_exponent
+            bound = clamp_floor(2.0, cfg.clamp_scale) * float(np.max(h)) ** 2
             assert gi == pytest.approx(2.0, abs=bound + 1e-9)
 
     def test_steep_noisy_start_is_not_noise_free(self):

@@ -40,6 +40,10 @@ class TestOptimalPerturbation:
         assert expected == pytest.approx(0.125992, abs=1e-6)
         assert optimal_perturbation(1.0, -2.5, 10_000) == pytest.approx(expected, rel=1e-12)
 
+    def test_overflowing_bias_constant_is_an_estimation_error(self):
+        with pytest.raises(EstimationError, match="bias constant 1e[+]200 is out of range"):
+            optimal_perturbation(1.0, 1e200, 100)
+
     def test_zero_bias_rejected(self):
         with pytest.raises(ValueError):
             optimal_perturbation(1.0, 0.0, 10)

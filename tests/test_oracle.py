@@ -51,6 +51,11 @@ class TestSinOracle:
         with pytest.raises(ValueError):
             sin_oracle(0.0)
 
+    def test_kappa_whose_bias_constant_square_overflows_rejected(self):
+        sin_oracle(8e154)
+        with pytest.raises(ValueError, match="kappa is out of range"):
+            sin_oracle(-9e154)
+
 
 class TestPolyOracle:
     @pytest.mark.parametrize(
@@ -121,6 +126,22 @@ class TestSampleBatch:
         with pytest.raises(NonFiniteResponseError,
                            match=r"^oracle holey returned a non-finite response at theta=\[2\.0\]$"):
             draw_responses(oracle, points, [stream(44)] * 3, 4)
+
+    def test_overflow_is_a_non_finite_response(self):
+        # poly's quintic term leaves the float range near 1.8e61.
+        oracle = poly_oracle()
+        points = np.array([[1.0], [1e62], [3.0]])
+        for theta, rng in ((points, [stream(45)] * 3), (points[1], stream(45))):
+            with pytest.raises(NonFiniteResponseError, match=r"at theta=\[1e\+62\]$"):
+                draw_responses(oracle, theta, rng, 4)
+
+    @pytest.mark.parametrize("f, far", [(zakharov, 1e100), (rosenbrock, 1e200)])
+    def test_benchmark_functions_overflow_to_infinity(self, f, far):
+        # A power past the float range, where Python raises OverflowError.
+        points = np.array([[1.0, 2.0], [far, 1.0], [-3.0, 0.5]])
+        values = f(points)
+        assert values[1] == np.inf and f(points[1]) == np.inf
+        np.testing.assert_array_equal(values[[0, 2]], [f(points[0]), f(points[2])])
 
 
 class TestBenchFunctions:

@@ -13,7 +13,7 @@ from scipy.stats import norm, truncnorm
 import corfd
 from corfd import sampling
 from corfd.dfo import DfoConfig, corcfd_lbfgs, gradient_via_corcfd
-from corfd.estimators import EstimatorConfig, boot_cfd, cor_cfd
+from corfd.estimators import EstimatorConfig, _pilot_stage, boot_cfd, cor_cfd
 from corfd.oracle import parse_problem, poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
@@ -208,14 +208,9 @@ class TestTruncatedNormal:
         assert abs(x.mean() - expected) < 4 * x.std(ddof=1) / np.sqrt(x.size)
 
     def test_degenerate_region_raises(self):
-        gen = PerturbationGenerator(0, 1, 40, 41)
-        with pytest.raises(DegenerateRegionError):
-            gen.sample(stream(4))
-
-    def test_scalar_draw(self):
-        gen = PerturbationGenerator(0, 1, 0.1, np.inf)
-        v = gen.sample(stream(5))
-        assert isinstance(v, float) and v >= 0.1
+        # An interval without mass is rejected when the generator is built.
+        with pytest.raises(DegenerateRegionError, match=r"\[40, 41\]"):
+            PerturbationGenerator(0, 1, 40, 41)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -332,7 +327,7 @@ class TestSuccessiveDraws:
         for seed in range(20):
             together, one_by_one = stream(11, seed), stream(11, seed)
             got = gen.sample(together, 12)
-            expected = [gen.sample(one_by_one) for _ in range(12)]
+            expected = [gen.sample(one_by_one, 1)[0] for _ in range(12)]
             np.testing.assert_array_equal(got, expected)
             assert together.bit_generator.state == one_by_one.bit_generator.state
 
@@ -347,7 +342,7 @@ class TestSuccessiveDraws:
         for seed in range(5):
             together, one_by_one = stream(13, seed), stream(13, seed)
             got = gen.sample(together, 30)
-            expected = [gen.sample(one_by_one) for _ in range(30)]
+            expected = [gen.sample(one_by_one, 1)[0] for _ in range(30)]
             np.testing.assert_array_equal(got, expected)
             assert together.bit_generator.state == one_by_one.bit_generator.state
 
@@ -356,7 +351,7 @@ class TestSuccessiveDraws:
         size = sampling._NORMALS_PER_CHUNK // 16 + 5
         together, one_by_one = stream(14), stream(14)
         got = gen.sample(together, size)
-        np.testing.assert_array_equal(got, [gen.sample(one_by_one) for _ in range(size)])
+        np.testing.assert_array_equal(got, [gen.sample(one_by_one, 1)[0] for _ in range(size)])
         assert together.bit_generator.state == one_by_one.bit_generator.state
 
     def test_perturbation_set_with_ties_matches_one_at_a_time_draws(self):
@@ -366,49 +361,53 @@ class TestSuccessiveDraws:
             rng = stream(12, seed)
             accepted = []
             while len(accepted) < 4:
-                c = gen.sample(rng)
+                c = gen.sample(rng, 1)[0]
                 if all(abs(c * c - a * a) > 1e-6 * max(c * c, a * a) for a in accepted):
                     accepted.append(c)
-            pert = draw_perturbation_set(4, 10, gen, stream(12, seed))
-            np.testing.assert_array_equal(pert.coefficients, accepted)
+            np.testing.assert_array_equal(draw_perturbation_set(4, gen, stream(12, seed)), accepted)
+
+
+def pilot_perturbations(cfg, n, seed):
+    """The pilot perturbations ``h`` (K,) of one coordinate's pilot stage on
+    ``stream(seed)``, and the coefficients drawn from its coefficient stream."""
+    stage = _pilot_stage(poly_oracle(), [0.0], [0], n, cfg, [stream(seed)], n)
+    coeff_rng = stream(seed).spawn(3)[0]
+    return stage.h[0], draw_perturbation_set(cfg.K, cfg.coeff_gen, coeff_rng)
 
 
 class TestPerturbationSet:
     def test_scaling_and_distinctness(self):
-        gen = PerturbationGenerator()
-        pert = draw_perturbation_set(10, 100, gen, stream(6))
-        c, h = pert.coefficients, pert.perturbations
+        h, c = pilot_perturbations(EstimatorConfig(K=10, pilot_size=100), 1000, 6)
         assert c.size == 10 and np.all(c >= 0.1)
         # 100**(-1/10) = 10**(-1/5), evaluated directly
         np.testing.assert_allclose(h, c * 10 ** (-0.2), rtol=1e-15)
         c2 = np.sort(c * c)
         assert np.all(np.diff(c2) > 1e-6 * c2[1:])
 
+    # The pilot draw takes K and n_b from EstimatorConfig, their one check.
     def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            draw_perturbation_set(1, 100, PerturbationGenerator(), stream(7))
+        with pytest.raises(ValueError, match="K must be >= 2"):
+            EstimatorConfig(K=1)
 
     def test_pilot_size_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            draw_perturbation_set(5, 1, PerturbationGenerator(), stream(7))
+        with pytest.raises(ValueError, match=r"pilot_size \(n_b\) must be >= 2"):
+            EstimatorConfig(pilot_size=1)
 
     def test_fixed_seed_reproduces(self):
         gen = PerturbationGenerator()
-        a = draw_perturbation_set(10, 50, gen, stream(8))
-        b = draw_perturbation_set(10, 50, gen, stream(8))
-        np.testing.assert_array_equal(a.coefficients, b.coefficients)
-        np.testing.assert_array_equal(a.perturbations, b.perturbations)
+        a = draw_perturbation_set(10, gen, stream(8))
+        b = draw_perturbation_set(10, gen, stream(8))
+        np.testing.assert_array_equal(a, b)
 
     def test_near_degenerate_generator_errors_out(self):
         gen = PerturbationGenerator(5, 1e-13, 4, 6)
         with pytest.raises(DegenerateRegionError, match="degenerate"):
-            draw_perturbation_set(3, 10, gen, stream(9))
+            draw_perturbation_set(3, gen, stream(9))
 
     def test_custom_exponent(self):
-        pert = draw_perturbation_set(4, 100, PerturbationGenerator(), stream(10), exponent=-1.0 / 6)
-        np.testing.assert_allclose(
-            pert.perturbations, pert.coefficients * 100 ** (-1.0 / 6), rtol=1e-15
-        )
+        cfg = EstimatorConfig(K=4, pilot_size=100, pilot_exponent=-1.0 / 6)
+        h, c = pilot_perturbations(cfg, 400, 10)
+        np.testing.assert_allclose(h, c * 100 ** (-1.0 / 6), rtol=1e-15)
 
 
 class TestDifferenceSample:

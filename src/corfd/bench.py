@@ -58,13 +58,15 @@ class SummaryStats:
 
 
 def summarize(estimates, truth: float) -> SummaryStats:
-    """Bias, variance and mean squared error of the replication values."""
+    """Bias, variance and mean squared error of the replication values; a
+    statistic beyond the float range is ``inf``."""
     values = np.asarray(estimates, dtype=float).ravel()
     if values.size < 1:
         raise ValueError("need at least one replication")
-    bias = float(values.mean() - truth)
-    variance = float(values.var(ddof=0))
-    mse = float(np.mean((values - truth) ** 2))
+    with np.errstate(over="ignore"):
+        bias = float(values.mean() - truth)
+        variance = float(values.var(ddof=0))
+        mse = float(np.mean((values - truth) ** 2))
     return SummaryStats(bias, variance, mse, values.size, float(truth))
 
 

@@ -20,13 +20,7 @@ import numpy as np
 from .bootstrap import column_moments
 from .oracle import GroundTruth, SimulationOracle
 from .regression import clamp_bias_constant, clamp_floor, fit_bias_wls, fit_var_wls
-from .sampling import (
-    PerturbationGenerator,
-    Streams,
-    difference_samples,
-    draw_perturbation_set,
-    spawn,
-)
+from .sampling import PerturbationGenerator, difference_samples, draw_perturbation_set, spawn
 
 __all__ = [
     "EstimationError",
@@ -211,9 +205,9 @@ def _pilot_stage(
     streams,
     budget: int,
 ) -> _PilotStage:
-    """Run the pilot stage for coordinate ``coords[j]`` on stream ``streams[j]``:
-    a :class:`~corfd.sampling.Streams` level, or one generator or seed per
-    coordinate.
+    """Run the pilot stage for coordinate ``coords[j]`` on row ``j`` of
+    ``streams``: a :class:`~corfd.sampling.Streams` level with one row per
+    coordinate, or a generator for a single coordinate.
 
     Each stream spawns its coefficient, pilot and bootstrap streams, and the
     pilot stream one stream per column, as a single-coordinate run does;
@@ -265,11 +259,12 @@ def _pilot_stage(
     # Zero estimated noise makes the error-optimal perturbation degenerate.
     # The largest pilot perturbation keeps every transform ratio at most
     # one, so the downstream error stays within the clamped-slope times
-    # squared-perturbation bound.
-    h_opt = [
-        optimal_perturbation(v, b, budget) for v, b in zip(noise_var.tolist(), clamped.tolist())
-    ]
-    h_n = np.where(noise_free, h.max(axis=-1), h_opt)
+    # squared-perturbation bound.  Only noisy coordinates compute the
+    # error-optimal one, so a noise-free slope out of range does not fail.
+    h_n = h.max(axis=-1)
+    v, b = noise_var.tolist(), clamped.tolist()
+    for j in np.flatnonzero(~noise_free).tolist():
+        h_n[j] = optimal_perturbation(v[j], b[j], budget)
     return _PilotStage(
         h, samples, bias_fit.intercept, clamped, bias_fit.slope, noise_var, h_n, budget
     )
@@ -356,21 +351,21 @@ def cor_cfd(
     perturbation and averaged with the ``n - K*n_b`` fresh pairs.  Spending
     the entire budget on pilots (no fresh pairs) is valid.
 
-    ``coord`` may also be a sequence of coordinates, with ``rng`` a sequence
-    of generators, one each; a generator's seed sequence may stand in for
-    it, and a :class:`~corfd.sampling.Streams` level for the sequence.  The
-    call then returns one estimate per coordinate, each equal to what a
-    single-coordinate call on its generator returns; the pilots of all
-    coordinates are drawn in one oracle batch and fitted together.  Each
-    generator or seed spawns two children, as ``rng.spawn(2)`` would.
+    ``coord`` may also be a sequence of coordinates, with ``rng`` a
+    :class:`~corfd.sampling.Streams` level of one row per coordinate (or a
+    generator for a single coordinate).  The call then returns one estimate
+    per coordinate, each equal to what a single-coordinate call on the
+    generator of its row returns; the pilots of all coordinates are drawn in
+    one oracle batch and fitted together.  Each row spawns two children, as
+    ``rng.spawn(2)`` would.
     """
     single = isinstance(coord, (int, np.integer))
-    if single:
-        coord, rng = [coord], [rng]
-    coords, rngs = list(coord), rng if isinstance(rng, Streams) else list(rng)
-    if len(coords) != len(rngs):
-        raise ValueError(f"need one generator per coordinate, got {len(rngs)} for {len(coords)}")
-    children = spawn(rngs, 2)
+    coords = [coord] if single else list(coord)
+    children = spawn(rng, 2)
+    if len(children) != 2 * len(coords):
+        raise ValueError(
+            f"need one stream per coordinate, got {len(children) // 2} for {len(coords)}"
+        )
     stage = _pilot_stage(oracle, theta0, coords, n, cfg, children[0::2], budget=n)
     h_n = stage.perturbation
     if np.any(h_n == 0):

@@ -74,44 +74,33 @@ class Streams:
     """One level of a tree of PCG64 streams, held as arrays.
 
     Row ``j`` stands for a numpy ``SeedSequence``: ``pools[j]`` is its hash
-    pool and ``words[j]`` the number of 32-bit entropy words mixed into it
-    (its entropy, padded to the pool size, then its spawn key).  The rows
-    spawn together, so ``spawned`` counts the children each has spawned.
-    numpy's hash, O'Neill's ``seed_seq`` in PCG's report (HMC-CS-2014-0905),
-    makes a child's pool from its parent's pool and one more word, the
-    child's index.  So :meth:`spawn` derives a whole level's children in a
-    fixed number of array operations, and :meth:`generators` builds the
+    pool.  Every row descends from one root generator at the same depth, so
+    all rows have mixed the same number ``words`` of 32-bit entropy words
+    into their pools (the root's entropy, padded to the pool size, then its
+    spawn key and one child index per level).  The rows spawn together, so
+    ``spawned`` counts the children each has spawned.  numpy's hash,
+    O'Neill's ``seed_seq`` in PCG's report (HMC-CS-2014-0905), makes a
+    child's pool from its parent's pool and one more word, the child's
+    index.  So :meth:`spawn` derives a whole level's children in a fixed
+    number of array operations, and :meth:`generators` builds the
     generators that ``Generator.spawn`` would build, every stream unchanged.
     """
 
     __slots__ = ("pools", "words", "spawned")
 
-    def __init__(self, pools: np.ndarray, words: np.ndarray, spawned: int = 0):
+    def __init__(self, pools: np.ndarray, words: int, spawned: int = 0):
         self.pools = pools
         self.words = words
         self.spawned = spawned
 
-    @classmethod
-    def of(cls, seeds) -> Streams:
-        """The level of the given seed sequences, read without spawning from
-        them."""
-        if len({(seed.pool_size, seed.n_children_spawned) for seed in seeds}) != 1:
-            raise ValueError("the streams of one level must share a pool size and a spawn count")
-        words = [
-            max(_entropy_words(seed.entropy), seed.pool_size) + _entropy_words(seed.spawn_key)
-            for seed in seeds
-        ]
-        return cls(np.array([seed.pool for seed in seeds]), np.array(words),
-                   seeds[0].n_children_spawned)
-
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.pools)
 
     def __getitem__(self, rows: int | slice) -> Streams:
         """Rows ``rows`` as a level of their own, with its own spawn count."""
         if isinstance(rows, (int, np.integer)):
             rows = [rows]
-        return Streams(self.pools[rows], self.words[rows], self.spawned)
+        return Streams(self.pools[rows], self.words, self.spawned)
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
@@ -129,12 +118,11 @@ class Streams:
             raise OverflowError("a stream's spawn counter holds 32 bits")
         index = np.arange(self.spawned, self.spawned + n, dtype=np.uint32)
         size = self.pools.shape[1]
-        table_rows = 1 << int(self.words.max()).bit_length()
-        xor, mult = (c[self.words] for c in _mix_constants(size, table_rows))
+        xor, mult = _mix_constants(size, self.words)
         mixed = _MIX_L * self.pools[:, None] - _MIX_R * _hashmix(index[:, None], xor, mult)
         mixed ^= mixed >> _XSHIFT
         self.spawned += n
-        return Streams(mixed.reshape(-1, size), np.repeat(self.words + 1, n))
+        return Streams(mixed.reshape(-1, size), self.words + 1)
 
     def generators(self) -> list[np.random.Generator]:
         """One generator per row: ``Generator(PCG64(seed))`` for the row's
@@ -145,26 +133,23 @@ class Streams:
         return [generator(bits(seed(pool, state))) for pool, state in zip(self.pools, states)]
 
 
-def spawn(parents, n: int) -> Streams:
-    """The streams of ``parent.spawn(n)`` for every parent, row ``j * n + i``
-    holding child ``i`` of parent ``j``.
+def spawn(parent, n: int) -> Streams:
+    """The streams of ``parent.spawn(n)``, row ``i`` holding child ``i``;
+    for a level of ``m`` rows, row ``j * n + i`` holds child ``i`` of row
+    ``j``.
 
-    A :class:`Streams` level derives its children in arrays.  A generator
-    or seed sequence, or a sequence of them, spawns its ``n`` children for
-    real, so that its spawn counter moves on as ``Generator.spawn(n)``
-    moves it; everything beneath them is derived.
+    A generator seeded by a ``SeedSequence`` spawns its ``n`` children for
+    real, so that its spawn counter moves on as ``Generator.spawn(n)`` moves
+    it.  A :class:`Streams` level, everything beneath such a generator,
+    derives its children in arrays.
     """
-    if isinstance(parents, Streams):
-        return parents.spawn(n)
-    if isinstance(parents, (np.random.Generator, np.random.SeedSequence)):
-        parents = [parents]
-    seeds = [
-        parent.bit_generator.seed_seq if isinstance(parent, np.random.Generator) else parent
-        for parent in parents
-    ]
-    if not all(isinstance(seed, np.random.SeedSequence) for seed in seeds):
-        raise TypeError("only a generator seeded by a SeedSequence can spawn")
-    return Streams.of([child for seed in seeds for child in seed.spawn(n)])
+    if isinstance(parent, Streams):
+        return parent.spawn(n)
+    seed = parent.bit_generator.seed_seq if isinstance(parent, np.random.Generator) else None
+    if not isinstance(seed, np.random.SeedSequence):
+        raise TypeError("spawn takes a Generator seeded by a SeedSequence or a Streams level")
+    words = max(_entropy_words(seed.entropy), seed.pool_size) + _entropy_words(seed.spawn_key)
+    return Streams(np.array([child.pool for child in seed.spawn(n)]), words + 1)
 
 
 # The constants of numpy's SeedSequence hash.
@@ -202,12 +187,11 @@ def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray
 
 
 @functools.cache
-def _mix_constants(pool_size: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constants that mix entropy word ``w < n_words`` into a pool
-    of ``pool_size`` words, as ``(n_words, 1, pool_size)`` arrays of the
-    xor and multiplier constants."""
-    h = _hash_constants(_INIT_A, _MULT_A, n_words * pool_size + 1)
-    return h[:-1].reshape(n_words, 1, pool_size), h[1:].reshape(n_words, 1, pool_size)
+def _mix_constants(pool_size: int, word: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constants that mix entropy word ``word`` into a pool of
+    ``pool_size`` words: the xor and multiplier constant of each pool word."""
+    h = _hash_constants(_INIT_A, _MULT_A, (word + 1) * pool_size + 1)[word * pool_size:]
+    return h[:-1], h[1:]
 
 
 @functools.cache

@@ -174,7 +174,7 @@ def test_criterion_4_sine_constant_estimation():
     cfg = EstimatorConfig(K=10, pilot_size=20)
     bias_consts, noise_vars, perturbations = [], [], []
     for rep in stream(41).spawn(1000):
-        (constants,) = _pilot_stage(orc, [0.0], [0], 200, cfg, [rep], 200).constants()
+        (constants,) = _pilot_stage(orc, [0.0], [0], 200, cfg, rep, 200).constants()
         bias_consts.append(constants.bias_const)
         noise_vars.append(constants.noise_var)
         perturbations.append(constants.perturbation)

@@ -10,10 +10,11 @@ from the earlier ``lstsq`` solve only by rounding.
 import numpy as np
 import pytest
 
+from corfd import dfo
 from corfd.dfo import DfoConfig, gradient_via_corcfd
-from corfd.estimators import EstimatorConfig, cor_cfd
+from corfd.estimators import EstimatorConfig, boot_cfd, cor_cfd
 from corfd.oracle import SimulationOracle, parse_problem
-from corfd.sampling import stream
+from corfd.sampling import spawn, stream
 
 
 def noisy_bowl(d):
@@ -42,7 +43,7 @@ class TestBatchInvariance:
     def test_each_coordinate_equals_its_own_call(self, oracle, n, cfg):
         d = oracle.dim
         theta = np.linspace(0.3, 0.8, d)
-        batch = cor_cfd(oracle, theta, range(d), n, cfg, stream(3).spawn(d))
+        batch = cor_cfd(oracle, theta, range(d), n, cfg, spawn(stream(3), d))
         alone = [cor_cfd(oracle, theta, i, n, cfg, rng) for i, rng in enumerate(stream(3).spawn(d))]
         assert len(batch) == d
         assert batch == alone  # values, perturbations and constants, exactly
@@ -50,13 +51,19 @@ class TestBatchInvariance:
     def test_single_coordinate_keeps_its_return_type(self):
         sin1 = parse_problem("sin1")
         est = cor_cfd(sin1.oracle, sin1.theta0, 0, 100, EstimatorConfig(), stream(4))
-        (batched,) = cor_cfd(sin1.oracle, sin1.theta0, [0], 100, EstimatorConfig(), [stream(4)])
+        (batched,) = cor_cfd(sin1.oracle, sin1.theta0, [0], 100, EstimatorConfig(), stream(4))
         assert est == batched
 
     def test_one_generator_per_coordinate(self):
         zak = parse_problem("zakharov@3")
-        with pytest.raises(ValueError, match="one generator per coordinate"):
-            cor_cfd(zak.oracle, zak.theta0, range(3), 20, EstimatorConfig(K=5), stream(5).spawn(2))
+        for streams in (spawn(stream(5), 2), stream(1)):
+            with pytest.raises(ValueError, match="one stream per coordinate"):
+                cor_cfd(zak.oracle, zak.theta0, range(3), 20, EstimatorConfig(K=5), streams)
+
+    def test_a_list_of_generators_is_refused(self):
+        zak = parse_problem("zakharov@3")
+        with pytest.raises(TypeError, match="Generator seeded by a SeedSequence or a Streams"):
+            cor_cfd(zak.oracle, zak.theta0, range(3), 20, EstimatorConfig(K=5), stream(5).spawn(3))
 
 
 # Recorded with the per-coordinate implementation that preceded batching.
@@ -119,3 +126,33 @@ class TestParity:
         est = cor_cfd(p.oracle, p.theta0, 0, n, cfg, stream(seed))
         assert est.value == pytest.approx(value, rel=1e-10)
         assert est.perturbation == pytest.approx(perturbation, rel=1e-10)
+
+    # Recorded before ``spawn`` and ``cor_cfd`` dropped their sequence and
+    # seed-sequence forms.
+    def test_boot_estimate(self):
+        p = parse_problem("sin1")
+        est = boot_cfd(p.oracle, p.theta0, 0, 1000, EstimatorConfig(pilot_fraction=0.5), stream(44))
+        assert est.value == pytest.approx(10.01370477158482, rel=1e-10)
+        assert est.perturbation == pytest.approx(0.2531211994689745, rel=1e-10)
+
+    def test_first_tra_gradient(self):
+        zak = parse_problem("zakharov@10")
+        g = dfo._gradient_tra(zak.oracle, zak.theta0, stream(0).spawn(2)[0])
+        expected = [
+            41632.986581505094, 83313.49811289465, 125099.67969396756, 167041.37637963236,
+            209191.4004615977, 251601.02247497247, 294320.84283629205, 337406.8298675777,
+            380906.5302778479, 424877.5073083347,
+        ]
+        np.testing.assert_allclose(g, expected, rtol=1e-10, atol=0)
+
+    def test_batch_over_a_level(self):
+        zak = parse_problem("zakharov@3")
+        cfg = EstimatorConfig(K=5, pilot_fraction=0.5)
+        batch = cor_cfd(zak.oracle, zak.theta0, range(3), 40, cfg, spawn(stream(45), 3))
+        np.testing.assert_allclose(
+            [[est.value, est.perturbation] for est in batch],
+            [[59.62405288314379, 0.4484775949184579],
+             [115.87882937853854, 0.19834287957756552],
+             [173.8283910441439, 0.13324636865600456]],
+            rtol=1e-10, atol=0,
+        )

@@ -43,6 +43,12 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([], 0.0)
 
+    def test_out_of_range_statistics_are_inf(self):
+        # Squared errors of 1e200 overflow; no RuntimeWarning is raised.
+        s = summarize([1e200, -1e200], 0.0)
+        assert s.bias == 0.0
+        assert s.variance == float("inf") and s.mse == float("inf")
+
 
 class TestEmitCsv:
     def test_header_contract_and_roundtrip(self, tmp_path):

@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corfd
 from corfd.bench import DETAIL_HEADER, ExperimentConfig, run_replications
 from corfd.cli import (
     _BENCH_DEFAULTS,
@@ -146,6 +150,20 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_out_of_range_mse_is_inf_without_a_warning(self, tmp_path):
+        # The estimates at poly@1e40 are finite, their squared error is not.
+        summary = tmp_path / "y.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "corfd.cli", "estimate", "--problem", "poly@1e40",
+             "--method", "cor", "--pairs", "100", "--out", str(tmp_path / "x.csv"),
+             "--summary-out", str(summary)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(corfd.__file__))},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        _, rows = read_csv(summary)
+        assert rows[0][-1] == "inf"
 
 
 class TestDfoCommand:

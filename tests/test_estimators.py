@@ -21,7 +21,7 @@ from helpers import deterministic_oracle
 def pilot_stage(oracle, n, cfg, rng, budget=None):
     """The pilot stage of one coordinate at ``theta0 = 0``: its constants,
     its perturbations (K,) and its samples (K, n_b)."""
-    stage = _pilot_stage(oracle, [0.0], [0], n, cfg, [rng], n if budget is None else budget)
+    stage = _pilot_stage(oracle, [0.0], [0], n, cfg, rng, n if budget is None else budget)
     return stage.constants()[0], stage.h[0], stage.samples[0]
 
 
@@ -196,6 +196,14 @@ class TestCorCfd:
                 est = cor_cfd(cubic_oracle(), [0.0], 0, 60, cfg, stream(13, seed))
                 assert est.value == pytest.approx(2.0 + est.perturbation**2, abs=1e-12)
                 assert est.pairs_used == 60 and est.constants.noise_var == 0.0
+
+    def test_noise_free_slope_out_of_range_is_not_used(self):
+        # The slope 1e160 has no finite square, but a noise-free coordinate
+        # takes the largest pilot perturbation and never needs it.
+        steep = deterministic_oracle(lambda t: 1e160 * float(t[0]) ** 3)
+        est = cor_cfd(steep, [0.0], 0, 100, EstimatorConfig(), stream(1))
+        assert np.isfinite(est.value) and est.constants.noise_var == 0.0
+        assert est.perturbation == pytest.approx(1.9470267560488415, rel=1e-12)
 
 
     def test_full_budget_pilot_mode_uses_no_fresh_draws(self):

@@ -18,7 +18,6 @@ from corfd.oracle import parse_problem, poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
     PerturbationGenerator,
-    Streams,
     _generate_state,
     _ndtr,
     _ndtri,
@@ -70,8 +69,11 @@ class TestStreams:
             return np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key), pool_size=pool_size,
                                           n_children_spawned=spawned)
 
-        level, seq = Streams.of([root()]), [root()]
-        for width in (n, 2):
+        # The root generator spawns its children for real; the two levels
+        # beneath them are derived.
+        level, seq = spawn(np.random.Generator(np.random.PCG64(root())), n), root().spawn(n)
+        np.testing.assert_array_equal(level.pools, [s.pool for s in seq])
+        for width in (2, n):
             level, seq = level.spawn(width), [g for s in seq for g in s.spawn(width)]
             np.testing.assert_array_equal(level.pools, [s.pool for s in seq])
             np.testing.assert_array_equal(
@@ -81,14 +83,14 @@ class TestStreams:
             assert first_draws(level.generators()) == first_draws(expected)
 
     def test_spawn_counter_and_successive_spawns(self):
-        seq = stream(3).bit_generator.seed_seq
-        level = Streams.of([stream(3).bit_generator.seed_seq])
+        (seq,) = stream(3).bit_generator.seed_seq.spawn(1)
+        level = spawn(stream(3), 1)
         for n in (2, 3):
             np.testing.assert_array_equal(level.spawn(n).pools, [s.pool for s in seq.spawn(n)])
             assert level.spawned == seq.n_children_spawned
 
     def test_derived_seeds_generate_any_state(self):
-        (derived,) = Streams.of([stream(4).bit_generator.seed_seq]).spawn(1).generators()
+        (derived,) = spawn(stream(4), 1).generators()
         (child,) = stream(4).bit_generator.seed_seq.spawn(1)
         for n_words, dtype in [(3, np.uint32), (8, np.uint32), (2, np.uint64), (4, np.dtype(np.uint64))]:
             np.testing.assert_array_equal(
@@ -98,26 +100,10 @@ class TestStreams:
         with pytest.raises(ValueError, match="uint32 or uint64"):
             derived.bit_generator.seed_seq.generate_state(4, np.int64)
 
-    def test_mixed_roots_in_one_level(self):
-        # Roots with different numbers of entropy words, spawned for real
-        # and then derived.
-        def roots():
-            return [np.random.SeedSequence(5),
-                    np.random.SeedSequence([1, 2, 3, 4, 5, 6], spawn_key=(9,))]
-
-        level = spawn(roots(), 1).spawn(2)
-        real = [g for r in roots() for c in r.spawn(1) for g in c.spawn(2)]
-        np.testing.assert_array_equal(level.pools, [s.pool for s in real])
-
-    def test_level_must_share_pool_size_and_count(self):
-        with pytest.raises(ValueError, match="share a pool size"):
-            Streams.of([np.random.SeedSequence(1), np.random.SeedSequence(1, pool_size=8)])
-        with pytest.raises(ValueError, match="share a pool size"):
-            Streams.of([np.random.SeedSequence(1), np.random.SeedSequence(1, n_children_spawned=1)])
-
     def test_counter_past_uint32_is_refused(self):
         # numpy's counter is a uint32: 2**32 - 1 children at most.
-        level = Streams.of([np.random.SeedSequence(1, n_children_spawned=2**32 - 3)])
+        level = spawn(stream(1), 1)
+        level.spawned = 2**32 - 3
         level.spawn(2)
         with pytest.raises(OverflowError):
             level.spawn(1)
@@ -128,6 +114,11 @@ class TestStreams:
             spawn(derived, 2)
         with pytest.raises(TypeError):
             derived.spawn(2)
+
+    def test_only_a_generator_or_a_level_spawns(self):
+        for parent in ([stream(1), stream(2)], np.random.SeedSequence(1), spawn(stream(1), 2).pools):
+            with pytest.raises(TypeError, match="Generator seeded by a SeedSequence or a Streams"):
+                spawn(parent, 2)
 
     def test_import_leaves_numpy_random_unloaded(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(corfd.__file__)))
@@ -162,7 +153,7 @@ class TestCallerSpawnCounter:
         cfg = EstimatorConfig(K=5, pilot_fraction=0.5)
         runs = [
             (lambda r: cor_cfd(zak.oracle, zak.theta0, 0, 40, cfg, r), 2),
-            (lambda r: cor_cfd(zak.oracle, zak.theta0, range(3), 40, cfg, [r, stream(1), stream(2)]), 2),
+            (lambda r: cor_cfd(zak.oracle, zak.theta0, range(3), 40, cfg, spawn(r, 3)), 3),
             (lambda r: boot_cfd(zak.oracle, zak.theta0, 1, 40, cfg, r), 2),
             (lambda r: gradient_via_corcfd(zak.oracle, zak.theta0, 20, EstimatorConfig(K=5), r), 3),
             (lambda r: corcfd_lbfgs(zak.oracle, zak.theta0, DfoConfig(budget=500), r), 2),
@@ -370,7 +361,7 @@ class TestSuccessiveDraws:
 def pilot_perturbations(cfg, n, seed):
     """The pilot perturbations ``h`` (K,) of one coordinate's pilot stage on
     ``stream(seed)``, and the coefficients drawn from its coefficient stream."""
-    stage = _pilot_stage(poly_oracle(), [0.0], [0], n, cfg, [stream(seed)], n)
+    stage = _pilot_stage(poly_oracle(), [0.0], [0], n, cfg, stream(seed), n)
     coeff_rng = stream(seed).spawn(3)[0]
     return stage.h[0], draw_perturbation_set(cfg.K, cfg.coeff_gen, coeff_rng)
 

@@ -1,0 +1,79 @@
+"""Byte-identity check of corfd's CLI outputs across two checkouts.
+
+Runs a fixed set of seeded ``corfd`` commands against the sources of one
+checkout and prints one SHA-256 per command, taken over its exit code, its
+stdout and every file it wrote.  A change that leaves every random stream
+and every output unchanged prints the same lines as its parent:
+
+    python3 tools/cli_digests.py <parent checkout> > parent.txt
+    python3 tools/cli_digests.py . > change.txt
+    diff parent.txt change.txt
+
+Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
+checkout's ``src`` directory, in a fresh temporary directory.  The whole set
+takes a few seconds.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+_ESTIMATE = ["estimate", "--pairs", "10000", "--reps", "5", "--seed", "3"]
+_SIN1_GRID = ["bench", "--set", "problem=sin1", "--set", "methods=tra,opt,boot,cor",
+              "--set", "budgets=100,1000", "--set", "reps=10", "--set", "r=0.5",
+              "--set", "detail_out=detail.csv"]
+_QUEUE = ["estimate", "--problem", "queue@3,5,50,service", "--method", "cor",
+          "--pairs", "1000", "--reps", "3", "--seed", "5", "--I", "100"]
+
+# (label, CORFD_THREADS, corfd arguments)
+COMMANDS = [
+    ("estimate-cor", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "cor"]),
+    ("estimate-opt", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "opt"]),
+    ("estimate-tra", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "tra"]),
+    ("estimate-boot", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "boot", "--r", "0.5"]),
+    ("estimate-queue-I100", "1", _QUEUE),
+    ("estimate-queue-L-U", "1", _QUEUE + ["--L", "0.5", "--U", "0.7"]),
+    ("estimate-queue-gamma", "1", _QUEUE + ["--gamma", "-0.2"]),
+    ("bench-default", "1", ["bench", "--set", "reps=5"]),
+    ("bench-sin1-serial", "1", _SIN1_GRID),
+    ("bench-sin1-threads2", "2", _SIN1_GRID),
+    ("dfo-zakharov10", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000", "--seed", "1"]),
+    ("dfo-zakharov10-tra", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
+                                 "--seed", "1", "--gradient-method", "tra"]),
+    ("dfo-rosenbrock", "1", ["dfo", "--problem", "rosenbrock", "--budget", "100000", "--seed", "2"]),
+    ("diag", "1", ["diag", "--c", "1,1.5,2,2.5,3,3.5,4,4.5,5,5.5", "--fifth-const", "0.1"]),
+]
+
+
+def digest(checkout: str, threads: str, args: list[str]) -> str:
+    """SHA-256 over the exit code, stdout and written files of one command."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "CORFD_THREADS": threads}
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run([sys.executable, "-m", "corfd.cli", *args], cwd=work, env=env,
+                              capture_output=True)
+        if proc.returncode:
+            sys.stderr.write(proc.stderr.decode(errors="replace"))
+        h = hashlib.sha256(b"exit %d\n" % proc.returncode)
+        h.update(proc.stdout)
+        for name in sorted(os.listdir(work)):
+            h.update(b"\0" + name.encode() + b"\0")
+            with open(os.path.join(work, name), "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", help="repository root whose src/ is run")
+    checkout = os.path.abspath(parser.parse_args(argv).checkout)
+    for label, threads, args in COMMANDS:
+        print(f"{digest(checkout, threads, args)}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

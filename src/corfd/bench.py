@@ -2,8 +2,11 @@
 replications and emits tidy CSV summaries.
 
 Replication ``i`` of grid cell ``j`` always consumes the stream addressed by
-``(seed, j, i)``, so results are identical whether cells run serially or
-across processes.
+``(seed, j, i)``, which is child ``i`` of ``stream(seed, j)``, so results are
+identical whether cells run serially or across processes.  A cell runs its
+replications as batched estimator calls, each one row of a level spawned
+from ``stream(seed, j)``, and each batch carries at most ``_BATCH_PAIRS``
+pairs, or one replication.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .estimators import (
     tra_cfd,
 )
 from .oracle import DEFAULT_KAPPA, parse_problem
-from .sampling import stream
+from .sampling import spawn, stream
 
 __all__ = [
     "SummaryStats",
@@ -40,6 +43,11 @@ SUMMARY_HEADER = ["problem", "method", "pairs", "reps", "bias", "variance", "mse
 DETAIL_HEADER = ["problem", "method", "pairs", "rep", "estimate", "pairs_used", "perturbation"]
 
 METHODS = ("tra", "opt", "boot", "cor")
+
+# The most pairs one estimator call of a cell carries.  Batching amortizes
+# each call's fixed cost over its replications; the cap bounds the memory of
+# a batch, whose arrays grow with the pairs it holds.
+_BATCH_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,28 +136,35 @@ class ExperimentConfig:
         return None
 
 
-def _run_one(problem, method: str, budget: int, cfg: ExperimentConfig, rng):
+def _run_one(problem, method: str, budget: int, cfg: ExperimentConfig, streams):
+    """One estimate per row of the :class:`~corfd.sampling.Streams` level
+    ``streams``, as one batched estimator call."""
+    coords = [0] * len(streams)
     if method == "tra":
         h = cfg.tra_perturbation
         if h is None:
             h = optimal_perturbation(cfg.tra_noise_var, cfg.tra_bias_const, budget)
-        return tra_cfd(problem.oracle, problem.theta0, 0, budget, h, rng)
+        return tra_cfd(problem.oracle, problem.theta0, coords, budget, h, streams)
     if method == "opt":
-        return opt_cfd(problem.oracle, problem.theta0, 0, budget, problem.truth, rng)
+        return opt_cfd(problem.oracle, problem.theta0, coords, budget, problem.truth, streams)
     if method == "boot":
-        return boot_cfd(problem.oracle, problem.theta0, 0, budget, cfg.estimator, rng)
+        return boot_cfd(problem.oracle, problem.theta0, coords, budget, cfg.estimator, streams)
     if method == "cor":
-        return cor_cfd(problem.oracle, problem.theta0, 0, budget, cfg.estimator, rng)
+        return cor_cfd(problem.oracle, problem.theta0, coords, budget, cfg.estimator, streams)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_cell_chunk(cfg: ExperimentConfig, method: str, budget: int, cell_index: int, reps):
-    """Run a block of replications of one cell (worker entry point)."""
+def _run_cell_chunk(cfg: ExperimentConfig, method: str, budget: int, cell_index: int, reps: range):
+    """Run replications ``reps`` of one cell (worker entry point), in
+    batches of at most ``_BATCH_PAIRS`` pairs, or of one replication."""
     problem = parse_problem(cfg.problem, cfg.kappa)
+    rows = spawn(stream(cfg.seed, cell_index), reps.stop)[reps.start:]
+    size = max(1, _BATCH_PAIRS // budget)
     out = []
-    for rep in reps:
-        est = _run_one(problem, method, budget, cfg, stream(cfg.seed, cell_index, rep))
-        out.append((rep, est.value, est.pairs_used, est.perturbation))
+    for start in range(0, len(reps), size):
+        estimates = _run_one(problem, method, budget, cfg, rows[start:start + size])
+        for rep, est in zip(reps[start:start + size], estimates):
+            out.append((rep, est.value, est.pairs_used, est.perturbation))
     return out
 
 
@@ -171,9 +186,12 @@ def run_replications(cfg: ExperimentConfig):
     replication, one summary row per feasible cell when the truth is known,
     and one ``(cell, error type, message)`` entry per cell that is
     infeasible or whose constant estimation fails.  Such cells are reported and skipped; the rest
-    of the grid still runs.  Each cell's replications run as one chunk, or,
-    with ``CORFD_THREADS`` above one, as up to that many contiguous chunks on
-    one process pool shared by all cells.  Chunks come back in replication
+    of the grid still runs.  Replication ``i`` of cell ``j`` runs on child
+    ``i`` of ``stream(seed, j)``.  Each cell's replications run as one chunk,
+    or, with ``CORFD_THREADS`` above one, as up to that many contiguous chunks
+    on one process pool shared by all cells.  A chunk runs as batched
+    estimator calls of at most ``_BATCH_PAIRS`` pairs (or one replication),
+    so one error fails the whole cell.  Chunks come back in replication
     order, and a failing chunk cancels the cell's queued ones.
     """
     detail_rows: list[list] = []
@@ -184,7 +202,7 @@ def run_replications(cfg: ExperimentConfig):
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
     parallel = workers > 1 and cfg.reps > 1
     splits = np.array_split(np.arange(cfg.reps), workers if parallel else 1)
-    chunks = [c.tolist() for c in splits if c.size]
+    chunks = [range(c[0], c[-1] + 1) for c in splits if c.size]
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         run_map = pool.map if pool is not None else map
         for cell_index, (method, budget) in enumerate(cells):

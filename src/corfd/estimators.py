@@ -10,10 +10,17 @@ Four methods share one interface:
 - ``cor``: pilot stage as above, then every pilot sample is location-scale
   mapped to the estimated perturbation and averaged together with the fresh
   samples, so the whole budget contributes.
+
+Each takes a coordinate ``coord`` with a generator ``rng`` and returns one
+estimate, or a batch: a sequence of coordinates with a
+:class:`~corfd.sampling.Streams` level ``rng`` of one row per coordinate (or
+a generator for a single coordinate).  A batch returns one estimate per
+coordinate, each equal to what a single-coordinate call on the generator of
+its row returns, and draws all of its rows in one oracle batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,29 +277,55 @@ def _pilot_stage(
     )
 
 
+def _batch(coord, rows: int) -> tuple[list, bool]:
+    """The coordinates of a call, and whether it was given a single one;
+    ``rows`` streams come with them, one per coordinate."""
+    single = isinstance(coord, (int, np.integer))
+    coords = [coord] if single else list(coord)
+    if rows != len(coords):
+        raise ValueError(f"need one stream per coordinate, got {rows} for {len(coords)}")
+    return coords, single
+
+
+def _estimates(method: str, n: int, values: np.ndarray, h: np.ndarray, constants, single: bool):
+    """One estimate per coordinate, or the only one of a single-coordinate call."""
+    rows = [GradientEstimate(value, method, n, step, c)
+            for value, step, c in zip(values.tolist(), h.tolist(), constants)]
+    return rows[0] if single else rows
+
+
+def _difference_estimates(method, oracle, theta0, coord, n: int, h: float, rng):
+    """``tra`` and ``opt``: the average of ``n`` pairs at perturbation ``h``,
+    drawn from the generator of each row of ``rng``."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 pairs, got {n}")
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng.generators()
+    coords, single = _batch(coord, len(rngs))
+    steps = np.full(len(coords), float(h))
+    values = difference_samples(oracle, theta0, coords, steps, rngs, n).mean(axis=-1)
+    return _estimates(method, n, values, steps, [None] * len(coords), single)
+
+
 def tra_cfd(
     oracle: SimulationOracle,
     theta0,
-    coord: int,
+    coord,
     n: int,
     h: float,
-    rng: np.random.Generator,
-) -> GradientEstimate:
+    rng,
+) -> GradientEstimate | list[GradientEstimate]:
     """Plain difference estimator: average of ``n`` pairs at perturbation ``h``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 pairs, got {n}")
-    value = float(difference_samples(oracle, theta0, coord, h, rng, n).mean())
-    return GradientEstimate(value, "tra", n, float(h))
+    return _difference_estimates("tra", oracle, theta0, coord, n, h, rng)
 
 
 def opt_cfd(
     oracle: SimulationOracle,
     theta0,
-    coord: int,
+    coord,
     n: int,
     truth: GroundTruth,
-    rng: np.random.Generator,
-) -> GradientEstimate:
+    rng,
+) -> GradientEstimate | list[GradientEstimate]:
     """Difference estimator at the perturbation computed from true constants.
 
     Refuses to run when the required constants are unknown: silently
@@ -303,18 +336,42 @@ def opt_cfd(
     if truth.bias_const == 0:
         raise ValueError("opt method is undefined for a zero bias constant")
     h_star = optimal_perturbation(truth.noise_var, truth.bias_const, n)
-    est = tra_cfd(oracle, theta0, coord, n, h_star, rng)
-    return replace(est, method="opt")
+    return _difference_estimates("opt", oracle, theta0, coord, n, h_star, rng)
+
+
+def _pilot_then_fresh(oracle, theta0, coord, n, cfg, rng, budget):
+    """The two stages that ``boot`` and ``cor`` share.
+
+    Each row of ``rng`` spawns two children, as ``rng.spawn(2)`` would: the
+    pilot stage, whose target perturbation is for ``budget`` pairs, runs on
+    the first, and the ``n - K*n_b`` fresh pairs at that perturbation are
+    drawn from the second.  Returns the pilot stage, the sum of each row's
+    fresh quotients (``None`` without fresh pairs), and whether the call was
+    given a single coordinate.
+    """
+    children = spawn(rng, 2)
+    coords, single = _batch(coord, len(children) // 2)
+    stage = _pilot_stage(oracle, theta0, coords, n, cfg, children[0::2], budget)
+    if np.any(stage.perturbation == 0):
+        raise EstimationError("estimated perturbation is zero")
+    n2 = n - stage.samples[0].size
+    fresh = None
+    if n2 > 0:
+        fresh_rngs = children[1::2].generators()
+        fresh = difference_samples(
+            oracle, theta0, coords, stage.perturbation, fresh_rngs, n2
+        ).sum(axis=-1)
+    return stage, fresh, single
 
 
 def boot_cfd(
     oracle: SimulationOracle,
     theta0,
-    coord: int,
+    coord,
     n: int,
     cfg: EstimatorConfig,
-    rng: np.random.Generator,
-) -> GradientEstimate:
+    rng,
+) -> GradientEstimate | list[GradientEstimate]:
     """Two-stage estimator that discards its pilots.
 
     The perturbation is derived from the leftover budget ``n - K*n_b`` and
@@ -328,12 +385,8 @@ def boot_cfd(
             f"budget {n} leaves no fresh pairs after {cfg.K * n_b} pilot pairs; boot "
             "needs pilot_fraction (r) below 1 or a smaller pilot_size (n_b)"
         )
-    est_stream, fresh_stream = spawn(rng, 2)
-    (constants,) = _pilot_stage(oracle, theta0, [coord], n, cfg, est_stream, n2).constants()
-    h_n = constants.perturbation
-    (fresh_rng,) = fresh_stream.generators()
-    fresh = difference_samples(oracle, theta0, coord, h_n, fresh_rng, n2)
-    return GradientEstimate(float(fresh.mean()), "boot", n, h_n, constants)
+    stage, fresh, single = _pilot_then_fresh(oracle, theta0, coord, n, cfg, rng, n2)
+    return _estimates("boot", n, fresh / n2, stage.perturbation, stage.constants(), single)
 
 
 def cor_cfd(
@@ -350,34 +403,11 @@ def cor_cfd(
     *full* budget ``n``; every pilot sample is then transformed to that
     perturbation and averaged with the ``n - K*n_b`` fresh pairs.  Spending
     the entire budget on pilots (no fresh pairs) is valid.
-
-    ``coord`` may also be a sequence of coordinates, with ``rng`` a
-    :class:`~corfd.sampling.Streams` level of one row per coordinate (or a
-    generator for a single coordinate).  The call then returns one estimate
-    per coordinate, each equal to what a single-coordinate call on the
-    generator of its row returns; the pilots of all coordinates are drawn in
-    one oracle batch and fitted together.  Each row spawns two children, as
-    ``rng.spawn(2)`` would.
     """
-    single = isinstance(coord, (int, np.integer))
-    coords = [coord] if single else list(coord)
-    children = spawn(rng, 2)
-    if len(children) != 2 * len(coords):
-        raise ValueError(
-            f"need one stream per coordinate, got {len(children) // 2} for {len(coords)}"
-        )
-    stage = _pilot_stage(oracle, theta0, coords, n, cfg, children[0::2], budget=n)
+    stage, fresh, single = _pilot_then_fresh(oracle, theta0, coord, n, cfg, rng, n)
     h_n = stage.perturbation
-    if np.any(h_n == 0):
-        raise EstimationError("estimated perturbation is zero")
     transformed = transform_pilot_sample(stage.samples, stage.h, h_n, stage.deriv, stage.bias_const)
-    total = transformed.reshape(len(coords), -1).sum(axis=-1)
-    n2 = n - stage.samples[0].size
-    if n2 > 0:
-        fresh_rngs = children[1::2].generators()
-        total += difference_samples(oracle, theta0, coords, h_n, fresh_rngs, n2).sum(axis=-1)
-    estimates = [
-        GradientEstimate(value, "cor", n, h, constants)
-        for value, h, constants in zip((total / n).tolist(), h_n.tolist(), stage.constants())
-    ]
-    return estimates[0] if single else estimates
+    total = transformed.reshape(len(h_n), -1).sum(axis=-1)
+    if fresh is not None:
+        total += fresh
+    return _estimates("cor", n, total / n, h_n, stage.constants(), single)

@@ -245,8 +245,11 @@ def zakharov(x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
     i = np.arange(1, rows.shape[-1] + 1)
-    squares = np.sum(rows * rows, axis=-1).tolist()
-    sums = np.sum(0.5 * i * rows, axis=-1).tolist()
+    # A far point's sums overflow to infinity, which the caller refuses as
+    # a non-finite response.
+    with np.errstate(over="ignore"):
+        squares = np.sum(rows * rows, axis=-1).tolist()
+        sums = np.sum(0.5 * i * rows, axis=-1).tolist()
     f = _rowwise(lambda q, s: q + s**2 + s**4, squares, sums)
     return f[0] if x.ndim == 1 else np.array(f)
 

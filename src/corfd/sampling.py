@@ -65,7 +65,10 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator addressed by ``(seed, *path)``.
 
     The same arguments always yield the same sequence; distinct paths yield
-    statistically independent sequences.
+    statistically independent sequences.  Spawning appends the child index
+    to the spawn key, so ``stream(seed, *path, i)`` draws what child ``i``
+    of ``stream(seed, *path)`` draws: row ``i`` of
+    ``spawn(stream(seed, *path), n)`` for any ``n > i``.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 

@@ -1,19 +1,23 @@
-"""Batching the gradient stage changes no number.
+"""Batching the gradient stage and the bench replications changes no number.
 
-A batched ``cor_cfd`` call over several coordinates spawns, per coordinate,
-the same stream tree as a single-coordinate call and draws the same random
-numbers in the same order.  So each coordinate's estimate equals the
-single-coordinate estimate exactly, and seeded values stay where the
-per-coordinate implementation put them: its closed-form bias fit differed
-from the earlier ``lstsq`` solve only by rounding.
+A batched estimator call over several coordinates (a gradient) or several
+replications of one coordinate (a bench cell) spawns, per row, the same
+stream tree as a single-coordinate call and draws the same random numbers in
+the same order.  So each row's estimate equals the single-coordinate
+estimate exactly, and seeded values stay where the per-coordinate
+implementation put them: its closed-form bias fit differed from the earlier
+``lstsq`` solve only by rounding.
 """
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from corfd import dfo
+from corfd import bench, dfo
+from corfd.bench import ExperimentConfig, run_replications
 from corfd.dfo import DfoConfig, gradient_via_corcfd
-from corfd.estimators import EstimatorConfig, boot_cfd, cor_cfd
-from corfd.oracle import SimulationOracle, parse_problem
+from corfd.estimators import EstimatorConfig, boot_cfd, cor_cfd, opt_cfd, tra_cfd
+from corfd.oracle import GroundTruth, SimulationOracle, parse_problem
 from corfd.sampling import spawn, stream
 
 
@@ -47,6 +51,23 @@ class TestBatchInvariance:
         alone = [cor_cfd(oracle, theta, i, n, cfg, rng) for i, rng in enumerate(stream(3).spawn(d))]
         assert len(batch) == d
         assert batch == alone  # values, perturbations and constants, exactly
+
+    @pytest.mark.parametrize("method", ["tra", "opt", "boot"])
+    @pytest.mark.parametrize("problem", ["poly@3", "queue@4,4,10,service"])
+    def test_each_row_equals_its_own_call(self, method, problem):
+        p = parse_problem(problem)
+        cfg = EstimatorConfig(K=4, pilot_fraction=0.5, bootstrap_reps=50)
+        truth = GroundTruth(bias_const=-0.5, noise_var=2.0)
+        run = {
+            "tra": lambda coord, rng: tra_cfd(p.oracle, p.theta0, coord, 60, 0.3, rng),
+            "opt": lambda coord, rng: opt_cfd(p.oracle, p.theta0, coord, 60, truth, rng),
+            "boot": lambda coord, rng: boot_cfd(p.oracle, p.theta0, coord, 60, cfg, rng),
+        }[method]
+        batch = run([0] * 4, spawn(stream(6), 4))
+        assert batch == [run(0, rng) for rng in stream(6).spawn(4)]
+        assert [est.method for est in batch] == [method] * 4
+        (one,) = run([0], stream(7))
+        assert one == run(0, stream(7))
 
     def test_single_coordinate_keeps_its_return_type(self):
         sin1 = parse_problem("sin1")
@@ -155,4 +176,54 @@ class TestParity:
              [115.87882937853854, 0.19834287957756552],
              [173.8283910441439, 0.13324636865600456]],
             rtol=1e-10, atol=0,
+        )
+
+    # Recorded with one estimator call per row, before the other methods
+    # took batches.
+    def test_batched_difference_and_boot_estimates(self):
+        p = parse_problem("poly@3")
+        tra = tra_cfd(p.oracle, p.theta0, [0] * 3, 1000, 0.2, spawn(stream(46), 3))
+        opt = opt_cfd(p.oracle, p.theta0, [0] * 3, 1000, p.truth, spawn(stream(47), 3))
+        boot = boot_cfd(p.oracle, p.theta0, [0] * 3, 1000, EstimatorConfig(K=5, pilot_fraction=0.5),
+                        spawn(stream(48), 3))
+        np.testing.assert_allclose(
+            [est.value for est in tra], [3.1456972590005594, 3.231747105339774, 3.410911014086805],
+            rtol=1e-10, atol=0,
+        )
+        np.testing.assert_allclose(
+            [est.value for est in opt], [3.1449972926145606, 3.0072717035291836, 3.2319092875095436],
+            rtol=1e-10, atol=0,
+        )
+        np.testing.assert_allclose(
+            [[est.value, est.perturbation] for est in boot],
+            [[3.3374001247235157, 0.15072767587123567],
+             [3.020397281163892, 0.14898883613358138],
+             [2.923411679104881, 0.14971437469705148]],
+            rtol=1e-10, atol=0,
+        )
+
+    # Recorded with one estimator call per replication.  Batches of three
+    # replications and two chunks, the second starting at replication 4, so
+    # that each cell crosses batch and chunk boundaries.
+    def test_replications_across_batches_and_chunks(self, monkeypatch):
+        monkeypatch.setattr(bench, "_BATCH_PAIRS", 300)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setenv("CORFD_THREADS", "2")
+        cfg = ExperimentConfig(problem="poly@3", methods=("tra", "opt", "boot", "cor"), budgets=(100,),
+                               reps=7, seed=49, estimator=EstimatorConfig(K=5, pilot_fraction=0.5))
+        detail, _, failures = run_replications(cfg)
+        assert not failures
+        assert [row[3] for row in detail] == list(range(7)) * 4
+        expected = [
+            [3.1151189697908723, 3.1853890453612363, 2.620186739890927, 3.1143117869253554,
+             2.8275411159511066, 3.030767621572176, 3.7227632344154302],
+            [3.4248696674947827, 4.122838406706897, 3.3978057277379157, 3.5515935349449963,
+             3.4004071843875443, 3.119952609759575, 3.187877868877704],
+            [3.4765915494498616, 3.052232609741517, 3.3310319478381754, 3.182382553473866,
+             3.952563061732281, 4.19598714857352, 3.592166886838515],
+            [4.060633817082544, 3.2603939231679875, 3.561988453085902, 2.996185550707993,
+             3.310137984611007, 3.51551038495355, 2.8604459636412596],
+        ]
+        np.testing.assert_allclose(
+            np.reshape([row[4] for row in detail], (4, 7)), expected, rtol=1e-10, atol=0
         )

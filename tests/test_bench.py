@@ -170,6 +170,29 @@ class TestRunReplications:
         _, summary2, _ = run_replications(cfg2)
         assert summary2 == []  # no truth known, detail only
 
+    def test_estimator_calls_keep_to_the_pair_cap(self, monkeypatch):
+        calls = []
+
+        def spy(fn):
+            def call(oracle, theta0, coord, n, *args):
+                calls.append((fn.__name__, len(coord), n))
+                return fn(oracle, theta0, coord, n, *args)
+            return call
+
+        for name in ("tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"):
+            monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
+        cap = bench._BATCH_PAIRS
+        budgets = (100, cap // 2 - 1, cap + 1)
+        cfg = small_config(methods=bench.METHODS, budgets=budgets, reps=5,
+                           estimator=EstimatorConfig(K=5, pilot_fraction=0.5))
+        detail, _, failures = run_replications(cfg)
+        assert not failures and len(detail) == 4 * 3 * 5
+        assert {name for name, _, _ in calls} == {"tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"}
+        assert all(rows * n <= cap or rows == 1 for _, rows, n in calls)
+        # Five replications: one batch at 100 pairs, batches of 2, 2 and 1
+        # below half the cap, and batches of one above it.
+        assert [rows for name, rows, _ in calls if name == "cor_cfd"] == [5, 2, 2, 1, 1, 1, 1, 1, 1]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             small_config(methods=("em",))

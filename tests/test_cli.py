@@ -198,7 +198,9 @@ class TestDfoCommand:
 
     @pytest.mark.parametrize("problem,start,label", [
         ("zakharov@2", "1e100,1", "zakharov@2"), ("rosenbrock", "1e200,1", "rosenbrock@2"),
-    ], ids=["zakharov", "rosenbrock"])
+        # Squaring 1e200 overflows in numpy, which must not warn.
+        ("zakharov@2", "1e200,1", "zakharov@2"),
+    ], ids=["zakharov", "rosenbrock", "zakharov-far"])
     def test_overflowing_start_is_a_typed_error(self, problem, start, label, tmp_path, capsys):
         code = main(["dfo", "--problem", problem, "--budget", "100", "--start", start,
                      "--out", str(tmp_path / "t.csv")])

@@ -35,6 +35,16 @@ class TestStream:
         b = stream(7, 1, 2).standard_normal(8)
         np.testing.assert_array_equal(a, b)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64), j=st.integers(0, 2**40), n=st.integers(1, 40),
+           data=st.data())
+    def test_child_addresses_are_spawned_children(self, seed, j, n, data):
+        # Spawning appends the child index to the spawn key, so the bench
+        # harness can derive a cell's replications as one level.
+        i = data.draw(st.integers(0, n - 1))
+        (row,) = spawn(stream(seed, j), n)[i].generators()
+        np.testing.assert_array_equal(row.random(4), stream(seed, j, i).random(4))
+
     def test_distinct_ids_differ(self):
         a = stream(7, 1).standard_normal(8)
         b = stream(7, 2).standard_normal(8)

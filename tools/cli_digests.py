@@ -11,7 +11,7 @@ and every output unchanged prints the same lines as its parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-takes a few seconds.
+takes about 15 seconds.
 """
 from __future__ import annotations
 
@@ -26,6 +26,12 @@ _ESTIMATE = ["estimate", "--pairs", "10000", "--reps", "5", "--seed", "3"]
 _SIN1_GRID = ["bench", "--set", "problem=sin1", "--set", "methods=tra,opt,boot,cor",
               "--set", "budgets=100,1000", "--set", "reps=10", "--set", "r=0.5",
               "--set", "detail_out=detail.csv"]
+# At 1e4 pairs a cell runs in batches of a few replications, so its 20
+# replications cross batch boundaries, and with two threads a chunk starts
+# mid-cell.
+_POLY3_GRID = ["bench", "--set", "problem=poly@3", "--set", "methods=tra,opt,boot,cor",
+               "--set", "budgets=10000", "--set", "reps=20", "--set", "r=0.5",
+               "--set", "detail_out=detail.csv"]
 _QUEUE = ["estimate", "--problem", "queue@3,5,50,service", "--method", "cor",
           "--pairs", "1000", "--reps", "3", "--seed", "5", "--I", "100"]
 
@@ -41,6 +47,8 @@ COMMANDS = [
     ("bench-default", "1", ["bench", "--set", "reps=5"]),
     ("bench-sin1-serial", "1", _SIN1_GRID),
     ("bench-sin1-threads2", "2", _SIN1_GRID),
+    ("bench-poly3-batches-serial", "1", _POLY3_GRID),
+    ("bench-poly3-batches-threads2", "2", _POLY3_GRID),
     ("dfo-zakharov10", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000", "--seed", "1"]),
     ("dfo-zakharov10-tra", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
                                  "--seed", "1", "--gradient-method", "tra"]),

@@ -4,7 +4,7 @@ replications and emits tidy CSV summaries.
 Replication ``i`` of grid cell ``j`` always consumes the stream addressed by
 ``(seed, j, i)``, which is child ``i`` of ``stream(seed, j)``, so results are
 identical whether cells run serially or across processes.  A cell runs its
-replications as batched estimator calls, each one row of a level spawned
+replications as batched estimator calls, each one row of a level derived
 from ``stream(seed, j)``, and each batch carries at most ``_BATCH_PAIRS``
 pairs, or one replication.
 """
@@ -27,7 +27,7 @@ from .estimators import (
     tra_cfd,
 )
 from .oracle import DEFAULT_KAPPA, parse_problem
-from .sampling import spawn, stream
+from .sampling import Streams
 
 __all__ = [
     "SummaryStats",
@@ -158,7 +158,7 @@ def _run_cell_chunk(cfg: ExperimentConfig, method: str, budget: int, cell_index:
     """Run replications ``reps`` of one cell (worker entry point), in
     batches of at most ``_BATCH_PAIRS`` pairs, or of one replication."""
     problem = parse_problem(cfg.problem, cfg.kappa)
-    rows = spawn(stream(cfg.seed, cell_index), reps.stop)[reps.start:]
+    rows = Streams.at(cfg.seed, cell_index).spawn(reps.stop)[reps.start:]
     size = max(1, _BATCH_PAIRS // budget)
     out = []
     for start in range(0, len(reps), size):

@@ -224,9 +224,7 @@ def _pilot_stage(
     K = cfg.K
     children = spawn(streams, 3)
     coeff, pilot, boot = children[0::3], children[1::3], children[2::3]
-    coefficients = np.array([
-        draw_perturbation_set(K, cfg.coeff_gen, rng) for rng in coeff.generators()
-    ])
+    coefficients = draw_perturbation_set(K, cfg.coeff_gen, coeff.generators())
     try:
         h = coefficients * float(n_b) ** cfg.pilot_exponent
     except OverflowError:

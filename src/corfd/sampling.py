@@ -27,11 +27,10 @@ __all__ = [
     "difference_samples",
 ]
 
-# Coefficients whose squares are closer than this (relative) count as ties
-# and are redrawn: the bias design matrix needs distinct squared entries.
+# A generator whose quartiles have squares closer than this (relative) is
+# rejected when it is built: the bias fit needs distinct squared
+# coefficients, and such a generator draws them too close to tell apart.
 _SQUARE_TIE_RTOL = 1e-6
-
-_MAX_REDRAWS = 1000
 
 # A rejection draw of many values takes its normals in chunks of at most
 # this many, so that its memory stays bounded whatever the sample size.
@@ -57,8 +56,9 @@ def _ndtri(p: float) -> float:
 
 
 class DegenerateRegionError(ValueError):
-    """Truncation interval carries (numerically) no probability mass, or too
-    little spread to draw distinct perturbation coefficients."""
+    """Raised when a perturbation generator is built whose interval carries
+    (numerically) no probability mass, or whose distribution has too little
+    spread to draw coefficients with distinct squares."""
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -108,6 +108,13 @@ class Streams:
     def __iter__(self):
         return (self[j] for j in range(len(self)))
 
+    @classmethod
+    def at(cls, seed: int, *path: int) -> Streams:
+        """The one-row level of ``stream(seed, *path)``, which has spawned
+        nothing yet: its children are that generator's children."""
+        seq = np.random.SeedSequence(seed, spawn_key=tuple(path))
+        return cls(seq.pool[None], _pool_words(seq))
+
     def spawn(self, n: int) -> Streams:
         """The next ``n`` children of every row, row ``j * n + i`` holding
         child ``i`` of row ``j``, as ``SeedSequence.spawn(n)`` makes them.
@@ -151,8 +158,7 @@ def spawn(parent, n: int) -> Streams:
     seed = parent.bit_generator.seed_seq if isinstance(parent, np.random.Generator) else None
     if not isinstance(seed, np.random.SeedSequence):
         raise TypeError("spawn takes a Generator seeded by a SeedSequence or a Streams level")
-    words = max(_entropy_words(seed.entropy), seed.pool_size) + _entropy_words(seed.spawn_key)
-    return Streams(np.array([child.pool for child in seed.spawn(n)]), words + 1)
+    return Streams(np.array([child.pool for child in seed.spawn(n)]), _pool_words(seed) + 1)
 
 
 # The constants of numpy's SeedSequence hash.
@@ -169,6 +175,11 @@ def _entropy_words(value) -> int:
     if isinstance(value, (int, np.integer)):
         return max(1, -(-int(value).bit_length() // 32))
     return sum(map(_entropy_words, value))
+
+
+def _pool_words(seed: np.random.SeedSequence) -> int:
+    """The number of entropy words mixed into ``seed``'s pool."""
+    return max(_entropy_words(seed.entropy), seed.pool_size) + _entropy_words(seed.spawn_key)
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -242,9 +253,10 @@ class PerturbationGenerator:
 
     Draws from Normal(mu0, sigma0^2) conditioned on [lower, upper].  The
     support must sit strictly inside the positive axis so that every
-    coefficient is bounded away from zero, and must carry probability mass:
-    an interval with (numerically) none raises
-    :class:`DegenerateRegionError` when the generator is built.
+    coefficient is bounded away from zero.  It must carry probability mass,
+    and the squares of the distribution's quartiles must differ by more
+    than ``_SQUARE_TIE_RTOL`` relative; a generator that fails either test
+    raises :class:`DegenerateRegionError` when it is built.
     """
 
     mu0: float = 0.0
@@ -266,6 +278,15 @@ class PerturbationGenerator:
                 f"truncation interval [{self.lower}, {self.upper}] has acceptance "
                 f"probability {self.acceptance_probability:.3e} under "
                 f"Normal({self.mu0}, {self.sigma0}^2)"
+            )
+        q1, q3 = sorted(self._quantiles([0.25, 0.75]).tolist())
+        spread = 1.0 - (q1 / q3) ** 2  # a ratio, so that no square overflows
+        if spread <= _SQUARE_TIE_RTOL:
+            mu0, sigma0, L, U = map(float, (self.mu0, self.sigma0, self.lower, self.upper))
+            raise DegenerateRegionError(
+                f"perturbation generator mu0 = {mu0}, sigma0 = {sigma0}, L = {L}, U = {U} has "
+                f"too little spread: the squares of its quartiles differ by {spread:.1e} "
+                f"relative, at most {_SQUARE_TIE_RTOL:g}"
             )
 
     @property
@@ -291,9 +312,11 @@ class PerturbationGenerator:
         a, b = self._cdf_bounds
         return abs(b - a)
 
-    def _inverse_cdf(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def _quantiles(self, u) -> np.ndarray:
+        """The truncated distribution's inverse CDF at ``u``, taken in the
+        frame given by :attr:`_sign`."""
         a, b = self._cdf_bounds
-        z = np.array([_ndtri(p) for p in (a + (b - a) * rng.random(n)).tolist()])
+        z = np.array([_ndtri(p) for p in (a + (b - a) * np.asarray(u)).tolist()])
         out = self.mu0 + self._sign * self.sigma0 * z
         return np.clip(out, self.lower, self.upper, out=out)
 
@@ -311,7 +334,7 @@ class PerturbationGenerator:
         """
         accept = self.acceptance_probability
         if accept < 0.1:
-            return self._inverse_cdf(rng, size)
+            return self._quantiles(rng.random(size))
         width = max(16, int(1 / accept * 1.2))
         rows = max(1, _NORMALS_PER_CHUNK // width)
         out = np.empty(size)
@@ -327,37 +350,11 @@ class PerturbationGenerator:
         return out
 
 
-def _has_square_tie(value: float, accepted: list[float]) -> bool:
-    v2 = value * value
-    return any(abs(v2 - a * a) <= _SQUARE_TIE_RTOL * max(v2, a * a) for a in accepted)
-
-
-def draw_perturbation_set(
-    K: int, gen: PerturbationGenerator, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``K`` i.i.d. pilot-perturbation coefficients.
-
-    Coefficients whose squared values collide (to relative tolerance 1e-6)
-    with an earlier draw are redrawn, keeping the i.i.d. description while
-    guaranteeing a rank-2 bias design.
-    """
-    accepted: list[float] = []
-    rejections = 0
-    while len(accepted) < K:
-        # One draw per missing coefficient, exactly as one-at-a-time draws
-        # would consume them; a tie costs one more draw in the next round.
-        for c in gen.sample(rng, K - len(accepted)).tolist():
-            if _has_square_tie(c, accepted):
-                rejections += 1
-                if rejections >= _MAX_REDRAWS:
-                    raise DegenerateRegionError(
-                        "perturbation generator is nearly degenerate: "
-                        f"{rejections} consecutive coefficient ties"
-                    )
-                continue
-            rejections = 0
-            accepted.append(c)
-    return np.array(accepted)
+def draw_perturbation_set(K: int, gen: PerturbationGenerator, rngs: list) -> np.ndarray:
+    """Draw ``K`` i.i.d. pilot-perturbation coefficients per generator of
+    ``rngs``: row ``j`` of the ``(m, K)`` result is ``gen.sample(rngs[j], K)``.
+    ``gen`` was checked for spread when it was built."""
+    return np.array([gen.sample(rng, K) for rng in rngs])
 
 
 def difference_samples(

@@ -11,7 +11,9 @@ from corfd.bench import (
     run_replications,
     summarize,
 )
-from corfd.estimators import EstimatorConfig
+from corfd.estimators import EstimatorConfig, cor_cfd
+from corfd.oracle import parse_problem
+from corfd.sampling import stream
 
 
 class TestSummarize:
@@ -192,6 +194,18 @@ class TestRunReplications:
         # Five replications: one batch at 100 pairs, batches of 2, 2 and 1
         # below half the cap, and batches of one above it.
         assert [rows for name, rows, _ in calls if name == "cor_cfd"] == [5, 2, 2, 1, 1, 1, 1, 1, 1]
+
+    def test_replication_runs_on_its_addressed_stream(self):
+        # Replication i of cell j runs on stream (seed, j, i), also in a
+        # chunk that starts mid-cell.
+        cfg = small_config(methods=("cor",), reps=6)
+        problem = parse_problem(cfg.problem)
+        whole = bench._run_cell_chunk(cfg, "cor", 100, 3, range(6))
+        assert bench._run_cell_chunk(cfg, "cor", 100, 3, range(2, 5)) == whole[2:5]
+        for rep, value, _, _ in whole:
+            single = cor_cfd(problem.oracle, problem.theta0, 0, 100, cfg.estimator,
+                             stream(cfg.seed, 3, rep))
+            assert value == single.value
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

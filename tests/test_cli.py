@@ -117,7 +117,8 @@ class TestEstimateCommand:
         assert code == 2  # tra ran
 
     def test_degenerate_generator_is_config_error(self, tmp_path, capsys):
-        # Coefficients confined to a sliver of [4, 6] tie on every redraw.
+        # Coefficients confined to a sliver of [4, 6] would tie: the generator
+        # fails when it is built, before any cell runs.
         code = main([
             "estimate", "--problem", "sin1", "--method", "cor", "--pairs", "1000",
             "--mu0", "5", "--sigma0", "1e-13", "--L", "4", "--U", "6",
@@ -125,9 +126,12 @@ class TestEstimateCommand:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert ("error: sin1/cor/1000: DegenerateRegionError: "
-                "perturbation generator is nearly degenerate") in err
-        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: perturbation generator mu0 = 5.0, sigma0 = 1e-13, L = 4.0, U = 6.0 has "
+            "too little spread: the squares of its quartiles differ by 5.4e-14 relative, "
+            "at most 1e-06"
+        ]
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["--problem", "sin1", "--kappa", "1e300", "--method", "cor"],

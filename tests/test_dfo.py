@@ -169,7 +169,7 @@ class TestGradient:
         coords = stream(7).spawn(4)
         for i, gi in enumerate(g):
             coeff_rng = coords[i].spawn(2)[0].spawn(3)[0]
-            h = draw_perturbation_set(5, cfg.coeff_gen, coeff_rng) * 4.0**cfg.pilot_exponent
+            h = draw_perturbation_set(5, cfg.coeff_gen, [coeff_rng]) * 4.0**cfg.pilot_exponent
             bound = clamp_floor(2.0, cfg.clamp_scale) * float(np.max(h)) ** 2
             assert gi == pytest.approx(2.0, abs=bound + 1e-9)
 

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from corfd.oracle import parse_problem, poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
     PerturbationGenerator,
+    Streams,
     _generate_state,
     _ndtr,
     _ndtri,
@@ -44,6 +46,18 @@ class TestStream:
         i = data.draw(st.integers(0, n - 1))
         (row,) = spawn(stream(seed, j), n)[i].generators()
         np.testing.assert_array_equal(row.random(4), stream(seed, j, i).random(4))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64), path=st.lists(st.integers(0, 2**40), max_size=3),
+           n=st.integers(1, 40))
+    def test_level_at_an_address_spawns_as_its_stream(self, seed, path, n):
+        # The bench harness derives a cell's replications from this level
+        # without spawning any stream for real.
+        level, parent = Streams.at(seed, *path), stream(seed, *path)
+        np.testing.assert_array_equal(level.pools, [parent.bit_generator.seed_seq.pool])
+        children, expected = level.spawn(n), spawn(parent, n)
+        np.testing.assert_array_equal(children.pools, expected.pools)
+        np.testing.assert_array_equal(children.spawn(2).pools, expected.spawn(2).pools)
 
     def test_distinct_ids_differ(self):
         a = stream(7, 1).standard_normal(8)
@@ -355,25 +369,13 @@ class TestSuccessiveDraws:
         np.testing.assert_array_equal(got, [gen.sample(one_by_one, 1)[0] for _ in range(size)])
         assert together.bit_generator.state == one_by_one.bit_generator.state
 
-    def test_perturbation_set_with_ties_matches_one_at_a_time_draws(self):
-        # Squares within 1e-6 of each other tie, so this sliver forces redraws.
-        gen = PerturbationGenerator(0.0, 1.0, 1.0, 1.000003)
-        for seed in range(10):
-            rng = stream(12, seed)
-            accepted = []
-            while len(accepted) < 4:
-                c = gen.sample(rng, 1)[0]
-                if all(abs(c * c - a * a) > 1e-6 * max(c * c, a * a) for a in accepted):
-                    accepted.append(c)
-            np.testing.assert_array_equal(draw_perturbation_set(4, gen, stream(12, seed)), accepted)
-
 
 def pilot_perturbations(cfg, n, seed):
     """The pilot perturbations ``h`` (K,) of one coordinate's pilot stage on
     ``stream(seed)``, and the coefficients drawn from its coefficient stream."""
     stage = _pilot_stage(poly_oracle(), [0.0], [0], n, cfg, stream(seed), n)
     coeff_rng = stream(seed).spawn(3)[0]
-    return stage.h[0], draw_perturbation_set(cfg.K, cfg.coeff_gen, coeff_rng)
+    return stage.h[0], draw_perturbation_set(cfg.K, cfg.coeff_gen, [coeff_rng])[0]
 
 
 class TestPerturbationSet:
@@ -396,14 +398,44 @@ class TestPerturbationSet:
 
     def test_fixed_seed_reproduces(self):
         gen = PerturbationGenerator()
-        a = draw_perturbation_set(10, gen, stream(8))
-        b = draw_perturbation_set(10, gen, stream(8))
+        a = draw_perturbation_set(10, gen, [stream(8), stream(9)])
+        b = draw_perturbation_set(10, gen, [stream(8), stream(9)])
+        assert a.shape == (2, 10)
         np.testing.assert_array_equal(a, b)
 
-    def test_near_degenerate_generator_errors_out(self):
-        gen = PerturbationGenerator(5, 1e-13, 4, 6)
-        with pytest.raises(DegenerateRegionError, match="degenerate"):
-            draw_perturbation_set(3, gen, stream(9))
+    @pytest.mark.parametrize("K,gen", [
+        (10, PerturbationGenerator()),
+        (5, PerturbationGenerator(0.0, 1.0, 3.5, 4.0)),
+        # Squares of draws from this sliver often agree to 1e-6 relative:
+        # they are kept as drawn, not redrawn.
+        (4, PerturbationGenerator(0.0, 1.0, 1.0, 1.000003)),
+    ], ids=["default", "inverse-cdf", "sliver"])
+    def test_rows_are_plain_draws_of_their_generators(self, K, gen):
+        rngs = [stream(12, seed) for seed in range(10)]
+        copies = copy.deepcopy(rngs)
+        got = draw_perturbation_set(K, gen, rngs)
+        assert got.shape == (10, K)
+        for row, rng, twin in zip(got, rngs, copies):
+            np.testing.assert_array_equal(row, gen.sample(twin, K))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(mu0=5, sigma0=1e-13, lower=4, upper=6), "mu0 = 5.0, sigma0 = 1e-13, L = 4.0, U = 6.0"),
+        (dict(mu0=5, sigma0=1e-8), "mu0 = 5.0, sigma0 = 1e-08, L = 0.1, U = inf"),
+        (dict(mu0=np.float64(5), sigma0=np.float64(1e-8)),
+         "mu0 = 5.0, sigma0 = 1e-08, L = 0.1, U = inf"),
+    ], ids=["sliver", "narrow", "numpy-scalars"])
+    def test_near_degenerate_generator_fails_when_built(self, kwargs, named):
+        with pytest.raises(DegenerateRegionError) as err:
+            PerturbationGenerator(**kwargs)
+        message = str(err.value)
+        assert named in message and "too little spread" in message
+        assert "np.float64" not in message
+
+    def test_far_generator_spread_check_does_not_overflow(self):
+        # Quartiles near 1e200 have squares beyond the float range.
+        gen = PerturbationGenerator(mu0=1e200, sigma0=1e199)
+        assert np.all(np.isfinite(gen.sample(stream(1), 3)))
 
     def test_custom_exponent(self):
         cfg = EstimatorConfig(K=4, pilot_size=100, pilot_exponent=-1.0 / 6)

@@ -11,7 +11,7 @@ and every output unchanged prints the same lines as its parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-takes about 15 seconds.
+takes about 11 seconds.
 """
 from __future__ import annotations
 
@@ -52,6 +52,9 @@ COMMANDS = [
     ("dfo-zakharov10", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000", "--seed", "1"]),
     ("dfo-zakharov10-tra", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
                                  "--seed", "1", "--gradient-method", "tra"]),
+    # d = 100 draws the largest pilot-coefficient block: 100 rows per stage.
+    ("dfo-zakharov100", "1", ["dfo", "--problem", "zakharov@100", "--budget", "1000000",
+                              "--seed", "0"]),
     ("dfo-rosenbrock", "1", ["dfo", "--problem", "rosenbrock", "--budget", "100000", "--seed", "2"]),
     ("diag", "1", ["diag", "--c", "1,1.5,2,2.5,3,3.5,4,4.5,5,5.5", "--fifth-const", "0.1"]),
 ]

@@ -3,10 +3,10 @@ replications and emits tidy CSV summaries.
 
 Replication ``i`` of grid cell ``j`` always consumes the stream addressed by
 ``(seed, j, i)``, which is child ``i`` of ``stream(seed, j)``, so results are
-identical whether cells run serially or across processes.  A cell runs its
-replications as batched estimator calls, each one row of a level derived
-from ``stream(seed, j)``, and each batch carries at most ``_BATCH_PAIRS``
-pairs, or one replication.
+identical whether cells run serially or across processes.  A cell derives
+its replications as one level of ``stream(seed, j)``'s children and cuts it
+once into batches, each one batched estimator call of at most
+``_BATCH_PAIRS`` pairs (or one replication).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .estimators import (
     tra_cfd,
 )
 from .oracle import DEFAULT_KAPPA, parse_problem
-from .sampling import Streams
+from .sampling import Streams, spawn, stream
 
 __all__ = [
     "SummaryStats",
@@ -136,36 +136,24 @@ class ExperimentConfig:
         return None
 
 
-def _run_one(problem, method: str, budget: int, cfg: ExperimentConfig, streams):
-    """One estimate per row of the :class:`~corfd.sampling.Streams` level
-    ``streams``, as one batched estimator call."""
-    coords = [0] * len(streams)
+def _run_batch(cfg: ExperimentConfig, method: str, budget: int, level: Streams):
+    """One batched estimator call, one replication per row of the
+    :class:`~corfd.sampling.Streams` level ``level`` (worker entry point):
+    ``(value, pairs_used, perturbation)`` per row."""
+    problem = parse_problem(cfg.problem, cfg.kappa)
+    oracle, theta0, coords = problem.oracle, problem.theta0, [0] * len(level)
     if method == "tra":
         h = cfg.tra_perturbation
         if h is None:
             h = optimal_perturbation(cfg.tra_noise_var, cfg.tra_bias_const, budget)
-        return tra_cfd(problem.oracle, problem.theta0, coords, budget, h, streams)
-    if method == "opt":
-        return opt_cfd(problem.oracle, problem.theta0, coords, budget, problem.truth, streams)
-    if method == "boot":
-        return boot_cfd(problem.oracle, problem.theta0, coords, budget, cfg.estimator, streams)
-    if method == "cor":
-        return cor_cfd(problem.oracle, problem.theta0, coords, budget, cfg.estimator, streams)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _run_cell_chunk(cfg: ExperimentConfig, method: str, budget: int, cell_index: int, reps: range):
-    """Run replications ``reps`` of one cell (worker entry point), in
-    batches of at most ``_BATCH_PAIRS`` pairs, or of one replication."""
-    problem = parse_problem(cfg.problem, cfg.kappa)
-    rows = Streams.at(cfg.seed, cell_index).spawn(reps.stop)[reps.start:]
-    size = max(1, _BATCH_PAIRS // budget)
-    out = []
-    for start in range(0, len(reps), size):
-        estimates = _run_one(problem, method, budget, cfg, rows[start:start + size])
-        for rep, est in zip(reps[start:start + size], estimates):
-            out.append((rep, est.value, est.pairs_used, est.perturbation))
-    return out
+        estimates = tra_cfd(oracle, theta0, coords, budget, h, level)
+    elif method == "opt":
+        estimates = opt_cfd(oracle, theta0, coords, budget, problem.truth, level)
+    elif method == "boot":
+        estimates = boot_cfd(oracle, theta0, coords, budget, cfg.estimator, level)
+    else:
+        estimates = cor_cfd(oracle, theta0, coords, budget, cfg.estimator, level)
+    return [(est.value, est.pairs_used, est.perturbation) for est in estimates]
 
 
 def _thread_count() -> int:
@@ -185,14 +173,16 @@ def run_replications(cfg: ExperimentConfig):
     Returns ``(detail_rows, summary_rows, failures)``: one detail row per
     replication, one summary row per feasible cell when the truth is known,
     and one ``(cell, error type, message)`` entry per cell that is
-    infeasible or whose constant estimation fails.  Such cells are reported and skipped; the rest
-    of the grid still runs.  Replication ``i`` of cell ``j`` runs on child
-    ``i`` of ``stream(seed, j)``.  Each cell's replications run as one chunk,
-    or, with ``CORFD_THREADS`` above one, as up to that many contiguous chunks
-    on one process pool shared by all cells.  A chunk runs as batched
-    estimator calls of at most ``_BATCH_PAIRS`` pairs (or one replication),
-    so one error fails the whole cell.  Chunks come back in replication
-    order, and a failing chunk cancels the cell's queued ones.
+    infeasible, whose constant estimation fails or whose arrays do not fit
+    in memory.  Such cells are reported and skipped; the rest of the grid
+    still runs.  Replication ``i`` of cell ``j`` runs on child ``i`` of
+    ``stream(seed, j)``.  A cell's replications are cut once into batches
+    of at most ``_BATCH_PAIRS`` pairs (or one replication) and at most
+    ``ceil(reps / CORFD_THREADS)`` replications, each one batched estimator
+    call, so one error fails the whole cell.  With ``CORFD_THREADS`` above
+    one the batches run on one process pool shared by all cells, in as many
+    contiguous tasks per cell as there are workers.  Batches come back in
+    replication order, and a failing batch cancels the cell's queued ones.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -200,23 +190,27 @@ def run_replications(cfg: ExperimentConfig):
     truth = cfg.truth()
     workers = _thread_count()
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
+    roots = spawn(stream(cfg.seed), len(cells))
     parallel = workers > 1 and cfg.reps > 1
-    splits = np.array_split(np.arange(cfg.reps), workers if parallel else 1)
-    chunks = [range(c[0], c[-1] + 1) for c in splits if c.size]
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        run_map = pool.map if pool is not None else map
-        for cell_index, (method, budget) in enumerate(cells):
-            run_chunk = partial(_run_cell_chunk, cfg, method, budget, cell_index)
+        for (method, budget), root in zip(cells, roots):
+            level = root.spawn(cfg.reps)
+            size = min(max(1, _BATCH_PAIRS // budget), -(-cfg.reps // workers))
+            batches = [level[start:start + size] for start in range(0, cfg.reps, size)]
+            run_batch = partial(_run_batch, cfg, method, budget)
             try:
-                results = [row for rows in run_map(run_chunk, chunks) for row in rows]
-            except ValueError as exc:
-                cell = f"{cfg.problem}/{method}/{budget}"
-                failures.append((cell, type(exc).__name__, str(exc)))
+                results = map(run_batch, batches) if pool is None else pool.map(
+                    run_batch, batches, chunksize=-(-len(batches) // workers))
+                rows = [row for batch in results for row in batch]
+            except (ValueError, MemoryError) as exc:
+                # numpy raises a MemoryError subclass for an array too large to allocate.
+                kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+                failures.append((f"{cfg.problem}/{method}/{budget}", kind, str(exc)))
                 continue
-            for rep, value, pairs_used, perturbation in results:
+            for rep, (value, pairs_used, perturbation) in enumerate(rows):
                 detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
             if truth is not None:
-                stats = summarize([r[1] for r in results], truth)
+                stats = summarize([row[0] for row in rows], truth)
                 summary_rows.append(
                     [cfg.problem, method, budget, stats.reps, stats.bias, stats.variance, stats.mse]
                 )

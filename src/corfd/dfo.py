@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation
+from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation, tra_cfd
 from .oracle import SimulationOracle
-from .sampling import PerturbationGenerator, difference_samples, spawn
+from .sampling import PerturbationGenerator, spawn
 
 __all__ = [
     "DfoConfig",
@@ -231,11 +231,10 @@ def gradient_via_corcfd(
 
 def _gradient_tra(oracle: SimulationOracle, theta: np.ndarray, rng) -> np.ndarray:
     # One sample pair per coordinate at the fixed assumed-constants step,
-    # all coordinates in one oracle batch.
+    # all coordinates in one batched estimator call.
     h = optimal_perturbation(_TRA_NOISE_VAR, _TRA_BIAS_CONST, 1)
-    d = theta.size
-    rngs = spawn(rng, d).generators()
-    return difference_samples(oracle, theta, range(d), np.full(d, h), rngs, 1)[:, 0]
+    estimates = tra_cfd(oracle, theta, range(theta.size), 1, h, spawn(rng, theta.size))
+    return np.array([est.value for est in estimates])
 
 
 @dataclass

@@ -258,8 +258,19 @@ def _pilot_stage(
         )
     # Noise-free pilots carry no weighting information: fit with equal weights.
     sds = np.where(noise_free[:, None], 1.0, np.sqrt(variances))
-    bias_fit = fit_bias_wls(h, means, sds)
-    noise_var = np.where(noise_free, 0.0, fit_var_wls(h, variances, n_b))
+    # Distinct samples with zero variance (underflow at far pilots, or a few
+    # tying Monte Carlo resamples) or a product overflowing leave no fit.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if not np.all(sds > 0):
+                raise FloatingPointError("a pilot column of distinct samples has zero variance")
+            bias_fit = fit_bias_wls(h, means, sds)
+            noise_var = np.where(noise_free, 0.0, fit_var_wls(h, variances, n_b))
+    except FloatingPointError as exc:
+        raise EstimationError(
+            f"constant fits fail at pilot perturbations up to {h.max():.6g} (n_b = {n_b}, "
+            f"pilot_exponent (gamma) = {cfg.pilot_exponent}): {exc}"
+        ) from None
     clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))
     # Zero estimated noise makes the error-optimal perturbation degenerate.
     # The largest pilot perturbation keeps every transform ratio at most

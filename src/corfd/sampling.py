@@ -108,13 +108,6 @@ class Streams:
     def __iter__(self):
         return (self[j] for j in range(len(self)))
 
-    @classmethod
-    def at(cls, seed: int, *path: int) -> Streams:
-        """The one-row level of ``stream(seed, *path)``, which has spawned
-        nothing yet: its children are that generator's children."""
-        seq = np.random.SeedSequence(seed, spawn_key=tuple(path))
-        return cls(seq.pool[None], _pool_words(seq))
-
     def spawn(self, n: int) -> Streams:
         """The next ``n`` children of every row, row ``j * n + i`` holding
         child ``i`` of row ``j``, as ``SeedSequence.spawn(n)`` makes them.

@@ -202,9 +202,9 @@ class TestParity:
             rtol=1e-10, atol=0,
         )
 
-    # Recorded with one estimator call per replication.  Batches of three
-    # replications and two chunks, the second starting at replication 4, so
-    # that each cell crosses batch and chunk boundaries.
+    # Recorded with one estimator call per replication.  Two workers cut
+    # each cell's seven replications into batches of three (3, 3 and 1),
+    # so that each cell crosses batch boundaries.
     def test_replications_across_batches_and_chunks(self, monkeypatch):
         monkeypatch.setattr(bench, "_BATCH_PAIRS", 300)
         monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,7 +175,7 @@ class TestRunReplications:
         assert summary2 == []  # no truth known, detail only
 
     def test_estimator_calls_keep_to_the_pair_cap(self, monkeypatch):
-        calls = []
+        calls, tasks = [], []
 
         def spy(fn):
             def call(oracle, theta0, coord, n, *args):
@@ -181,31 +183,53 @@ class TestRunReplications:
                 return fn(oracle, theta0, coord, n, *args)
             return call
 
+        class SpyPool(ThreadPoolExecutor):
+            # Counts the tasks of each cell and runs its batches in order.
+            def map(self, fn, batches, chunksize=1):
+                batches = list(batches)
+                tasks.append(-(-len(batches) // chunksize))
+                return map(fn, batches)
+
         for name in ("tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"):
             monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SpyPool)
         cap = bench._BATCH_PAIRS
         budgets = (100, cap // 2 - 1, cap + 1)
         cfg = small_config(methods=bench.METHODS, budgets=budgets, reps=5,
                            estimator=EstimatorConfig(K=5, pilot_fraction=0.5))
-        detail, _, failures = run_replications(cfg)
-        assert not failures and len(detail) == 4 * 3 * 5
-        assert {name for name, _, _ in calls} == {"tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"}
-        assert all(rows * n <= cap or rows == 1 for _, rows, n in calls)
-        # Five replications: one batch at 100 pairs, batches of 2, 2 and 1
-        # below half the cap, and batches of one above it.
-        assert [rows for name, rows, _ in calls if name == "cor_cfd"] == [5, 2, 2, 1, 1, 1, 1, 1, 1]
+        # Five replications on one worker: one batch at 100 pairs, batches of
+        # 2, 2 and 1 below half the cap, and batches of one above it.  On
+        # three, a batch also holds at most ceil(5 / 3) = 2 replications.
+        cor_rows = {1: [5, 2, 2, 1, 1, 1, 1, 1, 1], 3: [2, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1]}
+        for workers, expected in cor_rows.items():
+            calls.clear()
+            monkeypatch.setenv("CORFD_THREADS", str(workers))
+            detail, _, failures = run_replications(cfg)
+            assert not failures and len(detail) == 4 * 3 * 5
+            assert {name for name, _, _ in calls} == {"tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"}
+            assert all(rows * n <= cap or rows == 1 for _, rows, n in calls)
+            assert [rows for name, rows, _ in calls if name == "cor_cfd"] == expected
+        assert max(rows for _, rows, _ in calls) == 2
+        # Only the three-worker run uses the pool, and each of its 12 cells
+        # goes there as at most one task per worker.
+        assert len(tasks) == 12 and max(tasks) == 3
 
-    def test_replication_runs_on_its_addressed_stream(self):
+    def test_replication_runs_on_its_addressed_stream(self, monkeypatch):
         # Replication i of cell j runs on stream (seed, j, i), also in a
-        # chunk that starts mid-cell.
-        cfg = small_config(methods=("cor",), reps=6)
+        # batch that starts mid-cell: batches of 2 replications over three
+        # workers cut each cell's 7 replications unevenly.
+        monkeypatch.setattr(bench, "_BATCH_PAIRS", 200)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setenv("CORFD_THREADS", "3")
+        cfg = small_config(methods=("cor",), budgets=(100, 200), reps=7)
         problem = parse_problem(cfg.problem)
-        whole = bench._run_cell_chunk(cfg, "cor", 100, 3, range(6))
-        assert bench._run_cell_chunk(cfg, "cor", 100, 3, range(2, 5)) == whole[2:5]
-        for rep, value, _, _ in whole:
-            single = cor_cfd(problem.oracle, problem.theta0, 0, 100, cfg.estimator,
-                             stream(cfg.seed, 3, rep))
-            assert value == single.value
+        detail, _, failures = run_replications(cfg)
+        assert not failures and len(detail) == 2 * 7
+        for row in detail:
+            cell, rep, n = cfg.budgets.index(row[2]), row[3], row[2]
+            single = cor_cfd(problem.oracle, problem.theta0, 0, n, cfg.estimator,
+                             stream(cfg.seed, cell, rep))
+            assert row[4] == single.value
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

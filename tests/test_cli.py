@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import corfd
+from corfd import bench
 from corfd.bench import DETAIL_HEADER, ExperimentConfig, run_replications
 from corfd.cli import (
     _BENCH_DEFAULTS,
@@ -146,7 +147,20 @@ class TestEstimateCommand:
         (["--problem", "sin1", "--method", "cor", "--gamma", "1e10"],
          "sin1/cor/100: EstimationError: pilot perturbations c * n_b**gamma overflow: "
          "n_b = 10, pilot_exponent (gamma) = 10000000000.0"),
-    ], ids=["sin1_kappa", "sin2_kappa_opt", "poly_mean", "poly_truth", "gamma"])
+        # Pilots near 1e120 and 1e155 overflow the bias fit's products; near
+        # 1e200 a pilot column's variance underflows to zero.
+        *((["--problem", "sin1", "--method", "cor", "--mu0", f"1e{e}", "--sigma0", f"1e{e - 1}"],
+           f"sin1/cor/100: EstimationError: constant fits fail at pilot perturbations up to "
+           f"9.2822e+{e - 1} (n_b = 10, pilot_exponent (gamma) = -0.1): {cause}")
+          for e, cause in ((120, "overflow"), (155, "overflow"),
+                           (200, "a pilot column of distinct samples has zero variance"))),
+        # Two resamples of two samples tie, so a column's variance is zero.
+        (["--problem", "sin1", "--method", "cor", "--n-b", "2", "--I", "2"],
+         "sin1/cor/100: EstimationError: constant fits fail at pilot perturbations up to "
+         "1.83556 (n_b = 2, pilot_exponent (gamma) = -0.1): a pilot column of distinct "
+         "samples has zero variance"),
+    ], ids=["sin1_kappa", "sin2_kappa_opt", "poly_mean", "poly_truth", "gamma",
+            "mu0_1e120", "mu0_1e155", "mu0_1e200", "I_tie"])
     def test_overflow_is_a_typed_error(self, argv, message, tmp_path, capsys):
         code = main(["estimate", *argv, "--pairs", "100", "--out", str(tmp_path / "x.csv"),
                      "--summary-out", str(tmp_path / "y.csv")])
@@ -154,6 +168,27 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_out_of_memory_is_a_cell_failure(self, tmp_path, monkeypatch, capsys):
+        # A budget whose arrays cannot be allocated fails its cell.  numpy
+        # raises a subclass of MemoryError, reported under the builtin name.
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def cor_cfd(*args):
+            raise ArrayMemoryError("Unable to allocate 1.46 TiB for an array")
+
+        monkeypatch.setattr(bench, "cor_cfd", cor_cfd)
+        code = main(["estimate", "--problem", "poly@0", "--method", "cor", "--pairs", "100",
+                     "--out", str(tmp_path / "x.csv"), "--summary-out", str(tmp_path / "y.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: poly@0/cor/100: MemoryError: Unable to allocate 1.46 TiB for an array"
+        ]
+        code = main(["bench", "--set", "problem=poly@0", "--set", "methods=cor,tra",
+                     "--set", "budgets=100", "--set", "reps=2",
+                     "--set", f"out={tmp_path / 's.csv'}"])
+        assert code == 2  # tra ran
 
     def test_out_of_range_mse_is_inf_without_a_warning(self, tmp_path):
         # The estimates at poly@1e40 are finite, their squared error is not.

@@ -38,26 +38,17 @@ class TestStream:
         np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**64), j=st.integers(0, 2**40), n=st.integers(1, 40),
-           data=st.data())
-    def test_child_addresses_are_spawned_children(self, seed, j, n, data):
+    @given(seed=st.integers(0, 2**64), j=st.integers(0, 2**40), k=st.integers(0, 40),
+           n=st.integers(1, 40), data=st.data())
+    def test_child_addresses_are_spawned_children(self, seed, j, k, n, data):
         # Spawning appends the child index to the spawn key, so the bench
-        # harness can derive a cell's replications as one level.
+        # harness can derive a cell's replications as one level: cell k's
+        # beneath a level of cell roots spawned from stream(seed).
         i = data.draw(st.integers(0, n - 1))
-        (row,) = spawn(stream(seed, j), n)[i].generators()
-        np.testing.assert_array_equal(row.random(4), stream(seed, j, i).random(4))
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**64), path=st.lists(st.integers(0, 2**40), max_size=3),
-           n=st.integers(1, 40))
-    def test_level_at_an_address_spawns_as_its_stream(self, seed, path, n):
-        # The bench harness derives a cell's replications from this level
-        # without spawning any stream for real.
-        level, parent = Streams.at(seed, *path), stream(seed, *path)
-        np.testing.assert_array_equal(level.pools, [parent.bit_generator.seed_seq.pool])
-        children, expected = level.spawn(n), spawn(parent, n)
-        np.testing.assert_array_equal(children.pools, expected.pools)
-        np.testing.assert_array_equal(children.spawn(2).pools, expected.spawn(2).pools)
+        for cell, level in ((j, spawn(stream(seed, j), n)),
+                            (k, spawn(stream(seed), k + 1)[k].spawn(n))):
+            (row,) = level[i].generators()
+            np.testing.assert_array_equal(row.random(4), stream(seed, cell, i).random(4))
 
     def test_distinct_ids_differ(self):
         a = stream(7, 1).standard_normal(8)

@@ -70,6 +70,9 @@ class SimulationOracle:
     point.  ``sample_rows(points, rngs, size)``, when given, draws ``size``
     values at each row of a 2-D block of points, row ``j`` from ``rngs[j]``;
     it must return bit for bit what one ``sample`` call per row returns.
+    The sine, polynomial and benchmark oracles draw blocks in one call (the
+    first two draw one point as a block of one); the queue draws one point
+    at a time.
     ``mean`` is the noise-free response when known (used for optimality-gap
     reporting and exactness tests), ``truth`` maps a point to its
     :class:`GroundTruth`, and ``argmin`` is the known minimizer for
@@ -96,10 +99,10 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
     ``theta`` is one point and ``rng`` a generator, or ``theta`` is a 2-D
     block of points and ``rng`` a sequence of generators, one per row; the
     block has shape ``(m, size)``.  Row ``j`` is drawn from ``rng[j]``, and
-    rows that share a generator draw from it in row order: by the oracle's
-    ``sample_rows`` when it has one, otherwise by one ``sample`` call per
-    row.  The error names the first point whose draws are not all finite;
-    a ``sample`` call that overflows counts as infinite draws.
+    rows that share a generator draw from it in row order: in one
+    ``sample_rows`` call for the oracles that have it (all but the queue),
+    otherwise by one ``sample`` call per row.  The error names the first
+    point whose draws are not all finite.
     """
     theta = np.asarray(theta)
     if theta.ndim == 2:
@@ -110,9 +113,9 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
         else:
             y = np.empty((len(rng), size))
             for j, row_rng in enumerate(rng):
-                y[j] = _sample(oracle, theta[j], row_rng, size)
+                y[j] = oracle.sample(theta[j], row_rng, size)
     else:
-        y = _sample(oracle, theta, rng, size)
+        y = oracle.sample(theta, rng, size)
     finite = np.isfinite(y)
     if not finite.all():
         point = theta if theta.ndim < 2 else theta[np.argmin(finite.all(axis=-1))]
@@ -122,14 +125,24 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
     return y
 
 
-def _sample(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
-    """``oracle.sample``, reading an overflow as infinite draws: Python's
-    float power raises OverflowError past the float range, where numpy's
-    gives infinity."""
-    try:
-        return oracle.sample(theta, rng, size)
-    except OverflowError:
-        return np.full(size, np.inf)
+def _standard_normal_rows(rngs: Sequence, size: int) -> np.ndarray:
+    """``size`` standard normals from each generator of ``rngs``, one row
+    each, drawn in row order.  ``loc + scale * z`` over these rows equals
+    ``rng.normal(loc, scale, size)`` bit for bit: both take the same
+    ziggurat normals."""
+    y = np.empty((len(rngs), size))
+    for row, rng in zip(y, rngs):
+        rng.standard_normal(out=row)
+    return y
+
+
+def _block_of_one(sample_rows: Callable) -> Callable:
+    """The one-point ``sample`` of an oracle that draws by blocks."""
+
+    def sample(theta, rng, size):
+        return sample_rows(np.reshape(np.asarray(theta, dtype=float), (1, -1)), [rng], size)[0]
+
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +175,13 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
         t = float(np.atleast_1d(theta)[0])
         return 1.0 if case == 1 else float(np.exp(-1.5 * t))
 
-    def sample(theta, rng, size):
-        return rng.normal(mean(theta), sd(theta), size)
+    def sample_rows(points, rngs, size):
+        t = np.asarray(points, dtype=float)[:, 0]
+        y = _standard_normal_rows(rngs, size)
+        if case == 2:
+            y *= np.exp(-1.5 * t)[:, None]
+        y += (kappa * np.sin(t))[:, None]
+        return y
 
     def truth(theta):
         t = float(np.atleast_1d(theta)[0])
@@ -175,7 +193,10 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
             noise_var=sd(t) ** 2,
         )
 
-    return SimulationOracle(dim=1, label=f"sin{case}", sample=sample, mean=mean, truth=truth)
+    return SimulationOracle(
+        dim=1, label=f"sin{case}", sample=_block_of_one(sample_rows), mean=mean, truth=truth,
+        sample_rows=sample_rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +206,18 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
 def poly_oracle() -> SimulationOracle:
     """Mean response ``1 - 6 t + 6 t^2 - 2.5 t^3 + 0.1 t^5`` with unit noise."""
 
-    def mean(theta):
-        t = float(np.atleast_1d(theta)[0])
+    def value(t):
         return 1.0 - 6.0 * t + 6.0 * t * t - 2.5 * t**3 + 0.1 * t**5
 
-    def sample(theta, rng, size):
-        return rng.normal(mean(theta), 1.0, size)
+    def mean(theta):
+        return value(float(np.atleast_1d(theta)[0]))
+
+    def sample_rows(points, rngs, size):
+        # Per row on Python floats, so a row's mean is the value ``mean``
+        # gives, and a power past the float range is an infinite row.
+        y = _standard_normal_rows(rngs, size)
+        y += np.array(_rowwise(value, np.asarray(points, dtype=float)[:, 0].tolist()))[:, None]
+        return y
 
     def truth(theta):
         t = float(np.atleast_1d(theta)[0])
@@ -201,7 +228,10 @@ def poly_oracle() -> SimulationOracle:
             noise_var=1.0,
         )
 
-    return SimulationOracle(dim=1, label="poly", sample=sample, mean=mean, truth=truth)
+    return SimulationOracle(
+        dim=1, label="poly", sample=_block_of_one(sample_rows), mean=mean, truth=truth,
+        sample_rows=sample_rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +245,10 @@ def poly_oracle() -> SimulationOracle:
 
 def _rowwise(value: Callable[..., float], *columns: list[float]) -> list[float]:
     """``value`` of each row of ``columns``.  Python's float power raises
-    OverflowError past the float range; such a row is infinite, as numpy
-    makes it.  Both benchmark functions are sums of even powers, so the
-    infinity is positive."""
+    OverflowError past the float range; such a row is ``+inf``.  That is
+    numpy's value for the benchmark functions, which are sums of even
+    powers; ``poly`` can overflow negative, but every infinite response is
+    refused by :func:`draw_responses` whatever its sign."""
     try:
         return list(map(value, *columns))
     except OverflowError:
@@ -268,13 +299,14 @@ def noisy_bench_oracle(fn: str, d: int) -> SimulationOracle:
     else:
         raise ValueError(f"unknown benchmark function {fn!r}")
 
+    # One point is drawn directly, not as a block of one: the line search
+    # draws one point at a time, and a block of one takes 16 us where this
+    # takes 13 (zakharov@10, 2-core x86-64).
     def sample(theta, rng, size):
         return f(theta) + rng.standard_normal(size)
 
     def sample_rows(points, rngs, size):
-        y = np.empty((len(rngs), size))
-        for row, rng in zip(y, rngs):
-            rng.standard_normal(out=row)
+        y = _standard_normal_rows(rngs, size)
         y += f(points)[:, None]
         return y
 

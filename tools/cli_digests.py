@@ -11,7 +11,7 @@ and every output unchanged prints the same lines as its parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-takes about 10 seconds on a 2-core x86-64 machine.
+takes about 13 seconds on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -26,6 +26,10 @@ _ESTIMATE = ["estimate", "--pairs", "10000", "--reps", "5", "--seed", "3"]
 _SIN1_GRID = ["bench", "--set", "problem=sin1", "--set", "methods=tra,opt,boot,cor",
               "--set", "budgets=100,1000", "--set", "reps=10", "--set", "r=0.5",
               "--set", "detail_out=detail.csv"]
+# sin2 draws each row's normals scaled by its own sd, exp(-1.5 theta).
+_SIN2_GRID = ["bench", "--set", "problem=sin2", "--set", "methods=tra,opt,boot,cor",
+              "--set", "budgets=100,1000", "--set", "reps=10", "--set", "r=0.5",
+              "--set", "kappa=3", "--set", "detail_out=detail.csv"]
 # At 1e4 pairs a cell runs in batches of at most six replications, so its
 # 20 replications cross batch boundaries (6, 6, 6 and 2), and with two or
 # three threads a worker's task starts mid-cell.
@@ -47,6 +51,7 @@ COMMANDS = [
     ("bench-default", "1", ["bench", "--set", "reps=5"]),
     ("bench-sin1-serial", "1", _SIN1_GRID),
     ("bench-sin1-threads2", "2", _SIN1_GRID),
+    ("bench-sin2-threads2", "2", _SIN2_GRID),
     ("bench-poly3-batches-serial", "1", _POLY3_GRID),
     ("bench-poly3-batches-threads2", "2", _POLY3_GRID),
     ("bench-poly3-batches-threads3", "3", _POLY3_GRID),

@@ -102,11 +102,11 @@ class TestSampleBatch:
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
 
     @pytest.mark.parametrize("problem, kappa", [("sin1", 10.0), ("sin2", 10.0), ("sin2", 3.0),
-                                                ("poly", 10.0)])
+                                                ("poly", None)])
     def test_block_draws_equal_rng_normal(self, problem, kappa):
         # Row j draws loc + scale * z from the normals ``rng.normal(loc,
         # scale, size)`` takes, and leaves its generator where that call does.
-        oracle = parse_problem(problem, kappa).oracle
+        oracle = (parse_problem(problem) if kappa is None else parse_problem(problem, kappa)).oracle
         rng = stream(46)
         t = 10.0 ** rng.uniform(-3.0, np.log10(300.0), 200) * rng.choice([-1.0, 1.0], 200)
         if problem == "sin2":
@@ -141,6 +141,9 @@ class TestSampleBatch:
         points = stream(41).normal(0.0, 2.0, size=(5, d))
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
         got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
+        # The one-point ``sample`` the line search calls is written apart from
+        # ``sample_rows``; both must equal the mean plus the stream's normals.
+        np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
         ref = {seed: stream(*seed) for seed in set(self.SEEDS)}
         want = [oracle.mean(p) + ref[s].standard_normal(7) for p, s in zip(points, self.SEEDS)]
         np.testing.assert_array_equal(got, want)

@@ -91,6 +91,16 @@ def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
         )
 
 
+def _read(kind, field: str, name: str):
+    """``kind(field)`` for the setting ``name``; a field that ``kind`` cannot
+    read raises a ValueError naming the setting."""
+    try:
+        return kind(field)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name}: {field!r} is not {what}") from None
+
+
 def _kwargs(cls, settings: dict) -> dict:
     """Keyword arguments of dataclass ``cls`` for the keys set in ``settings``;
     a ``coeff_gen`` field is built from the generator keys."""
@@ -135,7 +145,7 @@ def _cmd_dfo(ns) -> int:
     problem = parse_problem(ns.problem, ns.kappa)
     theta0 = problem.theta0
     if ns.start:
-        theta0 = np.array([float(x) for x in ns.start.split(",")])
+        theta0 = np.array([_read(float, x, "--start") for x in ns.start.split(",")])
         if not np.all(np.isfinite(theta0)):
             raise ValueError(f"--start coordinates must be finite, got {ns.start!r}")
         if theta0.size != problem.oracle.dim:
@@ -191,12 +201,14 @@ def _bench_config(values: dict[str, str]) -> tuple[ExperimentConfig, str, str]:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     merged = {**_BENCH_DEFAULTS, **values}
     # An empty value leaves the key unset.
-    settings = {key: _KEYS[key][1](merged[key]) for key in _ESTIMATE_KEYS if merged.get(key)}
+    settings = {
+        key: _read(_KEYS[key][1], merged[key], key) for key in _ESTIMATE_KEYS if merged.get(key)
+    }
     cfg = ExperimentConfig(
         problem=merged["problem"],
         methods=tuple(m.strip() for m in merged["methods"].split(",") if m.strip()),
-        budgets=tuple(int(b) for b in merged["budgets"].split(",") if b.strip()),
-        reps=int(merged["reps"]),
+        budgets=tuple(_read(int, b, "budgets") for b in merged["budgets"].split(",") if b.strip()),
+        reps=_read(int, merged["reps"], "reps"),
         estimator=_estimator_config(settings),
         **_kwargs(ExperimentConfig, settings),
     )
@@ -225,9 +237,15 @@ def _cmd_bench(ns) -> int:
 
 
 def _cmd_diag(ns) -> int:
-    c = np.array([float(x) for x in ns.c.split(",") if x.strip()])
-    proj = projection_diagnostics(c)
-    const = theory_constants(c, ns.fifth_const, ns.noise_slope)
+    c = np.array([_read(float, x, "--c") for x in ns.c.split(",") if x.strip()])
+    # The moment sums take powers of c up to 16, which leave the float range
+    # for coefficients far from 1.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            proj = projection_diagnostics(c)
+            const = theory_constants(c, ns.fifth_const, ns.noise_slope)
+    except ArithmeticError as exc:
+        raise ValueError(f"--c {ns.c!r} leaves the float range of the diagnostics: {exc}") from None
     p = proj.residual_projector
     rows = [
         ["projector_idempotency_gap", float(np.max(np.abs(p @ p - p)))],

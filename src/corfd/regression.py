@@ -5,7 +5,9 @@ The bias fit regresses per-perturbation means on ``(1, h^2)``; its intercept
 estimates the derivative and its slope the quadratic-bias constant.  The
 noise fit inverts the linear relation between resampling variances and
 ``1/h^2``.  Heteroscedasticity across perturbations is handled by reweighting
-rows (bias fit) or multiplying through by ``h^2`` (noise fit).
+rows (bias fit) or multiplying through by ``h^2`` (noise fit).  The bias fit
+and the diagnostics share one scale-free test that refuses a design whose
+squared perturbations barely differ, whatever their size or weights.
 
 The diagnostics describe unweighted fits, not these weighted ones:
 :func:`theory_constants` gives the moments of an equal-weight bias fit and of
@@ -33,11 +35,21 @@ __all__ = [
     "theory_constants",
 ]
 
-_MAX_CONDITION = 1e12
+_MIN_SPREAD = 1e-12
 
 
 class SingularDesignError(ValueError):
-    """The regression design is (numerically) rank deficient."""
+    """The squared perturbations of a bias design barely differ."""
+
+
+def _spread(w, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """``sum(w * dx**2)`` over the last axis, ``dx`` being ``x = h^2`` less its
+    ``w``-weighted mean.  A spread not above 1e-12 of ``sum(w * x**2)`` raises
+    :class:`SingularDesignError`; rescaling ``h`` or ``w`` keeps the verdict."""
+    sxx = (w * dx * dx).sum(axis=-1)
+    if not np.all(sxx > _MIN_SPREAD * (w * x * x).sum(axis=-1)):
+        raise SingularDesignError("squared perturbations barely differ (collinear bias design)")
+    return sxx
 
 
 @dataclass(frozen=True)
@@ -63,10 +75,9 @@ def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
     along the last axis of each argument.
 
     Row ``k`` carries weight ``1 / sds[k]^2``; the two-parameter fit has the
-    closed form of a weighted simple regression on ``h^2``.  Designs whose
-    row-scaled singular values give a condition number above 1e12 (for
-    instance coincident squared perturbations) are rejected.  1-D input
-    gives a float intercept and slope.
+    closed form of a weighted simple regression on ``h^2``.  Squared
+    perturbations that barely differ, at any scale of ``h`` and ``sds``, raise
+    :class:`SingularDesignError`.  1-D input gives a float intercept and slope.
     """
     h = np.asarray(h, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -79,21 +90,12 @@ def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
         raise ValueError("weights (standard deviations) must all be positive")
     x = h * h
     inv = 1.0 / sds
-    design = np.empty(h.shape + (2,))
-    design[..., 0] = inv
-    np.multiply(x, inv, out=design[..., 1])
-    sv = np.linalg.svd(design, compute_uv=False)
-    if (sv[..., 0] > _MAX_CONDITION * sv[..., 1]).any():
-        condition = np.max(sv[..., 0] / np.maximum(sv[..., 1], 1e-300))
-        raise SingularDesignError(
-            f"bias design is numerically singular (condition {condition:.2e})"
-        )
     w = inv * inv
     total = w.sum(axis=-1)
     x_mean = (w * x).sum(axis=-1) / total
     y_mean = (w * means).sum(axis=-1) / total
     dx = x - x_mean[..., None]
-    slope = (w * dx * (means - y_mean[..., None])).sum(axis=-1) / (w * dx * dx).sum(axis=-1)
+    slope = (w * dx * (means - y_mean[..., None])).sum(axis=-1) / _spread(w, x, dx)
     intercept = y_mean - slope * x_mean
     residuals = means - (intercept[..., None] + slope[..., None] * x)
     return BiasFit(_float_if_scalar(intercept), _float_if_scalar(slope), residuals)
@@ -136,13 +138,15 @@ def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
 
 
 def _checked_coefficients(c) -> np.ndarray:
-    """The magnitudes of at least two finite, nonzero coefficients."""
+    """The magnitudes of at least two finite, nonzero coefficients with distinct squares."""
     c = np.asarray(c, dtype=float).ravel()
     if c.size < 2:
         raise ValueError(f"need at least 2 coefficients, got {c.size}")
     bad = c[~(np.isfinite(c) & (c != 0))]
     if bad.size:
         raise ValueError(f"coefficients must be finite and nonzero, got {bad[0]}")
+    x = c * c
+    _spread(1.0, x, x - x.mean())
     return np.abs(c)
 
 
@@ -165,15 +169,12 @@ def projection_diagnostics(c: np.ndarray) -> ProjectionDiagnostics:
     """Diagnostics of the design with columns ``(1, c_k^2)``.
 
     The column space is invariant to the pilot-size scaling of the actual
-    perturbations, so the coefficients themselves parameterize it.
+    perturbations, so the coefficients themselves parameterize it.  Squares
+    that barely differ raise :class:`SingularDesignError`, as in the fit.
     """
     c = _checked_coefficients(c)
-    K = c.size
-    design = np.column_stack([np.ones(K), c * c])
-    if np.linalg.matrix_rank(design) < 2:
-        raise SingularDesignError("coefficients have coincident squares")
-    q_basis, _ = np.linalg.qr(design)
-    projector = np.eye(K) - q_basis @ q_basis.T
+    q_basis, _ = np.linalg.qr(np.column_stack([np.ones(c.size), c * c]))
+    projector = np.eye(c.size) - q_basis @ q_basis.T
     bias_shift = float(c @ projector @ c**4)
     variance_factor = float(np.sum((projector @ c / c) ** 2))
     return ProjectionDiagnostics(projector, bias_shift, variance_factor)
@@ -210,7 +211,8 @@ def theory_constants(c: np.ndarray, fifth_const: float, noise_slope: float) -> T
 
     ``fifth_const`` is the quartic-bias constant of the problem and
     ``noise_slope`` the derivative of the response's standard deviation at
-    the evaluation point (only the noise-fit bias uses it).
+    the evaluation point (only the noise-fit bias uses it).  Squares that
+    barely differ raise :class:`SingularDesignError`, as in the fit.
     """
     c = _checked_coefficients(c)
     for name, value in (("fifth_const", fifth_const), ("noise_slope", noise_slope)):
@@ -220,8 +222,6 @@ def theory_constants(c: np.ndarray, fifth_const: float, noise_slope: float) -> T
     s2, s4, s6 = (float(np.sum(c**p)) for p in (2, 4, 6))
     inv2, inv4, inv8 = (float(np.sum(c**-p)) for p in (2, 4, 8))
     den = K * s4 - s2 * s2
-    if abs(den) <= 1e-12 * K * s4:
-        raise SingularDesignError("coefficients give a collinear design")
     return TheoryConstants(
         slope_bias=fifth_const * (K * s6 - s2 * s4) / den,
         slope_var=(-(K**2) * s2 + s2 * s2 * inv2) / den**2,

@@ -169,6 +169,18 @@ class TestEstimateCommand:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_small_correctly_scaled_pilots_estimate(self, tmp_path):
+        # Pilots near 1e-6 on a derivative of 1e18: the bias design's
+        # collinearity test does not depend on the pilots' size.
+        summary = tmp_path / "y.csv"
+        code = main(["estimate", "--problem", "sin1", "--kappa", "1e18", "--mu0", "1e-6",
+                     "--sigma0", "1e-7", "--L", "1e-8", "--method", "cor", "--pairs", "1000",
+                     "--reps", "20", "--out", str(tmp_path / "x.csv"),
+                     "--summary-out", str(summary)])
+        assert code == 0
+        header, rows = read_csv(summary)
+        assert np.sqrt(float(rows[0][header.index("mse")])) < 1e-12 * 1e18
+
     def test_out_of_memory_is_a_cell_failure(self, tmp_path, monkeypatch, capsys):
         # A budget whose arrays cannot be allocated fails its cell.  numpy
         # raises a subclass of MemoryError, reported under the builtin name.
@@ -359,10 +371,15 @@ class TestBenchCommand:
         ("truth", "nan", "truth_override (truth) must be finite, got nan"),
         ("tra_B", "0", "tra_bias_const (tra_B) must be finite and nonzero, got 0.0"),
         ("tra_sigma2", "nan", "tra_noise_var (tra_sigma2) must be finite and positive, got nan"),
+        ("reps", "abc", "reps: 'abc' is not an integer"),
+        ("budgets", "1e3", "budgets: '1e3' is not an integer"),
+        ("K", "2.5", "K: '2.5' is not an integer"),
+        ("seed", "x", "seed: 'x' is not an integer"),
     ], ids=["K", "r", "n_b", "I", "clamp_scale", "clamp_scale_inf", "mu0_nan", "mu0_inf",
             "sigma0_inf", "poly_nan", "gamma", "massless_L", "default_r_boot", "kappa",
             "methods", "budgets",
-            "budget_zero", "tra_h_nan", "tra_h_zero", "truth", "tra_B", "tra_sigma2"])
+            "budget_zero", "tra_h_nan", "tra_h_zero", "truth", "tra_B", "tra_sigma2",
+            "reps_text", "budgets_float", "K_float", "seed_text"])
     def test_bad_setting_rejected_before_any_cell(self, key, value, message, tmp_path, capsys):
         out = tmp_path / "summary.csv"
         code = main([
@@ -400,6 +417,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: corfd") and "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["dfo", "--problem", "rosenbrock", "--budget", "1000", "--start", "1,,2"],
+         "--start: '' is not a number"),
+        (["diag", "--c", "1,x"], "--c: 'x' is not a number"),
+    ], ids=["start", "c"])
+    def test_unreadable_number_names_its_flag(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -472,7 +500,12 @@ class TestDiagCommand:
         (["--c", "1,nan,2"], "coefficients must be finite and nonzero, got nan"),
         (["--c", "1,2,3", "--fifth-const", "nan"], "fifth_const must be finite, got nan"),
         (["--c", "1,2,3", "--noise-slope", "nan"], "noise_slope must be finite, got nan"),
-    ], ids=["c_inf", "c_nan", "fifth_const_nan", "noise_slope_nan"])
+        # Well spread, but the squares or the moment sums leave the float range.
+        (["--c", "1e200,2e200"], "--c '1e200,2e200' leaves the float range of the "
+         "diagnostics: overflow encountered in multiply"),
+        (["--c", "1e-60,2e-60,3e-60"], "--c '1e-60,2e-60,3e-60' leaves the float range of "
+         "the diagnostics: overflow encountered in power"),
+    ], ids=["c_inf", "c_nan", "fifth_const_nan", "noise_slope_nan", "c_huge", "c_tiny"])
     def test_bad_value_is_named(self, argv, message, tmp_path, capsys):
         out = tmp_path / "diag.csv"
         assert main(["diag", *argv, "--out", str(out)]) == 1

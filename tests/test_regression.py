@@ -16,6 +16,15 @@ from corfd.sampling import stream
 from helpers import fit_var_unweighted
 
 
+def accepts(fn, *args) -> bool:
+    """Whether ``fn(*args)`` returns without a SingularDesignError."""
+    try:
+        fn(*args)
+    except SingularDesignError:
+        return False
+    return True
+
+
 class TestBiasFit:
     def test_noise_free_linear_model_recovered(self):
         h = np.array([0.1, 0.25, 0.4, 0.8])
@@ -72,6 +81,23 @@ class TestBiasFit:
         h = np.array([0.2, 0.2, 0.2])
         with pytest.raises(SingularDesignError):
             fit_bias_wls(h, np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("h, accepted", [
+        ([0.1, 0.25, 0.4, 0.8], True),
+        ([0.3, 0.3 * (1 + 1e-5), 0.3 * (1 + 2e-5)], True),
+        ([0.3, 0.3 * (1 + 1e-9), 0.3 * (1 + 2e-9)], False),
+        ([0.2, 0.2, 0.2], False),
+    ], ids=["spread", "near_tie_1e-5", "near_tie_1e-9", "coincident"])
+    def test_verdict_does_not_depend_on_scale(self, h, accepted):
+        # The collinearity test compares the weighted spread of h^2 with its
+        # weighted size, so neither rescaling h nor the sds moves it.
+        h = np.asarray(h)
+        sds = np.linspace(0.5, 2.0, h.size)
+        for k in range(-40, 41):
+            hk = h * 10.0**k
+            for sd_scale in (1e-20, 1.0, 1e20):
+                verdict = accepts(fit_bias_wls, hk, 2.0 + 3.0 * hk * hk, sds * sd_scale)
+                assert verdict == accepted, (k, sd_scale)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -237,6 +263,19 @@ class TestTheoryConstants:
     def test_collinear_design_rejected(self):
         with pytest.raises(SingularDesignError):
             theory_constants([1.5, 1.5, 1.5], 1.0, 0.0)
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-9, False), (1e-7, False), (1e-5, True)])
+def test_fit_and_diagnostics_share_one_verdict(eps, accepted):
+    # Equal-weight relative spread of c^2 is about (8/3) eps^2, against a
+    # threshold of 1e-12.
+    c = 1.5 * np.array([1.0, 1.0 + eps, 1.0 + 2.0 * eps])
+    verdicts = [
+        accepts(projection_diagnostics, c),
+        accepts(theory_constants, c, 1.0, 0.0),
+        accepts(fit_bias_wls, c, 2.0 + 3.0 * c * c, np.ones(3)),
+    ]
+    assert verdicts == [accepted] * 3
 
 
 class TestMonteCarloConsistency:

@@ -6,7 +6,8 @@ Replication ``i`` of grid cell ``j`` always consumes the stream addressed by
 identical whether cells run serially or across processes.  A cell derives
 its replications as one level of ``stream(seed, j)``'s children and cuts it
 once into batches, each one batched estimator call of at most
-``_BATCH_PAIRS`` pairs (or one replication).
+``_BATCH_PAIRS`` pairs (or one replication).  A grid's batches are dealt
+into one share per worker, and each share runs as one task.
 """
 from __future__ import annotations
 
@@ -138,8 +139,8 @@ class ExperimentConfig:
 
 def _run_batch(cfg: ExperimentConfig, method: str, budget: int, level: Streams):
     """One batched estimator call, one replication per row of the
-    :class:`~corfd.sampling.Streams` level ``level`` (worker entry point):
-    ``(value, pairs_used, perturbation)`` per row."""
+    :class:`~corfd.sampling.Streams` level ``level``: ``(value, pairs_used,
+    perturbation)`` per row."""
     problem = parse_problem(cfg.problem, cfg.kappa)
     oracle, theta0, coords = problem.oracle, problem.theta0, [0] * len(level)
     if method == "tra":
@@ -167,6 +168,25 @@ def _thread_count() -> int:
     return count
 
 
+def _run_share(cfg: ExperimentConfig, jobs):
+    """Run one worker's share of a grid's batches in order (worker entry
+    point): per job ``(cell, method, budget, level)``, its rows, or its
+    cell's ``(error type, message)`` once a batch of that cell has failed
+    here, in which case the share skips the cell's later batches."""
+    results, failed = [], {}
+    for cell, method, budget, level in jobs:
+        if cell not in failed:
+            try:
+                results.append(_run_batch(cfg, method, budget, level))
+                continue
+            except (ValueError, MemoryError) as exc:
+                # numpy raises a MemoryError subclass for an array too large to allocate.
+                kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+                failed[cell] = (kind, str(exc))
+        results.append(failed[cell])
+    return results
+
+
 def run_replications(cfg: ExperimentConfig):
     """Run the experiment grid.
 
@@ -179,10 +199,12 @@ def run_replications(cfg: ExperimentConfig):
     ``stream(seed, j)``.  A cell's replications are cut once into batches
     of at most ``_BATCH_PAIRS`` pairs (or one replication) and at most
     ``ceil(reps / CORFD_THREADS)`` replications, each one batched estimator
-    call, so one error fails the whole cell.  With ``CORFD_THREADS`` above
-    one the batches run on one process pool shared by all cells, in as many
-    contiguous tasks per cell as there are workers.  Batches come back in
-    replication order, and a failing batch cancels the cell's queued ones.
+    call, so one error fails the whole cell.  The grid's batches are dealt
+    round-robin into at most ``CORFD_THREADS`` shares, each run in order as
+    one task; more than one share runs on a process pool with one worker
+    per share, a single share in this process.  Rows are put back in
+    replication order, and a failing cell reports its earliest failing
+    batch.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -191,40 +213,52 @@ def run_replications(cfg: ExperimentConfig):
     workers = _thread_count()
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
     roots = spawn(stream(cfg.seed), len(cells))
-    parallel = workers > 1 and cfg.reps > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for (method, budget), root in zip(cells, roots):
-            level = root.spawn(cfg.reps)
-            size = min(max(1, _BATCH_PAIRS // budget), -(-cfg.reps // workers))
-            batches = [level[start:start + size] for start in range(0, cfg.reps, size)]
-            run_batch = partial(_run_batch, cfg, method, budget)
-            try:
-                results = map(run_batch, batches) if pool is None else pool.map(
-                    run_batch, batches, chunksize=-(-len(batches) // workers))
-                rows = [row for batch in results for row in batch]
-            except (ValueError, MemoryError) as exc:
-                # numpy raises a MemoryError subclass for an array too large to allocate.
-                kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-                failures.append((f"{cfg.problem}/{method}/{budget}", kind, str(exc)))
-                continue
-            for rep, (value, pairs_used, perturbation) in enumerate(rows):
-                detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
-            if truth is not None:
-                stats = summarize([row[0] for row in rows], truth)
-                summary_rows.append(
-                    [cfg.problem, method, budget, stats.reps, stats.bias, stats.variance, stats.mse]
-                )
+    jobs = []
+    for cell, ((method, budget), root) in enumerate(zip(cells, roots)):
+        level = root.spawn(cfg.reps)
+        size = min(max(1, _BATCH_PAIRS // budget), -(-cfg.reps // workers))
+        jobs += [(cell, method, budget, level[start:start + size])
+                 for start in range(0, cfg.reps, size)]
+    count = min(workers, len(jobs))
+    shares = [jobs[k::count] for k in range(count)]
+    run_share = partial(_run_share, cfg)
+    with ProcessPoolExecutor(max_workers=count) if count > 1 else nullcontext() as pool:
+        results = map(run_share, shares) if pool is None else pool.map(run_share, shares)
+        outcomes = [None] * len(jobs)
+        for k, result in enumerate(results):
+            outcomes[k::count] = result
+    rows: list[list] = [[] for _ in cells]
+    errors: dict[int, tuple[str, str]] = {}
+    for (cell, *_), outcome in zip(jobs, outcomes):
+        if isinstance(outcome, list):
+            rows[cell] += outcome
+        else:
+            errors.setdefault(cell, outcome)
+    for cell, (method, budget) in enumerate(cells):
+        if cell in errors:
+            failures.append((f"{cfg.problem}/{method}/{budget}", *errors[cell]))
+            continue
+        for rep, (value, pairs_used, perturbation) in enumerate(rows[cell]):
+            detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
+        if truth is not None:
+            stats = summarize([row[0] for row in rows[cell]], truth)
+            summary_rows.append(
+                [cfg.problem, method, budget, stats.reps, stats.bias, stats.variance, stats.mse]
+            )
     return detail_rows, summary_rows, failures
 
 
-def _format_field(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _field(value) -> str:
+    """One CSV field: a float in 17 significant digits, an integer or bool
+    as ``str`` gives it, anything else as text, quoted where it must be."""
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+        return "%.17g" % value
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def emit_csv(rows, header, path) -> None:
@@ -234,13 +268,7 @@ def emit_csv(rows, header, path) -> None:
     for row in rows:
         if len(row) != width:
             raise ValueError(f"row width {len(row)} != header width {width}")
-    lines = [",".join(header)] + [",".join(_quote(_format_field(v)) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(_field, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def _quote(field_text: str) -> str:
-    if any(ch in field_text for ch in ',"\n\r'):
-        return '"' + field_text.replace('"', '""') + '"'
-    return field_text

@@ -238,14 +238,16 @@ def _cmd_bench(ns) -> int:
 
 def _cmd_diag(ns) -> int:
     c = np.array([_read(float, x, "--c") for x in ns.c.split(",") if x.strip()])
-    # The moment sums take powers of c up to 16, which leave the float range
-    # for coefficients far from 1.
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            proj = projection_diagnostics(c)
-            const = theory_constants(c, ns.fifth_const, ns.noise_slope)
-    except ArithmeticError as exc:
-        raise ValueError(f"--c {ns.c!r} leaves the float range of the diagnostics: {exc}") from None
+        proj = projection_diagnostics(c)
+        const = theory_constants(c, ns.fifth_const, ns.noise_slope)
+    except ValueError as exc:
+        # A float-range error chains the arithmetic error it replaced.
+        if not isinstance(exc.__cause__, ArithmeticError):
+            raise
+        raise ValueError(
+            f"--c {ns.c!r} leaves the float range of the diagnostics: {exc.__cause__}"
+        ) from None
     p = proj.residual_projector
     rows = [
         ["projector_idempotency_gap", float(np.max(np.abs(p @ p - p)))],

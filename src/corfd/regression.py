@@ -18,6 +18,7 @@ smaller.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,21 @@ def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
     return _float_if_scalar(np.where(np.asarray(bhat) >= 0, magnitude, -magnitude))
 
 
+@contextmanager
+def _float_range(c):
+    """Run diagnostics arithmetic on coefficients ``c``: a step that leaves
+    the float range raises a ``ValueError`` naming them, chained to the
+    arithmetic error, without a warning."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        named = np.asarray(c, dtype=float).ravel().tolist()
+        raise ValueError(
+            f"coefficients {named} leave the float range of the diagnostics: {exc}"
+        ) from exc
+
+
 def _checked_coefficients(c) -> np.ndarray:
     """The magnitudes of at least two finite, nonzero coefficients with distinct squares."""
     c = np.asarray(c, dtype=float).ravel()
@@ -170,13 +186,16 @@ def projection_diagnostics(c: np.ndarray) -> ProjectionDiagnostics:
 
     The column space is invariant to the pilot-size scaling of the actual
     perturbations, so the coefficients themselves parameterize it.  Squares
-    that barely differ raise :class:`SingularDesignError`, as in the fit.
+    that barely differ raise :class:`SingularDesignError`, as in the fit, and
+    coefficients far enough from 1 that its arithmetic leaves the float range
+    raise ``ValueError``.
     """
-    c = _checked_coefficients(c)
-    q_basis, _ = np.linalg.qr(np.column_stack([np.ones(c.size), c * c]))
-    projector = np.eye(c.size) - q_basis @ q_basis.T
-    bias_shift = float(c @ projector @ c**4)
-    variance_factor = float(np.sum((projector @ c / c) ** 2))
+    with _float_range(c):
+        c = _checked_coefficients(c)
+        q_basis, _ = np.linalg.qr(np.column_stack([np.ones(c.size), c * c]))
+        projector = np.eye(c.size) - q_basis @ q_basis.T
+        bias_shift = float(c @ projector @ c**4)
+        variance_factor = float(np.sum((projector @ c / c) ** 2))
     return ProjectionDiagnostics(projector, bias_shift, variance_factor)
 
 
@@ -212,21 +231,24 @@ def theory_constants(c: np.ndarray, fifth_const: float, noise_slope: float) -> T
     ``fifth_const`` is the quartic-bias constant of the problem and
     ``noise_slope`` the derivative of the response's standard deviation at
     the evaluation point (only the noise-fit bias uses it).  Squares that
-    barely differ raise :class:`SingularDesignError`, as in the fit.
+    barely differ raise :class:`SingularDesignError`, as in the fit, and
+    coefficients whose moment sums (powers up to 16) leave the float range
+    raise ``ValueError``.
     """
-    c = _checked_coefficients(c)
-    for name, value in (("fifth_const", fifth_const), ("noise_slope", noise_slope)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    K = c.size
-    s2, s4, s6 = (float(np.sum(c**p)) for p in (2, 4, 6))
-    inv2, inv4, inv8 = (float(np.sum(c**-p)) for p in (2, 4, 8))
-    den = K * s4 - s2 * s2
-    return TheoryConstants(
-        slope_bias=fifth_const * (K * s6 - s2 * s4) / den,
-        slope_var=(-(K**2) * s2 + s2 * s2 * inv2) / den**2,
-        intercept_bias=fifth_const * (s4 * s4 - s2 * s6) / den,
-        intercept_var=(s2**3 - 2 * K * s4 * s2 + s4 * s4 * inv2) / den**2,
-        noise_bias=noise_slope**2 * inv2 / inv4,
-        noise_var_coeff=inv8 / inv4**2,
-    )
+    with _float_range(c):
+        c = _checked_coefficients(c)
+        for name, value in (("fifth_const", fifth_const), ("noise_slope", noise_slope)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        K = c.size
+        s2, s4, s6 = (float(np.sum(c**p)) for p in (2, 4, 6))
+        inv2, inv4, inv8 = (float(np.sum(c**-p)) for p in (2, 4, 8))
+        den = K * s4 - s2 * s2
+        return TheoryConstants(
+            slope_bias=fifth_const * (K * s6 - s2 * s4) / den,
+            slope_var=(-(K**2) * s2 + s2 * s2 * inv2) / den**2,
+            intercept_bias=fifth_const * (s4 * s4 - s2 * s6) / den,
+            intercept_var=(s2**3 - 2 * K * s4 * s2 + s4 * s4 * inv2) / den**2,
+            noise_bias=noise_slope**2 * inv2 / inv4,
+            noise_var_coeff=inv8 / inv4**2,
+        )

@@ -1,5 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +14,9 @@ from corfd.bench import (
     run_replications,
     summarize,
 )
-from corfd.estimators import EstimatorConfig, cor_cfd
+from corfd.estimators import EstimationError, EstimatorConfig, cor_cfd
 from corfd.oracle import parse_problem
-from corfd.sampling import stream
+from corfd.sampling import spawn, stream
 
 
 class TestSummarize:
@@ -79,6 +80,18 @@ class TestEmitCsv:
         path = tmp_path / "q.csv"
         emit_csv([['with,comma', 'with"quote']], ["x", "y"], path)
         assert path.read_text() == 'x,y\n"with,comma","with""quote"\n'
+
+    def test_each_field_type_keeps_its_bytes(self, tmp_path):
+        # Floats of any numpy width in 17 digits, ints and bools as str
+        # writes them, and only text is ever quoted.
+        row = [True, np.bool_(False), 7, np.int64(-3), 2**70, 0.1, np.float32(0.1),
+               float("inf"), float("-inf"), float("nan"), 1e-300, -0.0, "a\r\nb", "plain", None]
+        path = tmp_path / "t.csv"
+        emit_csv([row], [f"c{i}" for i in range(len(row))], path)
+        assert path.read_bytes().split(b"\n", 1)[1] == (
+            b"True,False,7,-3,1180591620717411303424,0.10000000000000001,0.10000000149011612,"
+            b'inf,-inf,nan,1e-300,-0,"a\r\nb",plain,None\n'
+        )
 
     def test_width_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -145,6 +158,22 @@ class TestRunReplications:
         assert serial[0] == parallel[0]
         assert serial[1] == parallel[1]
 
+    def test_pool_forks_no_idle_workers(self, monkeypatch):
+        sizes = []
+
+        class SizedPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setenv("CORFD_THREADS", "4")
+        # Two batches of one replication need two workers; one batch runs
+        # without a pool.
+        run_replications(small_config(methods=("cor",), reps=2))
+        run_replications(small_config(methods=("cor",), reps=1))
+        assert sizes == [2]
+
     @pytest.mark.parametrize("raw", ["two", "0", "-1"])
     def test_bad_thread_count_rejected(self, raw, monkeypatch):
         monkeypatch.setenv("CORFD_THREADS", raw)
@@ -184,11 +213,11 @@ class TestRunReplications:
             return call
 
         class SpyPool(ThreadPoolExecutor):
-            # Counts the tasks of each cell and runs its batches in order.
-            def map(self, fn, batches, chunksize=1):
-                batches = list(batches)
-                tasks.append(-(-len(batches) // chunksize))
-                return map(fn, batches)
+            # Counts the tasks of each map and runs its shares in order.
+            def map(self, fn, shares, chunksize=1):
+                shares = list(shares)
+                tasks.append(-(-len(shares) // chunksize))
+                return map(fn, shares)
 
         for name in ("tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"):
             monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
@@ -200,7 +229,8 @@ class TestRunReplications:
         # Five replications on one worker: one batch at 100 pairs, batches of
         # 2, 2 and 1 below half the cap, and batches of one above it.  On
         # three, a batch also holds at most ceil(5 / 3) = 2 replications.
-        cor_rows = {1: [5, 2, 2, 1, 1, 1, 1, 1, 1], 3: [2, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1]}
+        cor_rows = {1: {100: [5], cap // 2 - 1: [2, 2, 1], cap + 1: [1] * 5},
+                    3: {100: [2, 2, 1], cap // 2 - 1: [2, 2, 1], cap + 1: [1] * 5}}
         for workers, expected in cor_rows.items():
             calls.clear()
             monkeypatch.setenv("CORFD_THREADS", str(workers))
@@ -208,11 +238,47 @@ class TestRunReplications:
             assert not failures and len(detail) == 4 * 3 * 5
             assert {name for name, _, _ in calls} == {"tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"}
             assert all(rows * n <= cap or rows == 1 for _, rows, n in calls)
-            assert [rows for name, rows, _ in calls if name == "cor_cfd"] == expected
+            # Shares interleave the cells, so compare each cell's batch sizes.
+            per_cell = {n: sorted(rows for name, rows, m in calls if name == "cor_cfd" and m == n)
+                        for n in budgets}
+            assert per_cell == {n: sorted(sizes) for n, sizes in expected.items()}
         assert max(rows for _, rows, _ in calls) == 2
-        # Only the three-worker run uses the pool, and each of its 12 cells
-        # goes there as at most one task per worker.
-        assert len(tasks) == 12 and max(tasks) == 3
+        # Only the three-worker run uses the pool: one map for the whole
+        # grid, at most one task per worker.
+        assert tasks == [3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [{2}, {2, 4}], ids=["second", "second-third"])
+    def test_failing_batch_fails_only_its_cell(self, failing, workers, monkeypatch):
+        # A 100-pair cell's 5 replications run in batches of 2, 2 and 1 at
+        # any of these worker counts.  The estimator fails in the batches of
+        # cell 2 (opt/100) that start at the replications in ``failing``;
+        # the cell reports its earliest failing batch, and the other cells
+        # are as without the failure.
+        monkeypatch.setattr(bench, "_BATCH_PAIRS", 200)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
+        cfg = small_config(methods=("cor", "opt", "tra"), budgets=(100, 200), reps=5)
+        reference = run_replications(cfg)
+        level = spawn(stream(cfg.seed), 6)[2].spawn(cfg.reps)
+        starts = {pool.tobytes(): i for i, pool in enumerate(level.pools)}
+        opt_cfd, called = bench.opt_cfd, []
+
+        def failing_opt(oracle, theta0, coords, n, truth, rngs):
+            start = starts.get(rngs.pools[0].tobytes())
+            if n == 100:
+                called.append(start)
+                if start in failing:
+                    raise EstimationError(f"batch from replication {start}")
+            return opt_cfd(oracle, theta0, coords, n, truth, rngs)
+
+        monkeypatch.setattr(bench, "opt_cfd", failing_opt)
+        monkeypatch.setenv("CORFD_THREADS", str(workers))
+        detail, summary, failures = run_replications(cfg)
+        assert failures == [("poly@0/opt/100", "EstimationError", "batch from replication 2")]
+        assert detail == [row for row in reference[0] if row[1:3] != ["opt", 100]]
+        assert summary == [row for row in reference[1] if row[1:3] != ["opt", 100]]
+        if workers == 1:
+            assert called == [0, 2]  # the batch after the failing one is skipped
 
     def test_replication_runs_on_its_addressed_stream(self, monkeypatch):
         # Replication i of cell j runs on stream (seed, j, i), also in a

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -276,6 +279,24 @@ def test_fit_and_diagnostics_share_one_verdict(eps, accepted):
         accepts(fit_bias_wls, c, 2.0 + 3.0 * c * c, np.ones(3)),
     ]
     assert verdicts == [accepted] * 3
+
+
+@pytest.mark.parametrize("diagnostic, c", [
+    (projection_diagnostics, [1e200, 2e200]),
+    (projection_diagnostics, [1e100, 2e100, 3e100]),
+    (lambda c: theory_constants(c, 1.0, 0.0), [1e-60, 2e-60, 3e-60]),
+    (lambda c: theory_constants(c, 1.0, 0.0), [1e60, 2e60, 3e60]),
+    (lambda c: theory_constants(c, 1.0, 0.0), [1e40, 2e40, 3e40]),
+], ids=["projection-1e200", "projection-1e100", "theory-1e-60", "theory-1e60", "theory-1e40"])
+def test_diagnostics_outside_the_float_range_name_the_coefficients(diagnostic, c):
+    # Well spread, but powers of c (numpy) or the moment sums (Python
+    # floats) leave the float range: one ValueError, no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficients {c} leave the float range of the diagnostics: ")) as info:
+            diagnostic(np.array(c))
+    assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 class TestMonteCarloConsistency:

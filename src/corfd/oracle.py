@@ -17,6 +17,7 @@ __all__ = [
     "NonFiniteResponseError",
     "GroundTruth",
     "SimulationOracle",
+    "block_sampler",
     "QueueSpec",
     "sin_oracle",
     "poly_oracle",
@@ -66,13 +67,14 @@ class GroundTruth:
 class SimulationOracle:
     """A noisy function ``Y(theta)`` evaluated by simulation.
 
-    ``sample(theta, rng, size)`` returns ``size`` independent draws at one
-    point.  ``sample_rows(points, rngs, size)``, when given, draws ``size``
-    values at each row of a 2-D block of points, row ``j`` from ``rngs[j]``;
-    it must return bit for bit what one ``sample`` call per row returns.
-    The sine, polynomial and benchmark oracles draw blocks in one call (the
-    first two draw one point as a block of one); the queue draws one point
-    at a time.
+    ``sample(points, rngs, size)`` draws a block: ``points`` is ``(m, d)``,
+    ``rngs`` holds one generator per row, and row ``j`` of the ``(m, size)``
+    result holds ``size`` independent draws at ``points[j]`` from
+    ``rngs[j]``; rows that share a generator draw from it in row order.
+    ``sample(theta, rng, size)`` with one point and one generator returns
+    that point's ``size`` draws.  Every oracle here builds its ``sample``
+    with :func:`block_sampler`, and a block equals its points drawn one at
+    a time, bit for bit.
     ``mean`` is the noise-free response when known (used for optimality-gap
     reporting and exactness tests), ``truth`` maps a point to its
     :class:`GroundTruth`, and ``argmin`` is the known minimizer for
@@ -81,11 +83,10 @@ class SimulationOracle:
 
     dim: int
     label: str
-    sample: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
+    sample: Callable[[np.ndarray, object, int], np.ndarray]
     mean: Callable[[np.ndarray], float] | None = None
     truth: Callable[[np.ndarray], GroundTruth] | None = None
     argmin: np.ndarray | None = None
-    sample_rows: Callable[[np.ndarray, Sequence, int], np.ndarray] | None = None
 
     def eval(self, theta: np.ndarray | float, rng: np.random.Generator) -> float:
         """One scalar draw of ``Y(theta)``."""
@@ -93,29 +94,39 @@ class SimulationOracle:
         return float(draw_responses(self, theta, rng, 1)[0])
 
 
+def block_sampler(block: Callable, point: Callable | None = None) -> Callable:
+    """The ``sample`` of an oracle that draws by blocks.
+
+    ``block(points, rngs, size)`` draws the ``(m, size)`` block of a 2-D
+    ``points`` as :class:`SimulationOracle` describes.  The result passes
+    a 2-D ``theta`` to ``block`` and draws one point with one generator as
+    a block of one, or by ``point(theta, rng, size)`` when given; ``point``
+    must return what the block of one returns, bit for bit.
+    """
+
+    def sample(theta, rng, size):
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            return block(theta, rng, size)
+        if point is not None:
+            return point(theta, rng, size)
+        return block(theta.reshape(1, -1), [rng], size)[0]
+
+    return sample
+
+
 def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
     """``size`` draws of the response at ``theta``, refusing non-finite ones.
 
     ``theta`` is one point and ``rng`` a generator, or ``theta`` is a 2-D
     block of points and ``rng`` a sequence of generators, one per row; the
-    block has shape ``(m, size)``.  Row ``j`` is drawn from ``rng[j]``, and
-    rows that share a generator draw from it in row order: in one
-    ``sample_rows`` call for the oracles that have it (all but the queue),
-    otherwise by one ``sample`` call per row.  The error names the first
-    point whose draws are not all finite.
+    block has shape ``(m, size)`` and is drawn by one ``oracle.sample``
+    call.  The error names the first point whose draws are not all finite.
     """
     theta = np.asarray(theta)
-    if theta.ndim == 2:
-        if len(rng) != len(theta):
-            raise ValueError(f"need one generator per point, got {len(rng)} for {len(theta)}")
-        if oracle.sample_rows is not None:
-            y = oracle.sample_rows(theta, rng, size)
-        else:
-            y = np.empty((len(rng), size))
-            for j, row_rng in enumerate(rng):
-                y[j] = oracle.sample(theta[j], row_rng, size)
-    else:
-        y = oracle.sample(theta, rng, size)
+    if theta.ndim == 2 and len(rng) != len(theta):
+        raise ValueError(f"need one generator per point, got {len(rng)} for {len(theta)}")
+    y = oracle.sample(theta, rng, size)
     finite = np.isfinite(y)
     if not finite.all():
         point = theta if theta.ndim < 2 else theta[np.argmin(finite.all(axis=-1))]
@@ -134,15 +145,6 @@ def _standard_normal_rows(rngs: Sequence, size: int) -> np.ndarray:
     for row, rng in zip(y, rngs):
         rng.standard_normal(out=row)
     return y
-
-
-def _block_of_one(sample_rows: Callable) -> Callable:
-    """The one-point ``sample`` of an oracle that draws by blocks."""
-
-    def sample(theta, rng, size):
-        return sample_rows(np.reshape(np.asarray(theta, dtype=float), (1, -1)), [rng], size)[0]
-
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
         t = float(np.atleast_1d(theta)[0])
         return 1.0 if case == 1 else float(np.exp(-1.5 * t))
 
-    def sample_rows(points, rngs, size):
+    def block(points, rngs, size):
         t = np.asarray(points, dtype=float)[:, 0]
         y = _standard_normal_rows(rngs, size)
         if case == 2:
@@ -194,8 +196,7 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
         )
 
     return SimulationOracle(
-        dim=1, label=f"sin{case}", sample=_block_of_one(sample_rows), mean=mean, truth=truth,
-        sample_rows=sample_rows,
+        dim=1, label=f"sin{case}", sample=block_sampler(block), mean=mean, truth=truth
     )
 
 
@@ -212,7 +213,7 @@ def poly_oracle() -> SimulationOracle:
     def mean(theta):
         return value(float(np.atleast_1d(theta)[0]))
 
-    def sample_rows(points, rngs, size):
+    def block(points, rngs, size):
         # Per row on Python floats, so a row's mean is the value ``mean``
         # gives, and a power past the float range is an infinite row.
         y = _standard_normal_rows(rngs, size)
@@ -229,8 +230,7 @@ def poly_oracle() -> SimulationOracle:
         )
 
     return SimulationOracle(
-        dim=1, label="poly", sample=_block_of_one(sample_rows), mean=mean, truth=truth,
-        sample_rows=sample_rows,
+        dim=1, label="poly", sample=block_sampler(block), mean=mean, truth=truth
     )
 
 
@@ -299,20 +299,20 @@ def noisy_bench_oracle(fn: str, d: int) -> SimulationOracle:
     else:
         raise ValueError(f"unknown benchmark function {fn!r}")
 
-    # One point is drawn directly, not as a block of one: the line search
-    # draws one point at a time, and a block of one takes 16 us where this
-    # takes 13 (zakharov@10, 2-core x86-64).
-    def sample(theta, rng, size):
-        return f(theta) + rng.standard_normal(size)
-
-    def sample_rows(points, rngs, size):
+    def block(points, rngs, size):
         y = _standard_normal_rows(rngs, size)
         y += f(points)[:, None]
         return y
 
+    # One point is drawn directly, not as a block of one: the line search
+    # draws one point at a time, and a block of one takes 16 us where this
+    # takes 13 (zakharov@10, 2-core x86-64).
+    def sample_point(theta, rng, size):
+        return f(theta) + rng.standard_normal(size)
+
     return SimulationOracle(
-        dim=d, label=f"{fn}@{d}", sample=sample, mean=lambda t: float(f(t)), argmin=argmin,
-        sample_rows=sample_rows,
+        dim=d, label=f"{fn}@{d}", sample=block_sampler(block, sample_point),
+        mean=lambda t: float(f(t)), argmin=argmin,
     )
 
 
@@ -337,17 +337,59 @@ class QueueSpec:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
-# Path-steps per block of the waiting-time walk: two float64 work arrays of
-# this many elements (1 MB in all), whatever the number of paths.
-_QUEUE_BLOCK = 1 << 16
+# Path-steps in one block of the queue's differences ``S - A``: a block of
+# float64 is 2 MB, and holds as many rows' paths as fit.  A walk runs over
+# at most this many path-steps at a time, so its columns stay in cache.
+_QUEUE_BLOCK = 1 << 18
+
+# Paths from which the waiting-time walk goes customer by customer rather
+# than path by path (see ``_wait_sums``).  Set from timings of 20-row blocks
+# at 10, 50 and 500 customers on a 2-core x86-64 host: 256 was as fast from
+# 256 paths on, but slower on blocks of 128 to 255 paths.
+_WALK_PATHS = 128
 
 
-def _exponentials(rng: np.random.Generator, shape: tuple[int, int], rate: float) -> np.ndarray:
-    """Inverse-CDF exponential draws, ``-log(u) / rate``, computed in place."""
-    u = rng.random(shape)
-    np.log(u, out=u)
-    u /= -rate
-    return u
+def _draw_paths(
+    rng: np.random.Generator, lam: float, mu: float, arrivals: np.ndarray, services: np.ndarray
+) -> None:
+    """Fill ``arrivals`` and then ``services`` (paths by customers) from
+    ``rng`` with inverse-CDF exponential draws, ``-log(u) / rate``,
+    computed in place.  A fixed stream reproduces the paths exactly."""
+    for out, rate in ((arrivals, lam), (services, mu)):
+        rng.random(out=out)
+        np.log(out, out=out)
+        out /= -rate
+
+
+def _wait_sums(x: np.ndarray) -> np.ndarray:
+    """Each path's sum of waiting times, given its differences ``x = S - A``
+    (paths by customers 2..N), which it overwrites with the waits.
+
+    Lindley's recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)`` from
+    ``W_0 = 0`` has the closed form ``W_j = X_j - min(0, X_1, ..., X_j)``,
+    where ``X`` is the partial sum of ``S - A``.  Under ``_WALK_PATHS``
+    paths, a cumulative sum and a running minimum run along each path;
+    from there on, one pass per customer runs over all paths, three numpy
+    calls per customer however many paths there are.  Both take the same
+    sequential partial sums, exact minima and subtraction, so they give
+    the same bits, and a path's waits do not depend on the paths beside it.
+    """
+    chunk = max(1, _QUEUE_BLOCK // max(1, x.shape[1]))
+    for start in range(0, len(x), chunk):
+        w = x[start : start + chunk]
+        if len(w) < _WALK_PATHS:
+            np.cumsum(w, axis=1, out=w)
+            low = np.minimum.accumulate(w, axis=1)
+            np.minimum(low, 0.0, out=low)
+            w -= low
+            continue
+        total, low = np.zeros(len(w)), np.zeros(len(w))
+        for j in range(w.shape[1]):
+            step = w[:, j]
+            total += step
+            np.minimum(low, total, out=low)
+            np.subtract(total, low, out=step)
+    return x.sum(axis=1)
 
 
 def _simulate_queue(
@@ -358,39 +400,21 @@ def _simulate_queue(
     rng: np.random.Generator,
     size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Waiting times of ``size`` independent paths, vectorized over customers.
+    """Responses of ``size`` independent paths, with their draws.
 
     Returns (responses, interarrival draws, service draws); the draws are
-    needed by the score-function derivative estimator.  Exponentials come from
-    the inverse CDF so a fixed stream reproduces paths exactly.  With
-    ``measure="wait"`` the response is the average waiting time of the first
-    ``horizon`` customers; with ``measure="sojourn"`` their average time in
-    system (wait plus own service), which draws one extra service time.
-
-    Lindley's recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)`` from ``W_0 = 0``
-    has the closed form ``W_j = X_j - min(0, X_1, ..., X_j)``, where ``X`` is
-    the partial sum of ``S - A``: one cumulative sum and one running minimum
-    along the customer axis, taken over blocks of paths.
+    needed by the score-function derivative estimator.  Interarrivals of
+    customers 2..N are drawn first, then the services in customer order.
+    With ``measure="wait"`` the response is the average waiting time of the
+    first ``horizon`` customers; with ``measure="sojourn"`` their average
+    time in system (wait plus own service), which draws one extra service
+    time.
     """
     n_steps = horizon - 1
     n_svc = horizon if measure == "sojourn" else n_steps
-    # Interarrivals of customers 2..N, then the services in customer order.
-    arrivals = _exponentials(rng, (size, n_steps), lam)
-    services = _exponentials(rng, (size, n_svc), mu)
-    total = np.zeros(size)
-    if n_steps:
-        rows = max(1, _QUEUE_BLOCK // n_steps)
-        walk = np.empty((min(rows, size), n_steps))
-        low = np.empty_like(walk)
-        for start in range(0, size, rows):
-            stop = min(start + rows, size)
-            x, m = walk[: stop - start], low[: stop - start]
-            np.subtract(services[start:stop, :n_steps], arrivals[start:stop], out=x)
-            np.cumsum(x, axis=1, out=x)
-            np.minimum.accumulate(x, axis=1, out=m)
-            np.minimum(m, 0.0, out=m)
-            x -= m
-            x.sum(axis=1, out=total[start:stop])
+    arrivals, services = np.empty((size, n_steps)), np.empty((size, n_svc))
+    _draw_paths(rng, lam, mu, arrivals, services)
+    total = _wait_sums(services[:, :n_steps] - arrivals)
     if measure == "sojourn":
         total += services.sum(axis=1)
     return total / horizon, arrivals, services
@@ -407,27 +431,57 @@ def queue_oracle(
     restricts it to the average waiting time.  The default (service rate,
     time in system) pairing is the one validated against the published
     sensitivity values by :func:`lr_derivative_oracle`; see the README.
+
+    A block's rows draw their paths as :func:`_simulate_queue` does, each
+    from its own generator, into one difference block of at most
+    ``_QUEUE_BLOCK`` path-steps, reused for the next rows once walked.
+    Each response equals that of its point drawn alone, bit for bit.
     """
     if parameter not in ("arrival", "service"):
         raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
     if measure not in ("wait", "sojourn"):
         raise ValueError(f"measure must be 'wait' or 'sojourn', got {measure!r}")
+    horizon = spec.horizon
+    n_steps = horizon - 1
+    n_svc = horizon if measure == "sojourn" else n_steps
 
-    def rates(theta):
-        t = float(np.atleast_1d(theta)[0])
-        if not t > 0:
-            raise ValueError(f"queue rates must be positive, got {t}")
+    def rates(points):
+        values = points[:, 0].tolist()
+        for t in values:
+            if not t > 0:
+                raise ValueError(f"queue rates must be positive, got {t}")
         if parameter == "arrival":
-            return t, spec.service_rate
-        return spec.arrival_rate, t
+            return [(t, spec.service_rate) for t in values]
+        return [(spec.arrival_rate, t) for t in values]
 
-    def sample(theta, rng, size):
-        lam, mu = rates(theta)
-        response, _, _ = _simulate_queue(lam, mu, spec.horizon, measure, rng, size)
-        return response
+    def block(points, rngs, size):
+        rows = rates(points)
+        y = np.empty((len(rows), size))
+        per_block = min(len(rows), max(1, _QUEUE_BLOCK // max(1, size * n_steps)))
+        if per_block * size < _WALK_PATHS:
+            # Too few paths to walk customer by customer: each row walks
+            # alone, in a block small enough to stay in cache.
+            per_block = 1
+        diffs = np.empty((per_block * size, n_steps))
+        services = np.empty((size, n_svc))
+        for start in range(0, len(rows), per_block):
+            stop = min(start + per_block, len(rows))
+            x = diffs[: (stop - start) * size]
+            for j, arrivals in zip(range(start, stop), x.reshape(stop - start, size, n_steps)):
+                _draw_paths(rngs[j], *rows[j], arrivals, services)
+                np.subtract(services[:, :n_steps], arrivals, out=arrivals)
+                if measure == "sojourn":
+                    services.sum(axis=1, out=y[j])
+            waits = _wait_sums(x).reshape(stop - start, size)
+            if measure == "sojourn":
+                y[start:stop] += waits
+            else:
+                y[start:stop] = waits
+        y /= horizon
+        return y
 
     label = f"queue@{spec.arrival_rate},{spec.service_rate},{spec.horizon},{parameter},{measure}"
-    return SimulationOracle(dim=1, label=label, sample=sample)
+    return SimulationOracle(dim=1, label=label, sample=block_sampler(block))
 
 
 # Paths per block of the score-function estimator: bounds its memory, since

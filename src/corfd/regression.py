@@ -244,11 +244,15 @@ def theory_constants(c: np.ndarray, fifth_const: float, noise_slope: float) -> T
         s2, s4, s6 = (float(np.sum(c**p)) for p in (2, 4, 6))
         inv2, inv4, inv8 = (float(np.sum(c**-p)) for p in (2, 4, 8))
         den = K * s4 - s2 * s2
-        return TheoryConstants(
-            slope_bias=fifth_const * (K * s6 - s2 * s4) / den,
-            slope_var=(-(K**2) * s2 + s2 * s2 * inv2) / den**2,
-            intercept_bias=fifth_const * (s4 * s4 - s2 * s6) / den,
-            intercept_var=(s2**3 - 2 * K * s4 * s2 + s4 * s4 * inv2) / den**2,
-            noise_bias=noise_slope**2 * inv2 / inv4,
-            noise_var_coeff=inv8 / inv4**2,
-        )
+        try:
+            return TheoryConstants(
+                slope_bias=fifth_const * (K * s6 - s2 * s4) / den,
+                slope_var=(-(K**2) * s2 + s2 * s2 * inv2) / den**2,
+                intercept_bias=fifth_const * (s4 * s4 - s2 * s6) / den,
+                intercept_var=(s2**3 - 2 * K * s4 * s2 + s4 * s4 * inv2) / den**2,
+                noise_bias=noise_slope**2 * inv2 / inv4,
+                noise_var_coeff=inv8 / inv4**2,
+            )
+        except OverflowError:
+            # Python's float power reports only an errno pair; name the step.
+            raise OverflowError("overflow in a power of a moment sum") from None

@@ -368,19 +368,19 @@ def difference_samples(
     drawn in one oracle batch.
     """
     single = isinstance(coord, (int, np.integer))
-    coords, rngs = ([coord], [rng]) if single else (list(coord), list(rng))
+    coords = np.asarray(coord).reshape(-1)
+    rngs = [rng] if single else list(rng)
     h = np.asarray(h, dtype=float).reshape(-1)
     if not len(coords) == h.size == len(rngs):
         raise ValueError("need one perturbation and one generator per coordinate")
-    steps = h.tolist()
-    if 0.0 in steps:
+    if np.any(h == 0.0):
         raise ValueError("perturbation h must be nonzero")
     theta0 = np.asarray(theta0, dtype=float).reshape(-1)
     # Rows 2j and 2j + 1 are the plus and minus sides of quotient row j.
     points = np.repeat(theta0[None, :], 2 * h.size, axis=0)
-    for j, (c, step) in enumerate(zip(coords, steps)):
-        points[2 * j, c] += step
-        points[2 * j + 1, c] -= step
+    plus = np.arange(0, 2 * h.size, 2)
+    points[plus, coords] += h
+    points[plus + 1, coords] -= h
     y = draw_responses(oracle, points, [r for r in rngs for _ in (0, 1)], size)
     quotients = (y[0::2] - y[1::2]) / (2.0 * h[:, None])
     return quotients[0] if single else quotients

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from corfd.oracle import SimulationOracle
+from corfd.oracle import SimulationOracle, block_sampler
 
 
 def exact_moments(column):
@@ -17,10 +17,11 @@ def exact_moments(column):
 def deterministic_oracle(f, dim: int = 1, label: str = "noise-free") -> SimulationOracle:
     """Wrap a deterministic function as a zero-noise oracle."""
 
-    def sample(theta, rng, size):
-        return np.full(size, float(f(theta)))
+    def block(points, rngs, size):
+        return np.repeat([[float(f(theta))] for theta in points], size, axis=1)
 
-    return SimulationOracle(dim=dim, label=label, sample=sample, mean=lambda t: float(f(t)))
+    return SimulationOracle(dim=dim, label=label, sample=block_sampler(block),
+                            mean=lambda t: float(f(t)))
 
 
 def simulate_queue_loop(lam, mu, horizon, measure, rng, size):

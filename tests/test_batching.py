@@ -17,18 +17,21 @@ from corfd import bench, dfo
 from corfd.bench import ExperimentConfig, run_replications
 from corfd.dfo import DfoConfig, gradient_via_corcfd
 from corfd.estimators import EstimatorConfig, boot_cfd, cor_cfd, opt_cfd, tra_cfd
-from corfd.oracle import GroundTruth, SimulationOracle, parse_problem
+from corfd.oracle import GroundTruth, SimulationOracle, block_sampler, parse_problem
 from corfd.sampling import spawn, stream
 
 
 def noisy_bowl(d):
-    """A d-dimensional oracle drawn one ``sample`` call per point."""
+    """A d-dimensional oracle whose block draws one point at a time."""
     scales = np.arange(1.0, d + 1)
 
-    def sample(theta, rng, size):
-        return float(np.sum(scales * np.asarray(theta) ** 3)) + rng.standard_normal(size)
+    def block(points, rngs, size):
+        return np.array([
+            float(np.sum(scales * theta**3)) + rng.standard_normal(size)
+            for theta, rng in zip(points, rngs)
+        ])
 
-    return SimulationOracle(dim=d, label=f"bowl@{d}", sample=sample)
+    return SimulationOracle(dim=d, label=f"bowl@{d}", sample=block_sampler(block))
 
 
 class TestBatchInvariance:

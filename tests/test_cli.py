@@ -505,7 +505,10 @@ class TestDiagCommand:
          "diagnostics: overflow encountered in multiply"),
         (["--c", "1e-60,2e-60,3e-60"], "--c '1e-60,2e-60,3e-60' leaves the float range of "
          "the diagnostics: overflow encountered in power"),
-    ], ids=["c_inf", "c_nan", "fifth_const_nan", "noise_slope_nan", "c_huge", "c_tiny"])
+        (["--c", "1e40,2e40,3e40"], "--c '1e40,2e40,3e40' leaves the float range of the "
+         "diagnostics: overflow in a power of a moment sum"),
+    ], ids=["c_inf", "c_nan", "fifth_const_nan", "noise_slope_nan", "c_huge", "c_tiny",
+            "c_moment_power"])
     def test_bad_value_is_named(self, argv, message, tmp_path, capsys):
         out = tmp_path / "diag.csv"
         assert main(["diag", *argv, "--out", str(out)]) == 1

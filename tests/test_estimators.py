@@ -13,7 +13,7 @@ from corfd.estimators import (
     tra_cfd,
     transform_pilot_sample,
 )
-from corfd.oracle import GroundTruth, SimulationOracle, poly_oracle, sin_oracle
+from corfd.oracle import GroundTruth, SimulationOracle, block_sampler, poly_oracle, sin_oracle
 from corfd.sampling import difference_samples, stream
 from helpers import deterministic_oracle
 
@@ -308,13 +308,14 @@ class TestQueueComparison:
 class TestErrorPaths:
     def test_mixed_zero_variance_columns_rejected(self):
         # One deterministic column among noisy ones breaks the weighting.
-        def sample(theta, rng, size):
-            t = float(np.atleast_1d(theta)[0])
-            if abs(t) > 0.55:  # only the largest perturbation is noisy
-                return rng.normal(t, 1.0, size)
-            return np.full(size, t)
+        def block(points, rngs, size):
+            # Only the largest perturbation is noisy.
+            return np.array([
+                rng.normal(t, 1.0, size) if abs(t) > 0.55 else np.full(size, t)
+                for t, rng in zip(points[:, 0].tolist(), rngs)
+            ])
 
-        half_noisy = SimulationOracle(dim=1, label="half", sample=sample)
+        half_noisy = SimulationOracle(dim=1, label="half", sample=block_sampler(block))
 
         pert_gen_cfg = EstimatorConfig(K=3, pilot_size=10)
         with pytest.raises(EstimationError):

@@ -11,6 +11,7 @@ from corfd.oracle import (
     NonFiniteResponseError,
     QueueSpec,
     SimulationOracle,
+    block_sampler,
     lr_derivative_oracle,
     noisy_bench_oracle,
     parse_problem,
@@ -92,14 +93,43 @@ class TestSampleBatch:
     # Rows 0 and 1 share a stream, as the two sides of a difference pair do.
     SEEDS = [(40, 0), (40, 0), (40, 1), (40, 2), (40, 1)]
 
-    @pytest.mark.parametrize("problem", ["queue@3,5,50,service"])
-    def test_default_loop_equals_per_point_samples(self, problem):
+    @pytest.mark.parametrize("problem", ["sin1", "sin2", "poly", "zakharov@3",
+                                         "queue@3,5,50,service"])
+    def test_block_is_one_sample_call(self, problem):
         oracle = parse_problem(problem).oracle
-        assert oracle.sample_rows is None
-        points = np.array([[2.9], [3.1], [2.5], [3.5], [3.0]])
+        calls = []
+
+        def counted(theta, rng, size):
+            calls.append(np.shape(theta))
+            return oracle.sample(theta, rng, size)
+
+        points = np.repeat(parse_problem(problem).theta0[None, :], 5, axis=0)
+        points[:, 0] += [-0.2, 0.2, -0.1, 0.1, 0.0]
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
-        got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
+        got = draw_responses(dataclasses.replace(oracle, sample=counted), points,
+                             [rngs[seed] for seed in self.SEEDS], 7)
+        assert calls == [points.shape] and got.shape == (5, 7)
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
+
+    # A block of 5 x 7 paths walks each row path by path, as each point
+    # alone does.  At 5 x 60 the block walks customer by customer and each
+    # point alone path by path.  At 600 paths both walk customer by
+    # customer, and at horizon 500 a row outgrows the difference block:
+    # each row is a block of its own, walked in pieces of 525 and 75 paths,
+    # the second path by path.
+    @pytest.mark.parametrize("measure", ["wait", "sojourn"])
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 500])
+    @pytest.mark.parametrize("paths", [7, 60, 600])
+    def test_queue_block_equals_points_drawn_alone(self, paths, horizon, measure):
+        oracle = queue_oracle(QueueSpec(3.0, 5.0, horizon), "service", measure)
+        points = np.array([[4.9], [5.1], [4.5], [5.5], [5.0]])
+        rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
+        got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], paths)
+        ref = {seed: stream(*seed) for seed in set(self.SEEDS)}
+        want = np.stack([oracle.sample(p, ref[seed], paths) for p, seed in zip(points, self.SEEDS)])
+        np.testing.assert_array_equal(got, want)
+        for seed in rngs:
+            assert rngs[seed].bit_generator.state == ref[seed].bit_generator.state
 
     @pytest.mark.parametrize("problem, kappa", [("sin1", 10.0), ("sin2", 10.0), ("sin2", 3.0),
                                                 ("poly", None)])
@@ -123,26 +153,14 @@ class TestSampleBatch:
         for seed in rngs:
             assert rngs[seed].bit_generator.state == ref[seed].bit_generator.state
 
-    @pytest.mark.parametrize("problem", ["poly", "sin2"])
-    def test_blocks_draw_without_per_row_samples(self, problem):
-        def refuse(theta, rng, size):
-            raise AssertionError("a block drew one point at a time")
-
-        oracle = parse_problem(problem).oracle
-        blocks_only = dataclasses.replace(oracle, sample=refuse)
-        points = np.array([[2.9], [3.1], [2.5], [3.5], [3.0]])
-        rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
-        got = draw_responses(blocks_only, points, [rngs[seed] for seed in self.SEEDS], 7)
-        np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
-
     @pytest.mark.parametrize("fn, d", [("zakharov", 10), ("zakharov", 100), ("rosenbrock", 2)])
     def test_vectorized_rows_equal_per_point_samples(self, fn, d):
         oracle = noisy_bench_oracle(fn, d)
         points = stream(41).normal(0.0, 2.0, size=(5, d))
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
         got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
-        # The one-point ``sample`` the line search calls is written apart from
-        # ``sample_rows``; both must equal the mean plus the stream's normals.
+        # The one-point draw the line search calls is written apart from the
+        # block; both must equal the mean plus the stream's normals.
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
         ref = {seed: stream(*seed) for seed in set(self.SEEDS)}
         want = [oracle.mean(p) + ref[s].standard_normal(7) for p, s in zip(points, self.SEEDS)]
@@ -159,11 +177,11 @@ class TestSampleBatch:
         np.testing.assert_array_equal(rosenbrock(points), [rosenbrock(p) for p in points])
 
     def test_non_finite_row_names_its_point(self):
-        def sample(theta, rng, size):
-            value = np.nan if theta[0] == 2.0 else float(theta[0])
-            return np.full(size, value)
+        def block(points, rngs, size):
+            values = np.where(points[:, 0] == 2.0, np.nan, points[:, 0])
+            return np.repeat(values[:, None], size, axis=1)
 
-        oracle = SimulationOracle(dim=1, label="holey", sample=sample)
+        oracle = SimulationOracle(dim=1, label="holey", sample=block_sampler(block))
         points = np.array([[1.0], [2.0], [3.0]])
         with pytest.raises(NonFiniteResponseError,
                            match=r"^oracle holey returned a non-finite response at theta=\[2\.0\]$"):
@@ -264,18 +282,21 @@ class TestQueueOracle:
             queue_oracle(QueueSpec(4, 4, 10), "service", measure="holding")
 
 
-QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300)]
+QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300),
+                (500, 1100)]
 
 
 class TestQueueKernel:
-    """The closed-form walk against the per-customer recursion it replaces."""
+    """The waiting-time walk against the per-customer recursion it replaces."""
 
     @pytest.mark.parametrize("measure", ["wait", "sojourn"])
     @pytest.mark.parametrize("lam,mu", [(3.0, 5.0), (5.0, 3.0)], ids=["stable", "growing"])
     @pytest.mark.parametrize("horizon,size", QUEUE_SHAPES,
                              ids=[f"N{n}x{m}" for n, m in QUEUE_SHAPES])
     def test_matches_per_customer_recursion(self, measure, lam, mu, horizon, size):
-        # 300 paths at horizon 500 span three blocks of the walk.
+        # Under 128 paths the walk runs path by path, from 128 on customer by
+        # customer; 1100 paths at horizon 500 walk in pieces of 525, 525 and
+        # 50 paths, the last path by path.
         rng, ref_rng = stream(40), stream(40)
         response, arrivals, services = _simulate_queue(lam, mu, horizon, measure, rng, size)
         expected, ref_arrivals, ref_services = simulate_queue_loop(
@@ -367,12 +388,14 @@ class TestParseProblem:
 def nan_sampler(rate):
     """Unit-noise draws around ``theta[0]``, a share ``rate`` of them NaN."""
 
-    def sample(theta, rng, size):
-        y = rng.normal(float(theta[0]), 1.0, size)
-        y[rng.random(size) < rate] = np.nan
+    def block(points, rngs, size):
+        y = np.empty((len(points), size))
+        for row, theta, rng in zip(y, points, rngs):
+            row[:] = rng.normal(theta[0], 1.0, size)
+            row[rng.random(size) < rate] = np.nan
         return y
 
-    return sample
+    return block_sampler(block)
 
 
 class TestNonFiniteResponses:

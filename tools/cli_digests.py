@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 22 commands takes 9 to 16 seconds on a 2-core x86-64 machine.
+of 24 commands takes 10 to 11 seconds on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -43,6 +43,15 @@ _PARTIAL_FAILURE = ["bench", "--set", "methods=cor,boot,opt", "--set", "budgets=
                     "--set", "K=5", "--set", "n_b=20", "--set", "detail_out=detail.csv"]
 _QUEUE = ["estimate", "--problem", "queue@3,5,50,service", "--method", "cor",
           "--pairs", "1000", "--reps", "3", "--seed", "5", "--I", "100"]
+# Pilot rows of 10,000 paths at 10 customers: two rows share a difference
+# block, which is walked customer by customer.
+_QUEUE_LONG = ["estimate", "--problem", "queue@4,4,10,service", "--method", "cor",
+               "--pairs", "100000", "--reps", "3", "--seed", "3"]
+# Two threads cut each cell into batches of four replications, so a queue
+# block holds other rows than it does in a serial run.
+_QUEUE_GRID = ["bench", "--set", "problem=queue@3,5,50,service", "--set", "methods=tra,boot,cor",
+               "--set", "budgets=1000,10000", "--set", "reps=8", "--set", "r=0.5",
+               "--set", "detail_out=detail.csv"]
 
 # (label, CORFD_THREADS, corfd arguments)
 COMMANDS = [
@@ -53,6 +62,7 @@ COMMANDS = [
     ("estimate-queue-I100", "1", _QUEUE),
     ("estimate-queue-L-U", "1", _QUEUE + ["--L", "0.5", "--U", "0.7"]),
     ("estimate-queue-gamma", "1", _QUEUE + ["--gamma", "-0.2"]),
+    ("estimate-queue10-1e5", "1", _QUEUE_LONG),
     # Pilots near 1e-6 on a derivative of 1e18: small, but correctly scaled.
     ("estimate-sin1-small-pilots", "1", ["estimate", "--problem", "sin1", "--kappa", "1e18",
                                          "--mu0", "1e-6", "--sigma0", "1e-7", "--L", "1e-8",
@@ -66,6 +76,7 @@ COMMANDS = [
     ("bench-poly3-batches-threads3", "3", _POLY3_GRID),
     ("bench-partial-failure-serial", "1", _PARTIAL_FAILURE),
     ("bench-partial-failure-threads2", "2", _PARTIAL_FAILURE),
+    ("bench-queue-threads2", "2", _QUEUE_GRID),
     ("dfo-zakharov10", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000", "--seed", "1"]),
     ("dfo-zakharov10-tra", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
                                  "--seed", "1", "--gradient-method", "tra"]),

@@ -7,7 +7,8 @@ identical whether cells run serially or across processes.  A cell derives
 its replications as one level of ``stream(seed, j)``'s children and cuts it
 once into batches, each one batched estimator call of at most
 ``_BATCH_PAIRS`` pairs (or one replication).  A grid's batches are dealt
-into one share per worker, and each share runs as one task.
+into one share per worker: the calling process runs the first share, and a
+pool of one worker process per other share runs the rest, one task each.
 """
 from __future__ import annotations
 
@@ -169,10 +170,11 @@ def _thread_count() -> int:
 
 
 def _run_share(cfg: ExperimentConfig, jobs):
-    """Run one worker's share of a grid's batches in order (worker entry
-    point): per job ``(cell, method, budget, level)``, its rows, or its
-    cell's ``(error type, message)`` once a batch of that cell has failed
-    here, in which case the share skips the cell's later batches."""
+    """Run one share of a grid's batches in order, in the calling process
+    or in a pool worker: per job ``(cell, method, budget, level)``, its
+    rows, or its cell's ``(error type, message)`` once a batch of that cell
+    has failed here, in which case the share skips the cell's later
+    batches."""
     results, failed = [], {}
     for cell, method, budget, level in jobs:
         if cell not in failed:
@@ -201,10 +203,11 @@ def run_replications(cfg: ExperimentConfig):
     ``ceil(reps / CORFD_THREADS)`` replications, each one batched estimator
     call, so one error fails the whole cell.  The grid's batches are dealt
     round-robin into at most ``CORFD_THREADS`` shares, each run in order as
-    one task; more than one share runs on a process pool with one worker
-    per share, a single share in this process.  Rows are put back in
-    replication order, and a failing cell reports its earliest failing
-    batch.
+    one task.  This process runs the first share; the other shares, if any,
+    run on a process pool of one worker per share, submitted before the
+    first share starts.  Rows are put back in replication order, and a
+    failing cell reports its earliest failing batch.  An error other than
+    those above propagates once the pool has shut down.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -222,10 +225,13 @@ def run_replications(cfg: ExperimentConfig):
     count = min(workers, len(jobs))
     shares = [jobs[k::count] for k in range(count)]
     run_share = partial(_run_share, cfg)
-    with ProcessPoolExecutor(max_workers=count) if count > 1 else nullcontext() as pool:
-        results = map(run_share, shares) if pool is None else pool.map(run_share, shares)
-        outcomes = [None] * len(jobs)
-        for k, result in enumerate(results):
+    outcomes = [None] * len(jobs)
+    with ProcessPoolExecutor(max_workers=count - 1) if count > 1 else nullcontext() as pool:
+        # The other shares are submitted first, so that the pool forks before
+        # this process allocates anything for share 0.
+        others = [] if pool is None else pool.map(run_share, shares[1:])
+        outcomes[0::count] = run_share(shares[0])
+        for k, result in enumerate(others, 1):
             outcomes[k::count] = result
     rows: list[list] = [[] for _ in cells]
     errors: dict[int, tuple[str, str]] = {}

@@ -305,6 +305,13 @@ class PerturbationGenerator:
         a, b = self._cdf_bounds
         return abs(b - a)
 
+    @property
+    def _width(self) -> int:
+        """Normals per rejection batch, or 0 when the acceptance region is
+        too narrow for rejection and values are drawn by inverse CDF."""
+        accept = self.acceptance_probability
+        return max(16, int(1 / accept * 1.2)) if accept >= 0.1 else 0
+
     def _quantiles(self, u) -> np.ndarray:
         """The truncated distribution's inverse CDF at ``u``, taken in the
         frame given by :attr:`_sign`."""
@@ -325,10 +332,9 @@ class PerturbationGenerator:
         and keeps the first; the batches are drawn as the rows of arrays of
         at most ``_NORMALS_PER_CHUNK`` normals.
         """
-        accept = self.acceptance_probability
-        if accept < 0.1:
+        width = self._width
+        if not width:
             return self._quantiles(rng.random(size))
-        width = max(16, int(1 / accept * 1.2))
         rows = max(1, _NORMALS_PER_CHUNK // width)
         out = np.empty(size)
         filled = 0
@@ -346,8 +352,32 @@ class PerturbationGenerator:
 def draw_perturbation_set(K: int, gen: PerturbationGenerator, rngs: list) -> np.ndarray:
     """Draw ``K`` i.i.d. pilot-perturbation coefficients per generator of
     ``rngs``: row ``j`` of the ``(m, K)`` result is ``gen.sample(rngs[j], K)``.
-    ``gen`` was checked for spread when it was built."""
-    return np.array([gen.sample(rng, K) for rng in rngs])
+    ``gen`` was checked for spread when it was built.
+
+    A rejection draw whose first ``(K, width)`` batch fits in one chunk
+    takes every row's first batch into one block, ``rngs[j]`` filling row
+    ``j``, and scales, tests and picks from the block at once; a row with a
+    miss draws its remaining values as ``sample`` goes on to draw them.
+    """
+    width = gen._width
+    if not 0 < K * width <= _NORMALS_PER_CHUNK:
+        return np.array([gen.sample(rng, K) for rng in rngs])
+    block = np.empty((len(rngs) * K, width))
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=block[j * K:j * K + K])
+    # As rng.normal(mu0, sigma0) scales its standard normals, bit for bit.
+    block *= gen.sigma0
+    block += gen.mu0
+    inside = block >= gen.lower
+    inside &= block <= gen.upper
+    first = inside.argmax(axis=1)  # a miss picks 0, outside the interval
+    first += np.arange(0, block.size, width)
+    out, hit = block.take(first).reshape(-1, K), inside.take(first).reshape(-1, K)
+    if np.count_nonzero(hit) < hit.size:
+        for j in np.flatnonzero(~hit.all(axis=1)):
+            kept = out[j, hit[j]]
+            out[j] = np.concatenate([kept, gen.sample(rngs[j], K - kept.size)])
+    return out
 
 
 def difference_samples(

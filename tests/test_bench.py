@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -168,11 +169,52 @@ class TestRunReplications:
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", SizedPool)
         monkeypatch.setenv("CORFD_THREADS", "4")
-        # Two batches of one replication need two workers; one batch runs
-        # without a pool.
+        # Two batches of one replication need this process and one worker;
+        # one batch runs without a pool.
         run_replications(small_config(methods=("cor",), reps=2))
         run_replications(small_config(methods=("cor",), reps=1))
-        assert sizes == [2]
+        assert sizes == [1]
+
+    def test_first_share_runs_in_the_calling_thread(self, monkeypatch):
+        # Three workers deal six batches into three shares: share 0 runs
+        # here, shares 1 and 2 on the pool.
+        calls, run_share = [], bench._run_share
+
+        def spy(cfg, jobs):
+            calls.append((threading.current_thread() is threading.main_thread(), jobs[0][3]))
+            return run_share(cfg, jobs)
+
+        monkeypatch.setattr(bench, "_run_share", spy)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setenv("CORFD_THREADS", "3")
+        cfg = small_config(methods=("cor", "opt"), reps=3)
+        detail, _, failures = run_replications(cfg)
+        assert not failures and len(detail) == 6
+        level = spawn(stream(cfg.seed), 2)[0].spawn(cfg.reps)
+        firsts = {bytes(first.pools[0]): here for here, first in calls}
+        assert len(calls) == 3
+        assert firsts == {bytes(level.pools[rep]): rep == 0 for rep in range(3)}
+
+    @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "pool"])
+    def test_other_errors_propagate_after_the_pool_shuts_down(self, in_caller, monkeypatch):
+        events, cor = [], bench.cor_cfd
+
+        class ClosingPool(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                events.append("shutdown")
+
+        def broken(*args):
+            if (threading.current_thread() is threading.main_thread()) == in_caller:
+                raise RuntimeError("estimator broke")
+            return cor(*args)
+
+        monkeypatch.setattr(bench, "cor_cfd", broken)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", ClosingPool)
+        monkeypatch.setenv("CORFD_THREADS", "2")
+        with pytest.raises(RuntimeError, match="estimator broke"):
+            run_replications(small_config(methods=("cor",), reps=2))
+        assert events == ["shutdown"]
 
     @pytest.mark.parametrize("raw", ["two", "0", "-1"])
     def test_bad_thread_count_rejected(self, raw, monkeypatch):
@@ -244,8 +286,9 @@ class TestRunReplications:
             assert per_cell == {n: sorted(sizes) for n, sizes in expected.items()}
         assert max(rows for _, rows, _ in calls) == 2
         # Only the three-worker run uses the pool: one map for the whole
-        # grid, at most one task per worker.
-        assert tasks == [3]
+        # grid, at most one task per worker, and this process runs a third
+        # share itself.
+        assert tasks == [2]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("failing", [{2}, {2, 4}], ids=["second", "second-third"])

@@ -400,7 +400,12 @@ class TestPerturbationSet:
         # Squares of draws from this sliver often agree to 1e-6 relative:
         # they are kept as drawn, not redrawn.
         (4, PerturbationGenerator(0.0, 1.0, 1.0, 1.000003)),
-    ], ids=["default", "inverse-cdf", "sliver"])
+        # About 14% of batches of 16 miss this interval: those values are
+        # drawn on from the row's generator after the block.
+        (5, PerturbationGenerator(0.0, 1.0, 1.2)),
+        # 5000 batches of 16 normals exceed a chunk: drawn row by row.
+        (5000, PerturbationGenerator()),
+    ], ids=["default", "inverse-cdf", "sliver", "sparse", "beyond-chunk"])
     def test_rows_are_plain_draws_of_their_generators(self, K, gen):
         rngs = [stream(12, seed) for seed in range(10)]
         copies = copy.deepcopy(rngs)

@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 24 commands takes 10 to 11 seconds on a 2-core x86-64 machine.
+of 26 commands takes 15 to 17 seconds on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -59,6 +59,10 @@ COMMANDS = [
     ("estimate-opt", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "opt"]),
     ("estimate-tra", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "tra"]),
     ("estimate-boot", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "boot", "--r", "0.5"]),
+    # Batches of 16 normals miss [1.2, inf) about 14% of the time: those
+    # rows draw on alone after the block of first batches.
+    ("estimate-cor-sparse-L", "1", ["estimate", "--problem", "poly@3", "--method", "cor",
+                                    "--pairs", "1000", "--reps", "200", "--L", "1.2"]),
     ("estimate-queue-I100", "1", _QUEUE),
     ("estimate-queue-L-U", "1", _QUEUE + ["--L", "0.5", "--U", "0.7"]),
     ("estimate-queue-gamma", "1", _QUEUE + ["--gamma", "-0.2"]),
@@ -74,6 +78,9 @@ COMMANDS = [
     ("bench-poly3-batches-serial", "1", _POLY3_GRID),
     ("bench-poly3-batches-threads2", "2", _POLY3_GRID),
     ("bench-poly3-batches-threads3", "3", _POLY3_GRID),
+    # Each cell's 20 replications run in four batches of five: the caller
+    # and three workers take one batch of each cell.
+    ("bench-poly3-batches-threads4", "4", _POLY3_GRID),
     ("bench-partial-failure-serial", "1", _PARTIAL_FAILURE),
     ("bench-partial-failure-threads2", "2", _PARTIAL_FAILURE),
     ("bench-queue-threads2", "2", _QUEUE_GRID),

@@ -9,6 +9,7 @@ error, 2 when some grid cells failed while others ran.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -275,7 +276,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``corfd`` parser, built on first use and shared by every later
+    call in the process: parsing leaves it unchanged, and each parse starts
+    from a fresh namespace."""
     parser = _Parser(prog="corfd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (ValueError, OSError) as exc:

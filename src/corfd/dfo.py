@@ -99,7 +99,8 @@ class LbfgsMemory:
     """Ring of recent displacement / gradient-difference pairs.
 
     Pairs failing the positive-curvature guard are never stored, keeping the
-    implied inverse-Hessian approximation positive definite.
+    implied inverse-Hessian approximation positive definite.  Each stored
+    pair keeps its ``rho = 1 / (s @ y)`` beside it.
     """
 
     def __init__(self, depth: int):
@@ -108,6 +109,7 @@ class LbfgsMemory:
         self.depth = depth
         self.s: list[np.ndarray] = []
         self.y: list[np.ndarray] = []
+        self.rho: list[float] = []
 
     def __len__(self) -> int:
         return len(self.s)
@@ -122,9 +124,11 @@ class LbfgsMemory:
             return False
         self.s.append(s)
         self.y.append(y)
+        self.rho.append(1.0 / sy)
         if len(self.s) > self.depth:
             self.s.pop(0)
             self.y.pop(0)
+            self.rho.pop(0)
         return True
 
 
@@ -139,8 +143,8 @@ def two_loop_direction(memory: LbfgsMemory, g: np.ndarray) -> np.ndarray:
     m = len(memory)
     if m == 0:
         return g.copy()
-    alpha = np.empty(m)
-    rho = np.array([1.0 / float(s @ y) for s, y in zip(memory.s, memory.y)])
+    alpha = [0.0] * m
+    rho = memory.rho
     q = g.copy()
     for i in range(m - 1, -1, -1):
         alpha[i] = rho[i] * float(memory.s[i] @ q)

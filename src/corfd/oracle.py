@@ -70,7 +70,9 @@ class SimulationOracle:
     ``sample(points, rngs, size)`` draws a block: ``points`` is ``(m, d)``,
     ``rngs`` holds one generator per row, and row ``j`` of the ``(m, size)``
     result holds ``size`` independent draws at ``points[j]`` from
-    ``rngs[j]``; rows that share a generator draw from it in row order.
+    ``rngs[j]``; rows that share a generator draw from it in row order, and
+    the normal oracles draw a run of consecutive rows that share one in a
+    single fill, which takes the same draws.
     ``sample(theta, rng, size)`` with one point and one generator returns
     that point's ``size`` draws.  Every oracle here builds its ``sample``
     with :func:`block_sampler`, and a block equals its points drawn one at
@@ -138,12 +140,17 @@ def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) 
 
 def _standard_normal_rows(rngs: Sequence, size: int) -> np.ndarray:
     """``size`` standard normals from each generator of ``rngs``, one row
-    each, drawn in row order.  ``loc + scale * z`` over these rows equals
-    ``rng.normal(loc, scale, size)`` bit for bit: both take the same
-    ziggurat normals."""
+    each, drawn in row order.  Each run of consecutive rows that share a
+    generator is drawn in one fill: a C-contiguous ``(k, size)`` fill takes
+    the same normals in the same order as ``k`` fills of ``size``.
+    ``loc + scale * z`` over these rows equals ``rng.normal(loc, scale,
+    size)`` bit for bit: both take the same ziggurat normals."""
     y = np.empty((len(rngs), size))
-    for row, rng in zip(y, rngs):
-        rng.standard_normal(out=row)
+    start = 0
+    for stop in range(1, len(rngs) + 1):
+        if stop == len(rngs) or rngs[stop] is not rngs[start]:
+            rngs[start].standard_normal(out=y[start:stop])
+            start = stop
     return y
 
 
@@ -274,14 +281,17 @@ def rosenbrock(x: np.ndarray) -> float | np.ndarray:
 
 def zakharov(x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    i = np.arange(1, rows.shape[-1] + 1)
+    rows = x.reshape(-1, x.shape[-1])
+    weights = 0.5 * np.arange(1, rows.shape[1] + 1)
     # A far point's sums overflow to infinity, which the caller refuses as
     # a non-finite response.
     with np.errstate(over="ignore"):
-        squares = np.sum(rows * rows, axis=-1).tolist()
-        sums = np.sum(0.5 * i * rows, axis=-1).tolist()
-    f = _rowwise(lambda q, s: q + s**2 + s**4, squares, sums)
+        squares = (rows * rows).sum(axis=-1).tolist()
+        sums = (weights * rows).sum(axis=-1).tolist()
+    try:
+        f = [q + s**2 + s**4 for q, s in zip(squares, sums)]
+    except OverflowError:
+        f = [_or_inf(lambda q, s: q + s**2 + s**4, row) for row in zip(squares, sums)]
     return f[0] if x.ndim == 1 else np.array(f)
 
 

@@ -319,6 +319,18 @@ class TestBenchCommand:
         assert [r[3] for r in rows[:3]] == ["0", "1", "2"]
         assert len(read_csv(summary)[1]) == 4
 
+    def test_readme_grid_command_runs(self, tmp_path, monkeypatch):
+        root = Path(__file__).parents[1]
+        readme = (root / "README.md").read_text()
+        (line,) = [x for x in readme.splitlines() if x.startswith("corfd bench --config")]
+        argv = line.split()[1:]
+        config = argv.index("--config") + 1
+        argv[config] = str(root / argv[config])
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--set", "reps=2"]) == 0
+        # A header and one row per cell: {cor, opt} x three budgets.
+        assert len((tmp_path / "table.csv").read_text().splitlines()) == 7
+
     def test_malformed_config_line_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("reps = 2\nproblem poly@0\n")
@@ -428,6 +440,25 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        # The parser is built once and shared: a call leaves nothing behind
+        # for the next one.
+        assert build_parser() is build_parser()
+        estimate = ["estimate", "--problem", "poly@3", "--method", "cor", "--pairs", "1000",
+                    "--reps", "3", "--summary-out", str(tmp_path / "s.csv")]
+        assert main([*estimate, "--out", str(tmp_path / "first.csv")]) == 0
+        assert main(["bench", "--set", "K=6", "--set", "reps=2", "--set", "budgets=100",
+                     "--set", f"out={tmp_path / 'bench.csv'}"]) == 0
+        assert main([*estimate, "--out", str(tmp_path / "second.csv")]) == 0
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--problem", "poly@3"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: corfd estimate") and "required" in err
+        assert build_parser().parse_args(["bench"]).set is None
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

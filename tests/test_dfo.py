@@ -92,6 +92,7 @@ class TestMemory:
             mem.push(v, v)
         assert len(mem) == 3
         assert mem.s[0][0] == 3.0  # two oldest evicted
+        assert mem.rho == [1.0 / float(s @ y) for s, y in zip(mem.s, mem.y)]
 
 
 class TestBatchSchedule:

@@ -21,7 +21,7 @@ from corfd.oracle import (
     sin_oracle,
     zakharov,
 )
-from corfd.oracle import _simulate_queue, draw_responses
+from corfd.oracle import _simulate_queue, _standard_normal_rows, draw_responses
 from corfd.sampling import stream
 from helpers import simulate_queue_loop
 
@@ -152,6 +152,18 @@ class TestSampleBatch:
         np.testing.assert_array_equal(got, want)
         for seed in rngs:
             assert rngs[seed].bit_generator.state == ref[seed].bit_generator.state
+
+    # Runs of rows that share a generator are one fill each; a generator
+    # that comes back after another draws on where it stopped.
+    @pytest.mark.parametrize("rows", [[0, 0, 1, 1, 1, 2], [0, 1, 0, 0, 2, 1], [0], [1, 1]],
+                             ids=["runs", "non-adjacent", "single", "one-run"])
+    def test_normal_rows_equal_per_row_draws(self, rows):
+        rngs = {j: stream(47, j) for j in set(rows)}
+        got = _standard_normal_rows([rngs[j] for j in rows], 9)
+        ref = {j: stream(47, j) for j in set(rows)}
+        np.testing.assert_array_equal(got, [ref[j].standard_normal(9) for j in rows])
+        for j in rngs:
+            assert rngs[j].bit_generator.state == ref[j].bit_generator.state
 
     @pytest.mark.parametrize("fn, d", [("zakharov", 10), ("zakharov", 100), ("rosenbrock", 2)])
     def test_vectorized_rows_equal_per_point_samples(self, fn, d):

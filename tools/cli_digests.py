@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 26 commands takes 15 to 17 seconds on a 2-core x86-64 machine.
+of 27 commands takes 10 to 17 seconds on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -85,6 +85,9 @@ COMMANDS = [
     ("bench-partial-failure-threads2", "2", _PARTIAL_FAILURE),
     ("bench-queue-threads2", "2", _QUEUE_GRID),
     ("dfo-zakharov10", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000", "--seed", "1"]),
+    # A memory of three pairs evicts its oldest pair from the fourth iteration on.
+    ("dfo-zakharov10-memory3", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
+                                     "--seed", "1", "--memory", "3"]),
     ("dfo-zakharov10-tra", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
                                  "--seed", "1", "--gradient-method", "tra"]),
     # d = 100 draws the largest pilot-coefficient block: 100 rows per stage.

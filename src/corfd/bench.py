@@ -13,7 +13,7 @@ pool of one worker process per other share runs the rest, one task each.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -206,8 +206,10 @@ def run_replications(cfg: ExperimentConfig):
     one task.  This process runs the first share; the other shares, if any,
     run on a process pool of one worker per share, submitted before the
     first share starts.  Rows are put back in replication order, and a
-    failing cell reports its earliest failing batch.  An error other than
-    those above propagates once the pool has shut down.
+    failing cell reports its earliest failing batch.  A worker that ends
+    abruptly raises :class:`ChildProcessError`, which names the cells of its
+    share.  An error other than those above propagates once the pool has
+    shut down.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -231,8 +233,14 @@ def run_replications(cfg: ExperimentConfig):
         # this process allocates anything for share 0.
         others = [] if pool is None else pool.map(run_share, shares[1:])
         outcomes[0::count] = run_share(shares[0])
-        for k, result in enumerate(others, 1):
-            outcomes[k::count] = result
+        for k in range(1, count):
+            try:
+                outcomes[k::count] = next(others)
+            except BrokenExecutor:
+                lost = dict.fromkeys(f"{cfg.problem}/{m}/{n}" for _, m, n, _ in shares[k])
+                raise ChildProcessError(
+                    f"a bench worker process ended abruptly running cells {', '.join(lost)}"
+                ) from None
     rows: list[list] = [[] for _ in cells]
     errors: dict[int, tuple[str, str]] = {}
     for (cell, *_), outcome in zip(jobs, outcomes):

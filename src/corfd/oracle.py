@@ -347,16 +347,29 @@ class QueueSpec:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
-# Path-steps in one block of the queue's differences ``S - A``: a block of
-# float64 is 2 MB, and holds as many rows' paths as fit.  A walk runs over
-# at most this many path-steps at a time, so its columns stay in cache.
-_QUEUE_BLOCK = 1 << 18
+# The queue walks its paths in pieces of ``_walk_width(n_steps)`` paths.
+# ``_SWEEP_PATHS`` bounds a piece at short horizons: one customer's pass
+# over a piece touches about one cache line per path, and 2^14 lines (1 MB)
+# stay in a 2 MB L2 cache.  ``_BLOCK_STEPS`` bounds a piece's path-steps at
+# long horizons, 4 MB of float64 differences: about 1,000 paths at 500
+# customers.  The difference block holds as many whole rows as fit in one
+# piece.  Both were set from a sweep of ``cor`` estimates at 10, 50 and 500
+# customers and 1e3 to 1e5 pairs on a 2-core x86-64 host (see CHANGES.md):
+# 2^15 paths was up to 10% slower at 10 customers, and one flat cap of
+# 2^19 path-steps up to 19% slower.
+_SWEEP_PATHS = 1 << 14
+_BLOCK_STEPS = 1 << 19
 
 # Paths from which the waiting-time walk goes customer by customer rather
 # than path by path (see ``_wait_sums``).  Set from timings of 20-row blocks
 # at 10, 50 and 500 customers on a 2-core x86-64 host: 256 was as fast from
 # 256 paths on, but slower on blocks of 128 to 255 paths.
 _WALK_PATHS = 128
+
+
+def _walk_width(n_steps: int) -> int:
+    """Paths the queue walks at a time, with ``n_steps`` differences each."""
+    return max(1, min(_SWEEP_PATHS, _BLOCK_STEPS // max(1, n_steps)))
 
 
 def _draw_paths(
@@ -377,16 +390,17 @@ def _wait_sums(x: np.ndarray) -> np.ndarray:
 
     Lindley's recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)`` from
     ``W_0 = 0`` has the closed form ``W_j = X_j - min(0, X_1, ..., X_j)``,
-    where ``X`` is the partial sum of ``S - A``.  Under ``_WALK_PATHS``
+    where ``X`` is the partial sum of ``S - A``.  The paths are walked in
+    pieces of ``_walk_width`` paths.  On a piece under ``_WALK_PATHS``
     paths, a cumulative sum and a running minimum run along each path;
-    from there on, one pass per customer runs over all paths, three numpy
-    calls per customer however many paths there are.  Both take the same
+    from there on, one pass per customer runs over the piece, three numpy
+    calls per customer however many paths it holds.  Both take the same
     sequential partial sums, exact minima and subtraction, so they give
     the same bits, and a path's waits do not depend on the paths beside it.
     """
-    chunk = max(1, _QUEUE_BLOCK // max(1, x.shape[1]))
-    for start in range(0, len(x), chunk):
-        w = x[start : start + chunk]
+    width = _walk_width(x.shape[1])
+    for start in range(0, len(x), width):
+        w = x[start : start + width]
         if len(w) < _WALK_PATHS:
             np.cumsum(w, axis=1, out=w)
             low = np.minimum.accumulate(w, axis=1)
@@ -443,9 +457,10 @@ def queue_oracle(
     sensitivity values by :func:`lr_derivative_oracle`; see the README.
 
     A block's rows draw their paths as :func:`_simulate_queue` does, each
-    from its own generator, into one difference block of at most
-    ``_QUEUE_BLOCK`` path-steps, reused for the next rows once walked.
-    Each response equals that of its point drawn alone, bit for bit.
+    from its own generator, into one difference block that holds as many
+    whole rows as fit in one walk of ``_walk_width`` paths, and at least
+    one row; it is reused for the next rows once walked.  Each response
+    equals that of its point drawn alone, bit for bit.
     """
     if parameter not in ("arrival", "service"):
         raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
@@ -467,7 +482,7 @@ def queue_oracle(
     def block(points, rngs, size):
         rows = rates(points)
         y = np.empty((len(rows), size))
-        per_block = min(len(rows), max(1, _QUEUE_BLOCK // max(1, size * n_steps)))
+        per_block = min(len(rows), max(1, _walk_width(n_steps) // max(1, size)))
         if per_block * size < _WALK_PATHS:
             # Too few paths to walk customer by customer: each row walks
             # alone, in a block small enough to stay in cache.
@@ -494,9 +509,11 @@ def queue_oracle(
     return SimulationOracle(dim=1, label=label, sample=block_sampler(block))
 
 
-# Paths per block of the score-function estimator: bounds its memory, since
-# each block keeps every interarrival and service draw of its paths.
+# Paths, and path-steps, per block of the score-function estimator: each
+# block keeps every interarrival and service draw of its paths, so the
+# path-steps bound its memory, about 16 MB per array of draws.
 _LR_BATCH = 200_000
+_LR_STEPS = 2_000_000
 
 
 def lr_derivative_oracle(
@@ -518,10 +535,11 @@ def lr_derivative_oracle(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     lam, mu = spec.arrival_rate, spec.service_rate
+    batch = min(_LR_BATCH, max(1, _LR_STEPS // spec.horizon))
     total = 0.0
     done = 0
     while done < reps:
-        m = min(_LR_BATCH, reps - done)
+        m = min(batch, reps - done)
         response, arrivals, services = _simulate_queue(lam, mu, spec.horizon, measure, rng, m)
         if parameter == "arrival":
             score = np.sum(1.0 / lam - arrivals, axis=1)

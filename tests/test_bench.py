@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corfd import bench
+from corfd import bench, cli
 from corfd.bench import (
     DETAIL_HEADER,
     SUMMARY_HEADER,
@@ -215,6 +217,34 @@ class TestRunReplications:
         with pytest.raises(RuntimeError, match="estimator broke"):
             run_replications(small_config(methods=("cor",), reps=2))
         assert events == ["shutdown"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the worker must inherit the patched batch")
+    def test_dead_worker_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        # Two threads deal each cell's two replications into two shares, so
+        # the worker's share holds a batch of both cells.
+        here, run_batch = os.getpid(), bench._run_batch
+
+        def dying(*args):
+            if os.getpid() != here:
+                os._exit(7)
+            return run_batch(*args)
+
+        monkeypatch.setattr(bench, "_run_batch", dying)
+        monkeypatch.setenv("CORFD_THREADS", "2")
+        with pytest.raises(ChildProcessError, match="ended abruptly") as caught:
+            run_replications(small_config(reps=2))
+        assert multiprocessing.active_children() == []
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["bench", "--set", "problem=poly@0", "--set", "methods=cor,opt",
+                         "--set", "budgets=100", "--set", "reps=2"])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines() == [
+            "error: a bench worker process ended abruptly running cells "
+            "poly@0/cor/100, poly@0/opt/100"
+        ]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("raw", ["two", "0", "-1"])
     def test_bad_thread_count_rejected(self, raw, monkeypatch):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from corfd import oracle as oracle_module
 from corfd.dfo import stochastic_armijo
 from corfd.estimators import EstimatorConfig, cor_cfd
 from corfd.oracle import (
@@ -114,13 +115,36 @@ class TestSampleBatch:
     # A block of 5 x 7 paths walks each row path by path, as each point
     # alone does.  At 5 x 60 the block walks customer by customer and each
     # point alone path by path.  At 600 paths both walk customer by
-    # customer, and at horizon 500 a row outgrows the difference block:
-    # each row is a block of its own, walked in pieces of 525 and 75 paths,
-    # the second path by path.
+    # customer; at horizon 500 each row is a block of its own, walked whole.
     @pytest.mark.parametrize("measure", ["wait", "sojourn"])
     @pytest.mark.parametrize("horizon", [1, 2, 10, 500])
     @pytest.mark.parametrize("paths", [7, 60, 600])
     def test_queue_block_equals_points_drawn_alone(self, paths, horizon, measure):
+        self.check_queue_block(paths, horizon, measure)
+
+    # The walk's width at the limits, in paths:
+    # - 500 customers, 300 paths: a difference block holds three rows, so
+    #   the five rows split into blocks of three and two;
+    # - 500 customers, 1100 paths: each row is a block of its own, wider
+    #   than one walk, walked in pieces of 1050 and 50 paths, the second by
+    #   the closed form;
+    # - 10 customers, 6000 paths: the short-horizon cap of 16384 paths
+    #   binds, so the rows split into blocks of two, two and one;
+    # - 2 customers (one difference) and 1 customer (none), 17000 paths:
+    #   each row is wider than the short-horizon cap, walked in pieces of
+    #   16384 and 616 paths.
+    @pytest.mark.parametrize("measure", ["wait", "sojourn"])
+    @pytest.mark.parametrize("paths, horizon", [(300, 500), (1100, 500), (6000, 10),
+                                                (17000, 2), (17000, 1)])
+    def test_queue_block_at_the_walk_limits(self, paths, horizon, measure):
+        self.check_queue_block(paths, horizon, measure)
+
+    def test_walk_widths_of_the_limit_shapes(self):
+        # The widths, in paths, that the shapes above are chosen for.
+        widths = [oracle_module._walk_width(n) for n in (0, 1, 9, 499)]
+        assert widths == [16384, 16384, 16384, 1050]
+
+    def check_queue_block(self, paths, horizon, measure):
         oracle = queue_oracle(QueueSpec(3.0, 5.0, horizon), "service", measure)
         points = np.array([[4.9], [5.1], [4.5], [5.5], [5.0]])
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
@@ -295,7 +319,7 @@ class TestQueueOracle:
 
 
 QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300),
-                (500, 1100)]
+                (500, 1100), (2, 16400), (10, 16400)]
 # One path of this shape waits about 1e-5 beside partial sums of order 1:
 # its response is off by 2.4e-12 relative, within the partial-sum bound.
 SUM_BOUND_SHAPES = [(10, 300)]
@@ -310,8 +334,9 @@ class TestQueueKernel:
                              ids=[f"N{n}x{m}" for n, m in QUEUE_SHAPES + SUM_BOUND_SHAPES])
     def test_matches_per_customer_recursion(self, measure, lam, mu, horizon, size):
         # Under 128 paths the walk runs path by path, from 128 on customer by
-        # customer; 1100 paths at horizon 500 walk in pieces of 525, 525 and
-        # 50 paths, the last path by path.
+        # customer.  1100 paths at horizon 500 walk in pieces of 1050 and 50
+        # paths, and 16400 paths at horizons 2 and 10 in pieces of 16384 and
+        # 16, the short-horizon cap; each last piece walks path by path.
         rng, ref_rng = stream(40), stream(40)
         response, arrivals, services = _simulate_queue(lam, mu, horizon, measure, rng, size)
         expected, ref_arrivals, ref_services = simulate_queue_loop(
@@ -361,6 +386,23 @@ class TestLrDerivative:
     def test_rep_validation(self):
         with pytest.raises(ValueError):
             lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 0, stream(16))
+
+    @pytest.mark.parametrize("horizon, reps, sizes", [
+        (10, 450_000, [200_000, 200_000, 50_000]),
+        (500, 10_001, [4000, 4000, 2001]),
+    ])
+    def test_blocks_are_bounded_by_path_steps(self, horizon, reps, sizes, monkeypatch):
+        # Blocks of at most 2e6 path-steps: at 10 customers the 200,000-path
+        # cap binds, at 500 the path-step cap does.
+        seen, simulate = [], oracle_module._simulate_queue
+
+        def spy(lam, mu, horizon, measure, rng, size):
+            seen.append(size)
+            return simulate(lam, mu, horizon, measure, rng, size)
+
+        monkeypatch.setattr(oracle_module, "_simulate_queue", spy)
+        lr_derivative_oracle(QueueSpec(3, 5, horizon), "service", reps, stream(17))
+        assert seen == sizes
 
 
 class TestGroundTruth:

@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 27 commands takes 10 to 17 seconds on a 2-core x86-64 machine.
+of 29 commands takes 10 to 17 seconds on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -43,10 +43,13 @@ _PARTIAL_FAILURE = ["bench", "--set", "methods=cor,boot,opt", "--set", "budgets=
                     "--set", "K=5", "--set", "n_b=20", "--set", "detail_out=detail.csv"]
 _QUEUE = ["estimate", "--problem", "queue@3,5,50,service", "--method", "cor",
           "--pairs", "1000", "--reps", "3", "--seed", "5", "--I", "100"]
-# Pilot rows of 10,000 paths at 10 customers: two rows share a difference
-# block, which is walked customer by customer.
+# Pilot rows of 10,000 paths at 10 customers: each row is a difference block
+# of its own, walked customer by customer.
 _QUEUE_LONG = ["estimate", "--problem", "queue@4,4,10,service", "--method", "cor",
                "--pairs", "100000", "--reps", "3", "--seed", "3"]
+# Pilot rows at 500 customers: rows of 100 paths share difference blocks,
+# and at 10^4 pairs each 1,000-path row is a block of its own.
+_QUEUE500 = ["estimate", "--problem", "queue@3,5,500,service", "--method", "cor", "--seed", "5"]
 # Two threads cut each cell into batches of four replications, so a queue
 # block holds other rows than it does in a serial run.
 _QUEUE_GRID = ["bench", "--set", "problem=queue@3,5,50,service", "--set", "methods=tra,boot,cor",
@@ -67,6 +70,8 @@ COMMANDS = [
     ("estimate-queue-L-U", "1", _QUEUE + ["--L", "0.5", "--U", "0.7"]),
     ("estimate-queue-gamma", "1", _QUEUE + ["--gamma", "-0.2"]),
     ("estimate-queue10-1e5", "1", _QUEUE_LONG),
+    ("estimate-queue500-1e3", "1", _QUEUE500 + ["--pairs", "1000", "--reps", "3"]),
+    ("estimate-queue500-1e4", "1", _QUEUE500 + ["--pairs", "10000", "--reps", "1"]),
     # Pilots near 1e-6 on a derivative of 1e18: small, but correctly scaled.
     ("estimate-sin1-small-pilots", "1", ["estimate", "--problem", "sin1", "--kappa", "1e18",
                                          "--mu0", "1e-6", "--sigma0", "1e-7", "--L", "1e-8",

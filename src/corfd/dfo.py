@@ -8,6 +8,7 @@ Budgets count function evaluations: one sample pair costs two.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +120,8 @@ class LbfgsMemory:
         whether it was stored."""
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        sy = float(s @ y)
-        if sy <= _CURVATURE_RTOL * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        sy = float(s.dot(y))
+        if sy <= _CURVATURE_RTOL * (_norm(s) * _norm(y)):
             return False
         self.s.append(s)
         self.y.append(y)
@@ -144,17 +145,21 @@ def two_loop_direction(memory: LbfgsMemory, g: np.ndarray) -> np.ndarray:
     if m == 0:
         return g.copy()
     alpha = [0.0] * m
-    rho = memory.rho
+    rho, s, y = memory.rho, memory.s, memory.y
     q = g.copy()
     for i in range(m - 1, -1, -1):
-        alpha[i] = rho[i] * float(memory.s[i] @ q)
-        q -= alpha[i] * memory.y[i]
-    s_new, y_new = memory.s[-1], memory.y[-1]
-    q *= float(s_new @ y_new) / float(y_new @ y_new)
+        alpha[i] = rho[i] * float(s[i].dot(q))
+        q -= alpha[i] * y[i]
+    q *= float(s[-1].dot(y[-1])) / float(y[-1].dot(y[-1]))
     for i in range(m):
-        beta = rho[i] * float(memory.y[i] @ q)
-        q += (alpha[i] - beta) * memory.s[i]
+        q += (alpha[i] - rho[i] * float(y[i].dot(q))) * s[i]
     return q
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float vector without its dispatch: numpy
+    computes it as this square root of ``v.dot(v)``."""
+    return math.sqrt(v.dot(v))
 
 
 def batch_schedule(batch: int, k: int, K: int) -> int:
@@ -291,7 +296,7 @@ def corcfd_lbfgs(
     t = 2 * d * batch
     trace.record(
         k=-1, t=t, step=np.nan, batch=batch, y_start=np.nan,
-        theta=theta.copy(), grad=g.copy(), grad_norm=float(np.linalg.norm(g)),
+        theta=theta.copy(), grad=g.copy(), grad_norm=_norm(g),
         f_true=f_true(theta),
     )
 
@@ -300,11 +305,11 @@ def corcfd_lbfgs(
         ls_stream, grad_stream = loop.spawn(2)
         (ls_rng,) = ls_stream.generators()
         hg = two_loop_direction(memory, g)
-        decrease = float(g @ hg)
+        decrease = float(g.dot(hg))
         if decrease <= 0:
             # Curvature guard should prevent this; fall back to steepest descent.
             hg = g.copy()
-            decrease = float(g @ g)
+            decrease = float(g.dot(g))
         ls = stochastic_armijo(
             oracle, theta, -hg, decrease, cfg.step_init, cfg.l1, cfg.l2,
             cfg.noise_bound, ls_rng,
@@ -326,7 +331,7 @@ def corcfd_lbfgs(
             y_accepted=ls.y_accepted,
             theta=theta_next.copy(),
             grad=g_next.copy(),
-            grad_norm=float(np.linalg.norm(g_next)),
+            grad_norm=_norm(g_next),
             decrease_rate=decrease,
             f_true=f_true(theta_next),
         )

@@ -20,6 +20,7 @@ its row returns, and draws all of its rows in one oracle batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,10 @@ __all__ = [
 # Optimal pilot-perturbation scaling exponent for the constant-estimation
 # stage (the gradient stage itself uses a -1/6 scaling).
 DEFAULT_PILOT_EXPONENT = -0.1
+
+# A pilot column whose resampling sd is at most this share of its mean's
+# size is tested for identical samples.
+_ROUNDING_SD = 1e-8
 
 
 class EstimationError(ValueError):
@@ -100,7 +105,7 @@ class EstimatorConfig:
         if self.pilot_size is not None:
             n_b = int(self.pilot_size)
         else:
-            n_b = int(np.floor(self.pilot_fraction * n / self.K))
+            n_b = math.floor(self.pilot_fraction * n / self.K)
         if n_b < 2:
             raise BudgetError(
                 f"budget {n} leaves fewer than 2 pilot pairs per perturbation (K={self.K})"
@@ -112,7 +117,7 @@ class EstimatorConfig:
         return n_b
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConstantEstimates:
     """Outputs of the constant-estimation stage.
 
@@ -129,7 +134,7 @@ class ConstantEstimates:
     budget: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class GradientEstimate:
     """A derivative estimate with its provenance."""
 
@@ -179,10 +184,13 @@ def transform_pilot_sample(
     fitted = deriv + bias_const * h * h
     fitted_n = deriv + bias_const * h_n * h_n
     ratio = np.abs(h) / np.abs(h_n)
-    return ratio[..., None] * (samples - fitted[..., None]) + fitted_n[..., None]
+    out = np.subtract(samples, fitted[..., None])
+    out *= ratio[..., None]
+    out += fitted_n[..., None]
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class _PilotStage:
     """Pilot stage of ``m`` coordinates, one row per coordinate: the
     perturbations ``h`` (m, K), the samples (m, K, n_b), and the fitted
@@ -223,8 +231,9 @@ def _pilot_stage(
     n_b = cfg.resolve_pilot_size(n)
     K = cfg.K
     children = spawn(streams, 3)
-    coeff, pilot, boot = children[0::3], children[1::3], children[2::3]
-    coefficients = draw_perturbation_set(K, cfg.coeff_gen, coeff.generators())
+    m = len(children) // 3
+    rngs = children[0::3].generators(children[1::3].spawn(K))
+    coefficients = draw_perturbation_set(K, cfg.coeff_gen, rngs[:m])
     try:
         h = coefficients * float(n_b) ** cfg.pilot_exponent
     except OverflowError:
@@ -232,45 +241,50 @@ def _pilot_stage(
             f"pilot perturbations c * n_b**gamma overflow: n_b = {n_b}, "
             f"pilot_exponent (gamma) = {cfg.pilot_exponent}"
         ) from None
-    m = len(h)
-    columns = pilot.spawn(K).generators()
-    block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), columns, n_b)
+    block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), rngs[m:], n_b)
     if cfg.bootstrap_reps is None:
         means, variances = column_moments(block, None, None)
     else:
         # Each coordinate resamples its own columns from its own stream.
         per_coord = [
             column_moments(rows, cfg.bootstrap_reps, rng)
-            for rows, rng in zip(np.split(block, m), boot.generators())
+            for rows, rng in zip(np.split(block, m), children[2::3].generators())
         ]
         means, variances = (np.concatenate(v) for v in zip(*per_coord))
     means, variances = means.reshape(m, K), variances.reshape(m, K)
     samples = block.reshape(m, K, n_b)
+    sds = np.sqrt(variances)
     # Only a column of identical samples counts as deterministic.  A
     # tolerance on the resampling variance would scale with the derivative
-    # and flag honest noise on steep responses.
-    degenerate = np.ptp(samples, axis=-1) == 0
-    noise_free = degenerate.all(axis=-1)
-    if np.any(degenerate.any(axis=-1) & ~noise_free):
-        raise EstimationError(
-            "a pilot column has zero resampling variance while others do not; "
-            "the noisy-response model does not hold for this oracle"
-        )
-    # Noise-free pilots carry no weighting information: fit with equal weights.
-    sds = np.where(noise_free[:, None], 1.0, np.sqrt(variances))
+    # and flag honest noise on steep responses.  Identical samples have a
+    # resampling sd of a few rounding errors of their mean at most, far
+    # below _ROUNDING_SD times it, so the exact test runs only when some
+    # column's sd is that small, or not a number.
+    noise_free = np.zeros(m, dtype=bool)
+    if not (sds > _ROUNDING_SD * np.abs(means)).all():
+        degenerate = np.ptp(samples, axis=-1) == 0
+        noise_free = degenerate.all(axis=-1)
+        if np.any(degenerate.any(axis=-1) & ~noise_free):
+            raise EstimationError(
+                "a pilot column has zero resampling variance while others do not; "
+                "the noisy-response model does not hold for this oracle"
+            )
+        # Noise-free pilots carry no weighting information: fit with equal weights.
+        sds[noise_free] = 1.0
     # Distinct samples with zero variance (underflow at far pilots, or a few
     # tying Monte Carlo resamples) or a product overflowing leave no fit.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if not np.all(sds > 0):
+            if not (sds > 0).all():
                 raise FloatingPointError("a pilot column of distinct samples has zero variance")
             bias_fit = fit_bias_wls(h, means, sds)
-            noise_var = np.where(noise_free, 0.0, fit_var_wls(h, variances, n_b))
+            noise_var = fit_var_wls(h, variances, n_b)
     except FloatingPointError as exc:
         raise EstimationError(
             f"constant fits fail at pilot perturbations up to {h.max():.6g} (n_b = {n_b}, "
             f"pilot_exponent (gamma) = {cfg.pilot_exponent}): {exc}"
         ) from None
+    noise_var[noise_free] = 0.0
     clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))
     # Zero estimated noise makes the error-optimal perturbation degenerate.
     # The largest pilot perturbation keeps every transform ratio at most
@@ -279,8 +293,9 @@ def _pilot_stage(
     # error-optimal one, so a noise-free slope out of range does not fail.
     h_n = h.max(axis=-1)
     v, b = noise_var.tolist(), clamped.tolist()
-    for j in np.flatnonzero(~noise_free).tolist():
-        h_n[j] = optimal_perturbation(v[j], b[j], budget)
+    for j, free in enumerate(noise_free.tolist()):
+        if not free:
+            h_n[j] = optimal_perturbation(v[j], b[j], budget)
     return _PilotStage(
         h, samples, bias_fit.intercept, clamped, bias_fit.slope, noise_var, h_n, budget
     )
@@ -361,7 +376,7 @@ def _pilot_then_fresh(oracle, theta0, coord, n, cfg, rng, budget):
     children = spawn(rng, 2)
     coords, single = _batch(coord, len(children) // 2)
     stage = _pilot_stage(oracle, theta0, coords, n, cfg, children[0::2], budget)
-    if np.any(stage.perturbation == 0):
+    if (stage.perturbation == 0).any():
         raise EstimationError("estimated perturbation is zero")
     n2 = n - stage.samples[0].size
     fresh = None

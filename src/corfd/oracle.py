@@ -7,6 +7,7 @@ given the stream and safe to run concurrently.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -279,10 +280,17 @@ def rosenbrock(x: np.ndarray) -> float | np.ndarray:
     return f[0] if x.ndim == 1 else np.array(f)
 
 
+@functools.lru_cache(maxsize=16)
+def _zakharov_weights(d: int) -> np.ndarray:
+    weights = 0.5 * np.arange(1, d + 1)
+    weights.flags.writeable = False  # cached and shared by every caller
+    return weights
+
+
 def zakharov(x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
-    weights = 0.5 * np.arange(1, rows.shape[1] + 1)
+    weights = _zakharov_weights(rows.shape[1])
     # A far point's sums overflow to infinity, which the caller refuses as
     # a non-finite response.
     with np.errstate(over="ignore"):

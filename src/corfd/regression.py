@@ -43,12 +43,13 @@ class SingularDesignError(ValueError):
     """The squared perturbations of a bias design barely differ."""
 
 
-def _spread(w, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+def _spread(wdx: np.ndarray, dx: np.ndarray, wx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sum(w * dx**2)`` over the last axis, ``dx`` being ``x = h^2`` less its
-    ``w``-weighted mean.  A spread not above 1e-12 of ``sum(w * x**2)`` raises
+    ``w``-weighted mean, from the products ``wdx = w * dx`` and ``wx = w * x``.
+    A spread not above 1e-12 of ``sum(w * x**2)`` raises
     :class:`SingularDesignError`; rescaling ``h`` or ``w`` keeps the verdict."""
-    sxx = (w * dx * dx).sum(axis=-1)
-    if not np.all(sxx > _MIN_SPREAD * (w * x * x).sum(axis=-1)):
+    sxx = (wdx * dx).sum(axis=-1)
+    if not (sxx > _MIN_SPREAD * (wx * x).sum(axis=-1)).all():
         raise SingularDesignError("squared perturbations barely differ (collinear bias design)")
     return sxx
 
@@ -58,13 +59,20 @@ class BiasFit:
     """Weighted fit of means against ``intercept + slope * h^2``.
 
     Floats for one fit; for a stack of fits, arrays with one entry per row.
-    Residuals are reported on the unweighted scale; with two perturbations
-    the fit interpolates and they vanish.
+    ``x`` holds the squared perturbations and ``means`` the means fitted.
     """
 
     intercept: float | np.ndarray
     slope: float | np.ndarray
-    residuals: np.ndarray
+    x: np.ndarray
+    means: np.ndarray
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """The residuals on the unweighted scale; with two perturbations the
+        fit interpolates and they vanish."""
+        intercept, slope = np.asarray(self.intercept), np.asarray(self.slope)
+        return self.means - (intercept[..., None] + slope[..., None] * self.x)
 
 
 def _float_if_scalar(value: np.ndarray) -> float | np.ndarray:
@@ -87,19 +95,20 @@ def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
         raise ValueError("h, means and sds must have equal shapes")
     if h.shape[-1] < 2:
         raise ValueError(f"need at least 2 perturbations, got {h.shape[-1]}")
-    if not np.all(sds > 0):
+    if not (sds > 0).all():
         raise ValueError("weights (standard deviations) must all be positive")
     x = h * h
-    inv = 1.0 / sds
-    w = inv * inv
+    w = 1.0 / sds
+    w *= w
+    wx = w * x
     total = w.sum(axis=-1)
-    x_mean = (w * x).sum(axis=-1) / total
+    x_mean = wx.sum(axis=-1) / total
     y_mean = (w * means).sum(axis=-1) / total
     dx = x - x_mean[..., None]
-    slope = (w * dx * (means - y_mean[..., None])).sum(axis=-1) / _spread(w, x, dx)
+    wdx = w * dx
+    slope = (wdx * (means - y_mean[..., None])).sum(axis=-1) / _spread(wdx, dx, wx, x)
     intercept = y_mean - slope * x_mean
-    residuals = means - (intercept[..., None] + slope[..., None] * x)
-    return BiasFit(_float_if_scalar(intercept), _float_if_scalar(slope), residuals)
+    return BiasFit(_float_if_scalar(intercept), _float_if_scalar(slope), x, means)
 
 
 def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float | np.ndarray:
@@ -132,7 +141,7 @@ def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
     stays finite without flipping the estimate's direction.  Slopes at or
     above the floor pass through exactly.  Elementwise on arrays.
     """
-    if not np.all(np.asarray(eps) > 0):
+    if not (np.asarray(eps) > 0).all():
         raise ValueError(f"clamp threshold must be positive, got {eps}")
     magnitude = np.maximum(np.abs(bhat), eps)
     return _float_if_scalar(np.where(np.asarray(bhat) >= 0, magnitude, -magnitude))
@@ -162,7 +171,8 @@ def _checked_coefficients(c) -> np.ndarray:
     if bad.size:
         raise ValueError(f"coefficients must be finite and nonzero, got {bad[0]}")
     x = c * c
-    _spread(1.0, x, x - x.mean())
+    dx = x - x.mean()
+    _spread(dx, dx, x, x)
     return np.abs(c)
 
 

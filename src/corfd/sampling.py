@@ -119,21 +119,21 @@ class Streams:
         """
         if self.spawned + n >= 1 << 32:
             raise OverflowError("a stream's spawn counter holds 32 bits")
-        index = np.arange(self.spawned, self.spawned + n, dtype=np.uint32)
         size = self.pools.shape[1]
-        xor, mult = _mix_constants(size, self.words)
-        mixed = _MIX_L * self.pools[:, None] - _MIX_R * _hashmix(index[:, None], xor, mult)
+        mixed = _MIX_L * self.pools[:, None] - _index_terms(size, self.words, self.spawned, n)
         mixed ^= mixed >> _XSHIFT
         self.spawned += n
         return Streams(mixed.reshape(-1, size), self.words + 1)
 
-    def generators(self) -> list[np.random.Generator]:
-        """One generator per row: ``Generator(PCG64(seed))`` for the row's
-        seed sequence ``seed``.  They draw what those generators draw, but
-        their seeds hold only a pool and a state, so they do not spawn."""
+    def generators(self, *more: Streams) -> list[np.random.Generator]:
+        """One generator per row, then one per row of each level of
+        ``more``: ``Generator(PCG64(seed))`` for the row's seed sequence
+        ``seed``.  They draw what those generators draw, but their seeds
+        hold only a pool and a state, so they do not spawn."""
+        pools = np.concatenate([self.pools, *(level.pools for level in more)]) if more else self.pools
         seed, bits, generator = _derived_seed_type(), np.random.PCG64, np.random.Generator
-        states = _generate_state(self.pools, 4, np.uint64)
-        return [generator(bits(seed(pool, state))) for pool, state in zip(self.pools, states)]
+        states = _generate_state(pools, 4, np.uint64)
+        return [generator(bits(seed(pool, state))) for pool, state in zip(pools, states)]
 
 
 def spawn(parent, n: int) -> Streams:
@@ -199,6 +199,19 @@ def _mix_constants(pool_size: int, word: int) -> tuple[np.ndarray, np.ndarray]:
     ``pool_size`` words: the xor and multiplier constant of each pool word."""
     h = _hash_constants(_INIT_A, _MULT_A, (word + 1) * pool_size + 1)[word * pool_size:]
     return h[:-1], h[1:]
+
+
+@functools.lru_cache(maxsize=256)
+def _index_terms(pool_size: int, word: int, start: int, n: int) -> np.ndarray:
+    """The part of :meth:`Streams.spawn`'s mix that depends only on the
+    child indices ``start`` to ``start + n - 1``, entropy word ``word`` of
+    pools of ``pool_size`` words: ``_MIX_R`` times each index's hash, one
+    ``(n, pool_size)`` block shared by every row."""
+    xor, mult = _mix_constants(pool_size, word)
+    index = np.arange(start, start + n, dtype=np.uint32)
+    terms = _MIX_R * _hashmix(index[:, None], xor, mult)
+    terms.flags.writeable = False  # cached and shared by every caller
+    return terms
 
 
 @functools.cache
@@ -403,11 +416,11 @@ def difference_samples(
     h = np.asarray(h, dtype=float).reshape(-1)
     if not len(coords) == h.size == len(rngs):
         raise ValueError("need one perturbation and one generator per coordinate")
-    if np.any(h == 0.0):
+    if (h == 0.0).any():
         raise ValueError("perturbation h must be nonzero")
     theta0 = np.asarray(theta0, dtype=float).reshape(-1)
     # Rows 2j and 2j + 1 are the plus and minus sides of quotient row j.
-    points = np.repeat(theta0[None, :], 2 * h.size, axis=0)
+    points = theta0[None, :].repeat(2 * h.size, axis=0)
     plus = np.arange(0, 2 * h.size, 2)
     points[plus, coords] += h
     points[plus + 1, coords] -= h

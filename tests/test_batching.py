@@ -72,6 +72,26 @@ class TestBatchInvariance:
         (one,) = run([0], stream(7))
         assert one == run(0, stream(7))
 
+    @pytest.mark.parametrize("method", ["cor", "boot"])
+    def test_noise_free_and_noisy_coordinates_in_one_batch(self, method):
+        # Noise sd |t1|: at t1 = 0 the pairs along coordinate 0 are exact,
+        # and the pairs along coordinate 1 are noisy.
+        def block(points, rngs, size):
+            return np.array([
+                float(t[0] ** 3 + 2.0 * t[1] ** 3) + abs(float(t[1])) * rng.standard_normal(size)
+                for t, rng in zip(points, rngs)
+            ])
+
+        oracle = SimulationOracle(dim=2, label="mixed@2", sample=block_sampler(block))
+        theta = np.array([0.5, 0.0])
+        run = {"cor": cor_cfd, "boot": boot_cfd}[method]
+        cfg = EstimatorConfig(K=4, pilot_fraction=0.5)
+        coords = [0, 1, 0]
+        batch = run(oracle, theta, coords, 80, cfg, spawn(stream(8), 3))
+        alone = [run(oracle, theta, i, 80, cfg, rng) for i, rng in zip(coords, stream(8).spawn(3))]
+        assert batch == alone
+        assert [est.constants.noise_var == 0.0 for est in batch] == [True, False, True]
+
     def test_single_coordinate_keeps_its_return_type(self):
         sin1 = parse_problem("sin1")
         est = cor_cfd(sin1.oracle, sin1.theta0, 0, 100, EstimatorConfig(), stream(4))
@@ -134,6 +154,18 @@ class TestParity:
         cfg = DfoConfig(budget=1).estimator_config()
         g = gradient_via_corcfd(zak.oracle, zak.theta0, 20, cfg, stream(0).spawn(2)[0])
         np.testing.assert_allclose(g, expected, rtol=1e-10, atol=0)
+
+    def test_whole_optimizer_run(self):
+        # ``corfd dfo --problem zakharov@10 --budget 10000 --seed 1``, bit for bit.
+        zak = parse_problem("zakharov@10")
+        trace = dfo.corcfd_lbfgs(zak.oracle, zak.theta0, DfoConfig(budget=10_000), stream(1))
+        assert [float(x).hex() for x in trace.theta_final] == [
+            "0x1.804e8a9c90245p-3", "-0x1.733ad5951039ep-4", "0x1.12f2d09ef3255p-3",
+            "-0x1.c99d38aa778c6p-4", "0x1.42fcc82ae0f3ep-4", "0x1.a44cabf9dc55ep-4",
+            "-0x1.adf1783f3181dp-4", "0x1.4886cebdfb2a1p-3", "0x1.3b16ace95089dp-4",
+            "-0x1.c21a69616ac8fp-3",
+        ]
+        assert trace.evals_total == 20552
 
     @pytest.mark.parametrize(
         "problem, n, cfg, seed, value, perturbation",

@@ -319,18 +319,6 @@ class TestBenchCommand:
         assert [r[3] for r in rows[:3]] == ["0", "1", "2"]
         assert len(read_csv(summary)[1]) == 4
 
-    def test_readme_grid_command_runs(self, tmp_path, monkeypatch):
-        root = Path(__file__).parents[1]
-        readme = (root / "README.md").read_text()
-        (line,) = [x for x in readme.splitlines() if x.startswith("corfd bench --config")]
-        argv = line.split()[1:]
-        config = argv.index("--config") + 1
-        argv[config] = str(root / argv[config])
-        monkeypatch.chdir(tmp_path)
-        assert main([*argv, "--set", "reps=2"]) == 0
-        # A header and one row per cell: {cor, opt} x three budgets.
-        assert len((tmp_path / "table.csv").read_text().splitlines()) == 7
-
     def test_malformed_config_line_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("reps = 2\nproblem poly@0\n")
@@ -415,6 +403,37 @@ class TestBenchCommand:
         assert code == 2  # cor ran
         err = capsys.readouterr().err
         assert "error: sin1/boot/100: BudgetError: budget 100 leaves no fresh pairs" in err
+
+
+def readme_commands() -> dict[str, list[str]]:
+    """The ``corfd`` lines of the README's CLI block, continuations joined,
+    as argument lists keyed by subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [x for x in block.replace("\\\n", " ").splitlines() if x.startswith("corfd ")]
+    return {line.split()[1]: line.split()[1:] for line in lines}
+
+
+class TestReadmeCommands:
+    def test_block_holds_every_subcommand(self):
+        assert sorted(readme_commands()) == ["bench", "dfo", "diag", "estimate"]
+
+    @pytest.mark.parametrize("command", ["estimate", "bench", "dfo", "diag"])
+    def test_command_runs(self, command, tmp_path, monkeypatch):
+        argv = readme_commands()[command]
+        if command == "bench":
+            config = argv.index("--config") + 1
+            argv[config] = str(Path(__file__).parents[1] / argv[config])
+            argv += ["--set", "reps=2"]
+        named = {value for flag, value in zip(argv, argv[1:]) if flag in ("--out", "--summary-out")}
+        named |= {value.split("=", 1)[1] for flag, value in zip(argv, argv[1:])
+                  if flag == "--set" and value.split("=", 1)[0] in ("out", "detail_out")}
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert {p.name for p in tmp_path.iterdir()} == named
+        if command == "bench":
+            # A header and one row per cell: {cor, opt} x three budgets.
+            assert len((tmp_path / "table.csv").read_text().splitlines()) == 7
 
 
 class TestUsageErrors:

@@ -197,6 +197,16 @@ class TestCorCfd:
                 assert est.value == pytest.approx(2.0 + est.perturbation**2, abs=1e-12)
                 assert est.pairs_used == 60 and est.constants.noise_var == 0.0
 
+    @pytest.mark.parametrize("reps", [None, 100])
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0 / 3.0, 1e-310, 1e150])
+    def test_constant_columns_are_found_at_any_scale(self, slope, reps):
+        # A constant column's mean and resampling sd carry rounding errors
+        # (ten copies of 0.1 do not sum to 1.0), denormals and zero
+        # included; each column is still recognised as noise-free.
+        line = deterministic_oracle(lambda t: slope * float(t[0]))
+        est = cor_cfd(line, [0.0], 0, 100, EstimatorConfig(bootstrap_reps=reps), stream(2))
+        assert est.constants.noise_var == 0.0 and np.isfinite(est.value)
+
     def test_noise_free_slope_out_of_range_is_not_used(self):
         # The slope 1e160 has no finite square, but a noise-free coordinate
         # takes the largest pilot perturbation and never needs it.

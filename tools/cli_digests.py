@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 29 commands takes 10 to 17 seconds on a 2-core x86-64 machine.
+of 30 commands takes 13 to 17 seconds on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -93,6 +93,9 @@ COMMANDS = [
     # A memory of three pairs evicts its oldest pair from the fourth iteration on.
     ("dfo-zakharov10-memory3", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
                                      "--seed", "1", "--memory", "3"]),
+    # K = 3 pilot perturbations: the other dfo commands all run K = 5.
+    ("dfo-zakharov10-K3", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
+                                "--seed", "1", "--K", "3", "--T0", "12"]),
     ("dfo-zakharov10-tra", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",
                                  "--seed", "1", "--gradient-method", "tra"]),
     # d = 100 draws the largest pilot-coefficient block: 100 rows per stage.

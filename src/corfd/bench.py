@@ -82,7 +82,13 @@ def summarize(estimates, truth: float) -> SummaryStats:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment grid: a problem, methods, budgets, and replication count."""
+    """One experiment grid: a problem, methods, budgets, and replication count.
+
+    Replication ``i`` of cell ``j`` runs on child ``i`` of ``stream(seed,
+    j)``.  ``kappa`` scales the sine problems' mean response
+    ``kappa * sin(theta)``.  ``truth_override`` replaces the problem's true
+    derivative, against which the summary rows are taken.
+    """
 
     problem: str
     methods: tuple[str, ...]
@@ -112,6 +118,13 @@ class ExperimentConfig:
                 "boot discards its pilots, so it needs pilot_fraction (r) below 1 or "
                 "pilot_size (n_b) set: at r = 1 the pilots leave fewer than K fresh pairs"
             )
+        if "opt" in self.methods:
+            truth = parse_problem(self.problem, self.kappa).truth
+            if truth is None or truth.bias_const is None or truth.noise_var is None:
+                raise ValueError(
+                    f"opt needs the true bias constant and noise variance, which problem "
+                    f"{self.problem} does not know"
+                )
         if not self.budgets or min(self.budgets) < 1:
             raise ValueError(f"budgets must be one or more values >= 1, got {list(self.budgets)}")
         if not 0 < abs(self.tra_bias_const) < np.inf:

@@ -79,9 +79,30 @@ _HELP = {
     "r": "budget fraction spent on pilots",
     "n_b": "pairs per pilot perturbation (overrides --r)",
     "I": "Monte Carlo bootstrap resamples per column (unset: closed-form moments)",
-    "gamma": "pilot perturbation exponent",
+    "gamma": "pilot perturbation exponent: h_k = c_k * n_b**gamma",
+    "clamp_scale": "least magnitude of the fitted bias constant, relative to the fitted derivative",
+    "mu0": "mean of the normal the pilot coefficients c_k are drawn from",
+    "sigma0": "standard deviation of the normal the pilot coefficients are drawn from",
+    "L": "lower end of the pilot coefficients' truncation interval",
+    "U": "upper end of the pilot coefficients' truncation interval",
+    "seed": "root seed of every random stream",
+    "kappa": "amplitude of the sine problems' mean response kappa*sin(theta)",
     "truth": "override the reference derivative",
+    "tra_B": "bias constant that tra assumes",
+    "tra_sigma2": "noise variance that tra assumes",
+    "tra_h": "explicit perturbation of tra (overrides --tra-B and --tra-sigma2)",
+    "T0": "starting pair batch per coordinate",
+    "l1": "line search: sufficient-decrease constant",
+    "l2": "line search: factor that shrinks a rejected step",
+    "a0": "line search: initial step",
+    "sigma": "line search: slack, a bound on the response's standard deviation",
+    "memory": "L-BFGS memory: displacement / gradient-difference pairs kept",
+    "gradient_method": "gradient estimator: the full cor pipeline or one tra pair per coordinate",
 }
+_PROBLEM_HELP = (
+    "problem id: sin1, sin2, poly@<theta0>, rosenbrock, zakharov@<d> or "
+    "queue@<lam>,<mu>,<N>,<param>[,<measure>]"
+)
 
 
 def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
@@ -285,23 +306,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="replicated gradient estimates on one problem")
-    p_est.add_argument("--problem", required=True)
-    p_est.add_argument("--method", choices=METHODS, required=True)
+    p_est.add_argument("--problem", required=True, help=_PROBLEM_HELP)
+    p_est.add_argument("--method", choices=METHODS, required=True, help="estimator")
     p_est.add_argument("--pairs", type=int, required=True, help="sample-pair budget n")
-    p_est.add_argument("--reps", type=int, default=1)
-    p_est.add_argument("--h", dest="tra_h", metavar="H", type=float, help="explicit perturbation (tra)")
-    p_est.add_argument("--out", default="estimates.csv")
-    p_est.add_argument("--summary-out", dest="summary_out", default="estimates_summary.csv")
+    p_est.add_argument("--reps", type=int, default=1, help="independent replications")
+    p_est.add_argument("--h", dest="tra_h", metavar="H", type=float, help=_HELP["tra_h"])
+    p_est.add_argument("--out", default="estimates.csv", help="CSV of one row per replication")
+    p_est.add_argument("--summary-out", dest="summary_out", default="estimates_summary.csv",
+                       help="CSV of bias, variance and MSE, when the truth is known")
     _add_flags(p_est, [key for key in _ESTIMATE_KEYS if key != "tra_h"])
     p_est.set_defaults(func=_cmd_estimate)
 
     p_dfo = sub.add_parser("dfo", help="run the derivative-free optimizer")
-    p_dfo.add_argument("--problem", required=True)
+    p_dfo.add_argument("--problem", required=True, help=_PROBLEM_HELP)
     p_dfo.add_argument("--budget", type=int, required=True, help="total sample-pair budget T")
-    p_dfo.add_argument("--seed", type=int, default=0)
-    p_dfo.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p_dfo.add_argument("--seed", type=int, default=0, help=_HELP["seed"])
+    p_dfo.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help=_HELP["kappa"])
     p_dfo.add_argument("--start", default=None, help="comma-separated starting point")
-    p_dfo.add_argument("--out", default="dfo_trace.csv")
+    p_dfo.add_argument("--out", default="dfo_trace.csv", help="CSV of one row per iteration")
     _add_flags(p_dfo, _DFO_KEYS)
     p_dfo.set_defaults(func=_cmd_dfo)
 
@@ -313,9 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diag", help="regression diagnostics for a coefficient vector")
     p_diag.add_argument("--c", required=True, help="comma-separated coefficients")
-    p_diag.add_argument("--fifth-const", dest="fifth_const", type=float, default=1.0)
-    p_diag.add_argument("--noise-slope", dest="noise_slope", type=float, default=0.0)
-    p_diag.add_argument("--out", default="diag.csv")
+    p_diag.add_argument("--fifth-const", dest="fifth_const", type=float, default=1.0,
+                        help="the problem's quartic-bias (fifth-derivative) constant")
+    p_diag.add_argument("--noise-slope", dest="noise_slope", type=float, default=0.0,
+                        help="derivative of the response's standard deviation at the point")
+    p_diag.add_argument("--out", default="diag.csv", help="CSV of the diagnostics")
     p_diag.set_defaults(func=_cmd_diag)
 
     return parser

@@ -51,7 +51,11 @@ class DfoConfig:
     at least two pilot pairs per perturbation.  ``noise_bound`` is the slack
     of the line-search test, an upper bound on the response's standard
     deviation; beyond that slack the test demands decrease (see
-    :func:`stochastic_armijo`).  ``gradient_method`` selects the full
+    :func:`stochastic_armijo`), by ``l1`` times the step times the model's
+    decrease rate.  The search starts at ``step_init`` and multiplies a
+    rejected step by ``l2``.  ``memory_depth`` is the number of
+    displacement / gradient-difference pairs the L-BFGS memory keeps.
+    ``gradient_method`` selects the full
     pipeline ("cor") or the one-pair-per-coordinate baseline ("tra").  The
     gradient estimator takes the closed-form bootstrap moments of its pilot
     columns and spends its whole batch on pilots.

@@ -75,7 +75,11 @@ class EstimatorConfig:
     pilot column take their closed form; a count ``I`` estimates them from
     ``I`` Monte Carlo resamples per column instead, as in the paper.  The
     bias constant is always fitted by weighted least squares, each pilot
-    column weighted by its bootstrap standard deviation.
+    column weighted by its bootstrap standard deviation, and its magnitude
+    is then raised to at least ``clamp_scale`` times the fitted derivative's
+    magnitude (and at least ``clamp_scale``).  ``pilot_exponent`` is the
+    exponent ``gamma`` in the pilot perturbations ``c_k * n_b**gamma``, and
+    ``coeff_gen`` draws the coefficients ``c_k``.
     """
 
     K: int = 10

@@ -32,8 +32,10 @@ __all__ = [
 # coefficients, and such a generator draws them too close to tell apart.
 _SQUARE_TIE_RTOL = 1e-6
 
-# A rejection draw of many values takes its normals in chunks of at most
-# this many, so that its memory stays bounded whatever the sample size.
+# A rejection draw tries batches of ``_BATCH`` normals for each value, and
+# takes at most ``_NORMALS_PER_CHUNK`` normals per row in one round of
+# batches, so that its memory stays bounded whatever the sample size.
+_BATCH = 16
 _NORMALS_PER_CHUNK = 1 << 16
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -257,12 +259,14 @@ def _derived_seed_type():
 class PerturbationGenerator:
     """Truncated-normal generator for perturbation coefficients.
 
-    Draws from Normal(mu0, sigma0^2) conditioned on [lower, upper].  The
-    support must sit strictly inside the positive axis so that every
-    coefficient is bounded away from zero.  It must carry probability mass,
-    and the squares of the distribution's quartiles must differ by more
-    than ``_SQUARE_TIE_RTOL`` relative; a generator that fails either test
-    raises :class:`DegenerateRegionError` when it is built.
+    Draws from Normal(mu0, sigma0^2) conditioned on [lower, upper] (the CLI
+    keys ``mu0``, ``sigma0``, ``L`` and ``U``).  The support must sit
+    strictly inside the positive axis so that every coefficient is bounded
+    away from zero.  It must carry probability mass, and the squares of the
+    distribution's quartiles must differ by more than ``_SQUARE_TIE_RTOL``
+    relative; a generator that fails either test raises
+    :class:`DegenerateRegionError` when it is built.  Its coefficients are
+    drawn by :func:`draw_perturbation_set`.
     """
 
     mu0: float = 0.0
@@ -318,13 +322,6 @@ class PerturbationGenerator:
         a, b = self._cdf_bounds
         return abs(b - a)
 
-    @property
-    def _width(self) -> int:
-        """Normals per rejection batch, or 0 when the acceptance region is
-        too narrow for rejection and values are drawn by inverse CDF."""
-        accept = self.acceptance_probability
-        return max(16, int(1 / accept * 1.2)) if accept >= 0.1 else 0
-
     def _quantiles(self, u) -> np.ndarray:
         """The truncated distribution's inverse CDF at ``u``, taken in the
         frame given by :attr:`_sign`."""
@@ -333,63 +330,58 @@ class PerturbationGenerator:
         out = self.mu0 + self._sign * self.sigma0 * z
         return np.clip(out, self.lower, self.upper, out=out)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` values from the truncated distribution.  They equal
-        the values of ``size`` successive ``sample(rng, 1)`` calls, consuming
-        the same random numbers in the same order.
 
-        Rejection sampling when the acceptance region is wide enough,
-        inverse-CDF on the truncated interval otherwise; either way the
-        expected work per draw is bounded.  A rejection draw takes, for each
-        value, batches of one fixed width until one holds an accepted value,
-        and keeps the first; the batches are drawn as the rows of arrays of
-        at most ``_NORMALS_PER_CHUNK`` normals.
-        """
-        width = self._width
-        if not width:
-            return self._quantiles(rng.random(size))
-        rows = max(1, _NORMALS_PER_CHUNK // width)
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            shape = (min(size - filled, rows), width)
-            batch = rng.normal(self.mu0, self.sigma0, size=shape)
-            inside = (batch >= self.lower) & (batch <= self.upper)
-            hit = inside.any(axis=1)
-            kept = batch[hit, inside[hit].argmax(axis=1)]
-            out[filled : filled + kept.size] = kept
-            filled += kept.size
-        return out
+def draw_perturbation_set(size: int, gen: PerturbationGenerator, rngs: list) -> np.ndarray:
+    """Draw ``size`` i.i.d. coefficients from ``gen`` per generator of
+    ``rngs``, as one ``(m, size)`` array whose row ``j`` comes from
+    ``rngs[j]`` alone.  ``gen`` was checked for spread when it was built.
 
-
-def draw_perturbation_set(K: int, gen: PerturbationGenerator, rngs: list) -> np.ndarray:
-    """Draw ``K`` i.i.d. pilot-perturbation coefficients per generator of
-    ``rngs``: row ``j`` of the ``(m, K)`` result is ``gen.sample(rngs[j], K)``.
-    ``gen`` was checked for spread when it was built.
-
-    A rejection draw whose first ``(K, width)`` batch fits in one chunk
-    takes every row's first batch into one block, ``rngs[j]`` filling row
-    ``j``, and scales, tests and picks from the block at once; a row with a
-    miss draws its remaining values as ``sample`` goes on to draw them.
+    When the interval carries less than 0.1 of the normal's mass, each row
+    draws ``size`` uniforms, mapped through the truncated inverse CDF.
+    Otherwise each value is the first normal inside the interval from a
+    batch of ``_BATCH`` normals, a batch that holds none being skipped.
+    The batches are drawn in rounds: every row still short of values fills
+    ``min(values left, _NORMALS_PER_CHUNK // _BATCH)`` batches from its own
+    generator into one block, which is scaled, tested and picked from at
+    once.  A row never draws past the batch of its ``size``-th value, so
+    its values and its generator's end state do not depend on the other
+    rows or on the rounds.
     """
-    width = gen._width
-    if not 0 < K * width <= _NORMALS_PER_CHUNK:
-        return np.array([gen.sample(rng, K) for rng in rngs])
-    block = np.empty((len(rngs) * K, width))
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=block[j * K:j * K + K])
-    # As rng.normal(mu0, sigma0) scales its standard normals, bit for bit.
-    block *= gen.sigma0
-    block += gen.mu0
-    inside = block >= gen.lower
-    inside &= block <= gen.upper
-    first = inside.argmax(axis=1)  # a miss picks 0, outside the interval
-    first += np.arange(0, block.size, width)
-    out, hit = block.take(first).reshape(-1, K), inside.take(first).reshape(-1, K)
-    if np.count_nonzero(hit) < hit.size:
-        for j in np.flatnonzero(~hit.all(axis=1)):
-            kept = out[j, hit[j]]
-            out[j] = np.concatenate([kept, gen.sample(rngs[j], K - kept.size)])
+    m = len(rngs)
+    if gen.acceptance_probability < 0.1:
+        u = np.empty((m, size))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        return gen._quantiles(u.ravel()).reshape(m, size)
+    per_round = _NORMALS_PER_CHUNK // _BATCH
+    out = np.empty((m, size))
+    rows, left = range(m), [size] * m  # the rows short of values; the values each lacks
+    counts = [min(size, per_round)] * m  # the batches each of those rows draws this round
+    while rows:
+        block = np.empty((sum(counts), _BATCH))
+        start = 0
+        for j, n in zip(rows, counts):
+            rngs[j].standard_normal(out=block[start:start + n])
+            start += n
+        # As rng.normal(mu0, sigma0) scales its standard normals, bit for bit.
+        block *= gen.sigma0
+        block += gen.mu0
+        inside = block >= gen.lower
+        inside &= block <= gen.upper
+        first = inside.argmax(axis=1)  # a miss picks 0, outside the interval
+        first += np.arange(0, block.size, _BATCH)
+        values, hit = block.take(first), inside.take(first)
+        if np.count_nonzero(hit) == m * size:  # one round drew every row's values
+            return values.reshape(m, size)
+        start, short = 0, []
+        for j, n in zip(rows, counts):
+            kept, done = values[start:start + n][hit[start:start + n]], size - left[j]
+            out[j, done:done + kept.size] = kept
+            left[j] -= kept.size
+            if left[j]:
+                short.append(j)
+            start += n
+        rows, counts = short, [min(left[j], per_round) for j in short]
     return out
 
 

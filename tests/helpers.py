@@ -1,8 +1,35 @@
 """Reference implementations shared by the tests."""
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from corfd.oracle import SimulationOracle, block_sampler
+
+
+def truncated_normal_draws(gen, rng, size):
+    """``size`` coefficients of the perturbation generator ``gen`` drawn
+    from ``rng`` one value at a time.  Each value is the first normal inside
+    ``[gen.lower, gen.upper]`` from the first batch of
+    ``rng.normal(mu0, sigma0, 16)`` that holds one, or, when the interval
+    carries less than 0.1 of the normal's mass, scipy's truncated inverse
+    CDF at one ``rng.random()``."""
+    # scipy's ndtr is precise in its lower tail: an interval above mu0 takes
+    # its probabilities in the frame mirrored about mu0.
+    sign = -1.0 if gen.lower > gen.mu0 else 1.0
+    pa = ndtr(sign * (gen.lower - gen.mu0) / gen.sigma0)
+    pb = ndtr(sign * (gen.upper - gen.mu0) / gen.sigma0)
+    out = []
+    if abs(pb - pa) < 0.1:
+        for _ in range(size):
+            z = sign * ndtri(pa + (pb - pa) * rng.random())
+            out.append(min(max(gen.mu0 + gen.sigma0 * z, gen.lower), gen.upper))
+        return np.array(out)
+    while len(out) < size:
+        batch = rng.normal(gen.mu0, gen.sigma0, 16)
+        inside = batch[(batch >= gen.lower) & (batch <= gen.upper)]
+        if inside.size:
+            out.append(inside[0])
+    return np.array(out)
 
 
 def exact_moments(column):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -97,6 +98,20 @@ class TestEstimateCommand:
         assert err == (
             "error: boot discards its pilots, so it needs pilot_fraction (r) below 1 or "
             "pilot_size (n_b) set: at r = 1 the pilots leave fewer than K fresh pairs\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_opt_without_known_constants_is_config_error(self, tmp_path, capsys):
+        # A queue's bias constant and noise variance are unknown: opt is
+        # refused before any replication runs.
+        code = main([
+            "estimate", "--problem", "queue@3,5,50,service", "--method", "opt", "--pairs", "100",
+            "--out", str(tmp_path / "x.csv"), "--summary-out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: opt needs the true bias constant and noise variance, which problem "
+            "queue@3,5,50,service does not know\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -389,6 +404,16 @@ class TestBenchCommand:
         assert code == 1 and not out.exists()
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_opt_without_known_constants_is_one_config_error(self, tmp_path, capsys):
+        # One line for the whole grid, not one failed cell per budget.
+        out = tmp_path / "summary.csv"
+        assert main(["bench", "--set", "problem=zakharov@2", "--set", f"out={out}"]) == 1
+        assert capsys.readouterr().err == (
+            "error: opt needs the true bias constant and noise variance, which problem "
+            "zakharov@2 does not know\n"
+        )
+        assert not out.exists()
+
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = readme.split("Keys:", 1)[1].split(".", 1)[0]
@@ -484,6 +509,19 @@ class TestUsageErrors:
             main(["dfo", "--help"])
         assert exc.value.code == 0
         assert "--budget" in capsys.readouterr().out
+
+
+    def test_every_option_has_help_text(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        missing = [
+            f"{name} {action.option_strings[0]}"
+            for name, command in sub.choices.items()
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction) and not action.help
+        ]
+        assert sorted(sub.choices) == ["bench", "dfo", "diag", "estimate"]
+        assert missing == []
 
 
 class TestSettings:

@@ -28,7 +28,7 @@ from corfd.sampling import (
     spawn,
     stream,
 )
-from helpers import deterministic_oracle
+from helpers import deterministic_oracle, truncated_normal_draws
 
 
 class TestStream:
@@ -184,12 +184,12 @@ class TestCallerSpawnCounter:
 class TestTruncatedNormal:
     def test_draws_respect_lower_bound(self):
         gen = PerturbationGenerator(0, 1, 0.1, np.inf)
-        x = gen.sample(stream(0), 100_000)
+        x = draw_perturbation_set(100_000, gen, [stream(0)])[0]
         assert x.min() >= 0.1
 
     def test_symmetric_truncation_mean(self):
         gen = PerturbationGenerator(5, 1, 4, 6)
-        x = gen.sample(stream(1), 1_000_000)
+        x = draw_perturbation_set(1_000_000, gen, [stream(1)])[0]
         assert abs(x.mean() - 5) < 0.01
 
     def test_one_sided_mean_matches_closed_form(self):
@@ -199,14 +199,14 @@ class TestTruncatedNormal:
         expected = norm.pdf(a) / norm.sf(a)
         assert abs(expected - 0.8626) < 5e-4  # value computed before build
         gen = PerturbationGenerator(0, 1, 0.1, np.inf)
-        x = gen.sample(stream(2), 1_000_000)
+        x = draw_perturbation_set(1_000_000, gen, [stream(2)])[0]
         se = x.std(ddof=1) / 1000.0
         assert abs(x.mean() - expected) < 4 * se
 
     def test_inverse_cdf_branch_tail_interval(self):
         gen = PerturbationGenerator(0, 1, 3.5, 4.0)
         assert gen.acceptance_probability < 0.1  # forces the inverse-CDF path
-        x = gen.sample(stream(3), 200_000)
+        x = draw_perturbation_set(200_000, gen, [stream(3)])[0]
         assert x.min() >= 3.5 and x.max() <= 4.0
         # Independent oracle: truncated mean by quadrature.
         mass = norm.cdf(4.0) - norm.cdf(3.5)
@@ -287,26 +287,17 @@ class TestNormalFunctions:
     @pytest.mark.parametrize("gen", INVERSE_CDF_GENERATORS)
     def test_inverse_cdf_draws_match_scipy(self, gen):
         assert gen.acceptance_probability < 0.1
-        got = gen.sample(stream(13), 2000)
-        u = stream(13).random(2000)
-        alpha = (gen.lower - gen.mu0) / gen.sigma0
-        beta = (gen.upper - gen.mu0) / gen.sigma0
-        if alpha > 0:
-            qa, qb = ndtr(-alpha), ndtr(-beta)
-            z = -ndtri(qa - (qa - qb) * u)
-        else:
-            pa, pb = ndtr(alpha), ndtr(beta)
-            z = ndtri(pa + (pb - pa) * u)
-        expected = np.clip(gen.mu0 + gen.sigma0 * z, gen.lower, gen.upper)
+        got = draw_perturbation_set(2000, gen, [stream(13)])[0]
+        expected = truncated_normal_draws(gen, stream(13), 2000)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
     def test_default_coefficients_unchanged(self):
-        got = PerturbationGenerator().sample(stream(0), 50)
+        got = draw_perturbation_set(50, PerturbationGenerator(), [stream(0)])[0]
         np.testing.assert_array_equal(got, DEFAULT_FIRST_50)
 
     def test_far_right_tail_draws_are_finite_and_spread(self):
         gen = PerturbationGenerator(lower=7.0)
-        x = gen.sample(np.random.default_rng(0), size=200_000)
+        x = draw_perturbation_set(200_000, gen, [np.random.default_rng(0)])[0]
         assert np.all(np.isfinite(x)) and x.min() >= 7.0
         assert np.unique(x).size > 199_000
         se = x.std(ddof=1) / np.sqrt(x.size)
@@ -332,8 +323,8 @@ class TestSuccessiveDraws:
     def test_equal_to_one_call_at_a_time(self, gen):
         for seed in range(20):
             together, one_by_one = stream(11, seed), stream(11, seed)
-            got = gen.sample(together, 12)
-            expected = [gen.sample(one_by_one, 1)[0] for _ in range(12)]
+            got = draw_perturbation_set(12, gen, [together])[0]
+            expected = [draw_perturbation_set(1, gen, [one_by_one])[0][0] for _ in range(12)]
             np.testing.assert_array_equal(got, expected)
             assert together.bit_generator.state == one_by_one.bit_generator.state
 
@@ -347,8 +338,8 @@ class TestSuccessiveDraws:
         monkeypatch.setattr(sampling, "_NORMALS_PER_CHUNK", 64)
         for seed in range(5):
             together, one_by_one = stream(13, seed), stream(13, seed)
-            got = gen.sample(together, 30)
-            expected = [gen.sample(one_by_one, 1)[0] for _ in range(30)]
+            got = draw_perturbation_set(30, gen, [together])[0]
+            expected = [draw_perturbation_set(1, gen, [one_by_one])[0][0] for _ in range(30)]
             np.testing.assert_array_equal(got, expected)
             assert together.bit_generator.state == one_by_one.bit_generator.state
 
@@ -356,8 +347,9 @@ class TestSuccessiveDraws:
         gen = PerturbationGenerator()
         size = sampling._NORMALS_PER_CHUNK // 16 + 5
         together, one_by_one = stream(14), stream(14)
-        got = gen.sample(together, size)
-        np.testing.assert_array_equal(got, [gen.sample(one_by_one, 1)[0] for _ in range(size)])
+        got = draw_perturbation_set(size, gen, [together])[0]
+        expected = [draw_perturbation_set(1, gen, [one_by_one])[0][0] for _ in range(size)]
+        np.testing.assert_array_equal(got, expected)
         assert together.bit_generator.state == one_by_one.bit_generator.state
 
 
@@ -367,6 +359,21 @@ def pilot_perturbations(cfg, n, seed):
     stage = _pilot_stage(poly_oracle(), [0.0], [0], n, cfg, stream(seed), n)
     coeff_rng = stream(seed).spawn(3)[0]
     return stage.h[0], draw_perturbation_set(cfg.K, cfg.coeff_gen, [coeff_rng])[0]
+
+
+def assert_rows_are_reference_draws(got, gen, rngs, copies):
+    """Row ``j`` of ``got`` holds the values the one-value-at-a-time
+    reference draws from ``copies[j]``, a copy of ``rngs[j]`` taken before
+    the draw, and both generators end in one state.  Rejection values are
+    the same normals, bit for bit; inverse-CDF values agree to the
+    precision of the normal quantile."""
+    for row, rng, twin in zip(got, rngs, copies):
+        expected = truncated_normal_draws(gen, twin, row.size)
+        if gen.acceptance_probability < 0.1:
+            np.testing.assert_allclose(row, expected, rtol=1e-13, atol=0)
+        else:
+            np.testing.assert_array_equal(row, expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestPerturbationSet:
@@ -400,10 +407,10 @@ class TestPerturbationSet:
         # Squares of draws from this sliver often agree to 1e-6 relative:
         # they are kept as drawn, not redrawn.
         (4, PerturbationGenerator(0.0, 1.0, 1.0, 1.000003)),
-        # About 14% of batches of 16 miss this interval: those values are
-        # drawn on from the row's generator after the block.
+        # About 14% of batches of 16 miss this interval: those rows draw
+        # their missing values in a second round.
         (5, PerturbationGenerator(0.0, 1.0, 1.2)),
-        # 5000 batches of 16 normals exceed a chunk: drawn row by row.
+        # 5000 batches of 16 normals exceed a chunk: two rounds or more per row.
         (5000, PerturbationGenerator()),
     ], ids=["default", "inverse-cdf", "sliver", "sparse", "beyond-chunk"])
     def test_rows_are_plain_draws_of_their_generators(self, K, gen):
@@ -411,9 +418,18 @@ class TestPerturbationSet:
         copies = copy.deepcopy(rngs)
         got = draw_perturbation_set(K, gen, rngs)
         assert got.shape == (10, K)
-        for row, rng, twin in zip(got, rngs, copies):
-            np.testing.assert_array_equal(row, gen.sample(twin, K))
-            assert rng.bit_generator.state == twin.bit_generator.state
+        assert_rows_are_reference_draws(got, gen, rngs, copies)
+
+    def test_rows_that_finish_in_different_rounds(self, monkeypatch):
+        # Rounds of 4 batches of 16 normals: 30 values take each row eight
+        # rounds or more, and its misses decide how many.
+        monkeypatch.setattr(sampling, "_NORMALS_PER_CHUNK", 64)
+        gen = PerturbationGenerator(0.0, 1.0, 1.2)
+        rngs = [stream(15, seed) for seed in range(6)]
+        copies = copy.deepcopy(rngs)
+        got = draw_perturbation_set(30, gen, rngs)
+        assert got.shape == (6, 30)
+        assert_rows_are_reference_draws(got, gen, rngs, copies)
 
     @pytest.mark.parametrize("kwargs,named", [
         (dict(mu0=5, sigma0=1e-13, lower=4, upper=6), "mu0 = 5.0, sigma0 = 1e-13, L = 4.0, U = 6.0"),
@@ -431,7 +447,7 @@ class TestPerturbationSet:
     def test_far_generator_spread_check_does_not_overflow(self):
         # Quartiles near 1e200 have squares beyond the float range.
         gen = PerturbationGenerator(mu0=1e200, sigma0=1e199)
-        assert np.all(np.isfinite(gen.sample(stream(1), 3)))
+        assert np.all(np.isfinite(draw_perturbation_set(3, gen, [stream(1)])[0]))
 
     def test_custom_exponent(self):
         cfg = EstimatorConfig(K=4, pilot_size=100, pilot_exponent=-1.0 / 6)

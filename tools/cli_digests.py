@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 30 commands takes 13 to 17 seconds on a 2-core x86-64 machine.
+of 32 commands takes 14 to 26 seconds on 2-core x86-64 machines.
 """
 from __future__ import annotations
 
@@ -56,14 +56,20 @@ _QUEUE_GRID = ["bench", "--set", "problem=queue@3,5,50,service", "--set", "metho
                "--set", "budgets=1000,10000", "--set", "reps=8", "--set", "r=0.5",
                "--set", "detail_out=detail.csv"]
 
+# Two threads cut each cell into batches of 20 replications, so one pilot
+# draw takes the coefficients of 20 rows.
+_MANY_ROWS_GRID = ["bench", "--set", "problem=poly@3", "--set", "methods=boot,cor",
+                   "--set", "budgets=100,1000", "--set", "reps=40", "--set", "r=0.5",
+                   "--set", "detail_out=detail.csv"]
+
 # (label, CORFD_THREADS, corfd arguments)
 COMMANDS = [
     ("estimate-cor", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "cor"]),
     ("estimate-opt", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "opt"]),
     ("estimate-tra", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "tra"]),
     ("estimate-boot", "1", _ESTIMATE + ["--problem", "poly@3", "--method", "boot", "--r", "0.5"]),
-    # Batches of 16 normals miss [1.2, inf) about 14% of the time: those
-    # rows draw on alone after the block of first batches.
+    # Batches of 16 normals miss [1.2, inf) about 14% of the time: a row
+    # with a miss draws its missing coefficients in a second round.
     ("estimate-cor-sparse-L", "1", ["estimate", "--problem", "poly@3", "--method", "cor",
                                     "--pairs", "1000", "--reps", "200", "--L", "1.2"]),
     ("estimate-queue-I100", "1", _QUEUE),
@@ -89,6 +95,10 @@ COMMANDS = [
     ("bench-partial-failure-serial", "1", _PARTIAL_FAILURE),
     ("bench-partial-failure-threads2", "2", _PARTIAL_FAILURE),
     ("bench-queue-threads2", "2", _QUEUE_GRID),
+    # Rows whose batches miss [1.2, inf) finish in later rounds than the rest.
+    ("bench-many-rows-sparse-L-threads2", "2", _MANY_ROWS_GRID + ["--set", "L=1.2"]),
+    # [0.5, 0.7] holds under 0.1 of the normal's mass: inverse-CDF coefficients.
+    ("bench-many-rows-L-U-threads2", "2", _MANY_ROWS_GRID + ["--set", "L=0.5", "--set", "U=0.7"]),
     ("dfo-zakharov10", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000", "--seed", "1"]),
     # A memory of three pairs evicts its oldest pair from the fourth iteration on.
     ("dfo-zakharov10-memory3", "1", ["dfo", "--problem", "zakharov@10", "--budget", "100000",

@@ -34,36 +34,47 @@ DIAG_HEADER = ["quantity", "value"]
 
 
 # Settings that ``estimate`` and ``dfo`` take as flags and ``bench`` takes as
-# config keys: key -> (dataclass field, type).  Every key starts unset, so
-# each default lives only in the dataclass that owns the field.
+# config keys: key -> (dataclass field, type, help).  Every key starts unset,
+# so each default lives only in the dataclass that owns the field.
 _KEYS = {
     # EstimatorConfig
-    "K": ("K", int),
-    "r": ("pilot_fraction", float),
-    "n_b": ("pilot_size", int),
-    "I": ("bootstrap_reps", int),
-    "gamma": ("pilot_exponent", float),
-    "clamp_scale": ("clamp_scale", float),
+    "K": ("K", int, "number of pilot perturbations"),
+    "r": ("pilot_fraction", float, "budget fraction spent on pilots"),
+    "n_b": ("pilot_size", int, "pairs per pilot perturbation (overrides --r)"),
+    "I": ("bootstrap_reps", int,
+          "Monte Carlo bootstrap resamples per column (unset: closed-form moments)"),
+    "gamma": ("pilot_exponent", float, "pilot perturbation exponent: h_k = c_k * n_b**gamma"),
+    "clamp_scale": (
+        "clamp_scale", float,
+        "least magnitude of the fitted bias constant, relative to the fitted derivative",
+    ),
     # PerturbationGenerator
-    "mu0": ("mu0", float),
-    "sigma0": ("sigma0", float),
-    "L": ("lower", float),
-    "U": ("upper", float),
+    "mu0": ("mu0", float, "mean of the normal the pilot coefficients c_k are drawn from"),
+    "sigma0": ("sigma0", float,
+               "standard deviation of the normal the pilot coefficients are drawn from"),
+    "L": ("lower", float, "lower end of the pilot coefficients' truncation interval"),
+    "U": ("upper", float, "upper end of the pilot coefficients' truncation interval"),
     # ExperimentConfig
-    "seed": ("seed", int),
-    "kappa": ("kappa", float),
-    "truth": ("truth_override", float),
-    "tra_B": ("tra_bias_const", float),
-    "tra_sigma2": ("tra_noise_var", float),
-    "tra_h": ("tra_perturbation", float),
+    "seed": ("seed", int, "root seed of every random stream"),
+    "kappa": ("kappa", float, "amplitude of the sine problems' mean response kappa*sin(theta)"),
+    "truth": ("truth_override", float, "override the reference derivative"),
+    "tra_B": ("tra_bias_const", float, "bias constant that tra assumes"),
+    "tra_sigma2": ("tra_noise_var", float, "noise variance that tra assumes"),
+    "tra_h": ("tra_perturbation", float,
+              "explicit perturbation of tra (overrides --tra-B and --tra-sigma2)"),
     # DfoConfig
-    "T0": ("batch_init", int),
-    "l1": ("l1", float),
-    "l2": ("l2", float),
-    "a0": ("step_init", float),
-    "sigma": ("noise_bound", float),
-    "memory": ("memory_depth", int),
-    "gradient_method": ("gradient_method", str),
+    "T0": ("batch_init", int, "starting pair batch per coordinate"),
+    "l1": ("l1", float, "line search: sufficient-decrease constant"),
+    "l2": ("l2", float, "line search: factor that shrinks a rejected step"),
+    "a0": ("step_init", float, "line search: initial step"),
+    "sigma": ("noise_bound", float,
+              "line search: slack, a bound on the response's standard deviation"),
+    "memory": ("memory_depth", int,
+               "L-BFGS memory: displacement / gradient-difference pairs kept"),
+    "gradient_method": (
+        "gradient_method", str,
+        "gradient estimator: the full cor pipeline or one tra pair per coordinate",
+    ),
 }
 _GENERATOR_KEYS = ("mu0", "sigma0", "L", "U")
 _ESTIMATE_KEYS = (
@@ -74,31 +85,6 @@ _DFO_KEYS = (
     "K", "T0", "l1", "l2", "a0", "sigma", "memory", "gradient_method",
 ) + _GENERATOR_KEYS
 _CHOICES = {"gradient_method": GRADIENT_METHODS}
-_HELP = {
-    "K": "number of pilot perturbations",
-    "r": "budget fraction spent on pilots",
-    "n_b": "pairs per pilot perturbation (overrides --r)",
-    "I": "Monte Carlo bootstrap resamples per column (unset: closed-form moments)",
-    "gamma": "pilot perturbation exponent: h_k = c_k * n_b**gamma",
-    "clamp_scale": "least magnitude of the fitted bias constant, relative to the fitted derivative",
-    "mu0": "mean of the normal the pilot coefficients c_k are drawn from",
-    "sigma0": "standard deviation of the normal the pilot coefficients are drawn from",
-    "L": "lower end of the pilot coefficients' truncation interval",
-    "U": "upper end of the pilot coefficients' truncation interval",
-    "seed": "root seed of every random stream",
-    "kappa": "amplitude of the sine problems' mean response kappa*sin(theta)",
-    "truth": "override the reference derivative",
-    "tra_B": "bias constant that tra assumes",
-    "tra_sigma2": "noise variance that tra assumes",
-    "tra_h": "explicit perturbation of tra (overrides --tra-B and --tra-sigma2)",
-    "T0": "starting pair batch per coordinate",
-    "l1": "line search: sufficient-decrease constant",
-    "l2": "line search: factor that shrinks a rejected step",
-    "a0": "line search: initial step",
-    "sigma": "line search: slack, a bound on the response's standard deviation",
-    "memory": "L-BFGS memory: displacement / gradient-difference pairs kept",
-    "gradient_method": "gradient estimator: the full cor pipeline or one tra pair per coordinate",
-}
 _PROBLEM_HELP = (
     "problem id: sin1, sin2, poly@<theta0>, rosenbrock, zakharov@<d> or "
     "queue@<lam>,<mu>,<N>,<param>[,<measure>]"
@@ -107,9 +93,9 @@ _PROBLEM_HELP = (
 
 def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
     for key in keys:
+        _, kind, text = _KEYS[key]
         parser.add_argument(
-            "--" + key.replace("_", "-"), type=_KEYS[key][1],
-            choices=_CHOICES.get(key), help=_HELP.get(key),
+            "--" + key.replace("_", "-"), type=kind, choices=_CHOICES.get(key), help=text
         )
 
 
@@ -297,6 +283,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Cached for speed: without it, a process that runs main per grid cell loses ~27% pairs/s.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``corfd`` parser, built on first use and shared by every later
@@ -310,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", choices=METHODS, required=True, help="estimator")
     p_est.add_argument("--pairs", type=int, required=True, help="sample-pair budget n")
     p_est.add_argument("--reps", type=int, default=1, help="independent replications")
-    p_est.add_argument("--h", dest="tra_h", metavar="H", type=float, help=_HELP["tra_h"])
+    p_est.add_argument("--h", dest="tra_h", metavar="H", type=float, help=_KEYS["tra_h"][2])
     p_est.add_argument("--out", default="estimates.csv", help="CSV of one row per replication")
     p_est.add_argument("--summary-out", dest="summary_out", default="estimates_summary.csv",
                        help="CSV of bias, variance and MSE, when the truth is known")
@@ -320,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dfo = sub.add_parser("dfo", help="run the derivative-free optimizer")
     p_dfo.add_argument("--problem", required=True, help=_PROBLEM_HELP)
     p_dfo.add_argument("--budget", type=int, required=True, help="total sample-pair budget T")
-    p_dfo.add_argument("--seed", type=int, default=0, help=_HELP["seed"])
-    p_dfo.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help=_HELP["kappa"])
+    p_dfo.add_argument("--seed", type=int, default=0, help=_KEYS["seed"][2])
+    p_dfo.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help=_KEYS["kappa"][2])
     p_dfo.add_argument("--start", default=None, help="comma-separated starting point")
     p_dfo.add_argument("--out", default="dfo_trace.csv", help="CSV of one row per iteration")
     _add_flags(p_dfo, _DFO_KEYS)

@@ -132,6 +132,24 @@ class TestEstimateCommand:
         ])
         assert code == 2  # tra ran
 
+    @pytest.mark.parametrize("args, message", [
+        # The bias constant's square underflows to zero.
+        (["--method", "opt", "--kappa", "1e-200"], "square overflows or underflows"),
+        # A denormal square, or a huge noise variance, gives an infinite perturbation.
+        (["--method", "opt", "--kappa", "1e-160"], "perturbation inf, which is not finite"),
+        (["--method", "tra", "--tra-sigma2", "1e300", "--tra-B", "1e-10"],
+         "perturbation inf, which is not finite"),
+    ])
+    def test_perturbation_out_of_range_is_one_error_line(self, tmp_path, capsys, args, message):
+        code = main([
+            "estimate", "--problem", "sin1", "--pairs", "100", *args,
+            "--out", str(tmp_path / "x.csv"), "--summary-out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: sin1/")
+        assert "EstimationError" in err and message in err
+
     def test_degenerate_generator_is_config_error(self, tmp_path, capsys):
         # Coefficients confined to a sliver of [4, 6] would tie: the generator
         # fails when it is built, before any cell runs.
@@ -418,6 +436,20 @@ class TestBenchCommand:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = readme.split("Keys:", 1)[1].split(".", 1)[0]
         assert set(re.findall(r"`(\w+)`", listed)) == set(_BENCH_DEFAULTS) | set(_ESTIMATE_KEYS)
+
+    def test_perturbation_out_of_range_fails_only_its_cell(self, tmp_path, capsys):
+        # tra's assumed bias constant squares to zero; the cor cell still runs.
+        code = main([
+            "bench", "--set", "problem=sin1", "--set", "methods=tra,cor", "--set", "budgets=100",
+            "--set", "reps=2", "--set", "tra_B=1e-200", "--set", f"out={tmp_path / 's.csv'}",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sin1/tra/100: EstimationError: bias constant 1e-200 is out of range: "
+            "its square overflows or underflows\n"
+        )
+        header, rows = read_csv(tmp_path / "s.csv")
+        assert [row[header.index("method")] for row in rows] == ["cor"]
 
     def test_cell_failure_names_the_error_type(self, tmp_path, capsys):
         # boot needs fresh pairs, which 10 pilots of 10 pairs leave none of.

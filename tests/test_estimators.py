@@ -44,6 +44,15 @@ class TestOptimalPerturbation:
         with pytest.raises(EstimationError, match="bias constant 1e[+]200 is out of range"):
             optimal_perturbation(1.0, 1e200, 100)
 
+    @pytest.mark.parametrize(
+        "noise_var, bias_const", [(1.0, 1e-200), (1.0, 1e-160), (1e300, 1e-10)]
+    )
+    def test_unrepresentable_perturbation_is_an_estimation_error(self, noise_var, bias_const):
+        # A square that underflows to zero or to a denormal, or a huge noise
+        # variance, leaves no finite, positive perturbation.
+        with pytest.raises(EstimationError, match="out of range|not finite and positive"):
+            optimal_perturbation(noise_var, bias_const, 100)
+
     def test_zero_bias_rejected(self):
         with pytest.raises(ValueError):
             optimal_perturbation(1.0, 0.0, 10)
@@ -198,11 +207,12 @@ class TestCorCfd:
                 assert est.pairs_used == 60 and est.constants.noise_var == 0.0
 
     @pytest.mark.parametrize("reps", [None, 100])
-    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0 / 3.0, 1e-310, 1e150])
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0 / 3.0, 1e-310, 1e150, 1e170, 1e300])
     def test_constant_columns_are_found_at_any_scale(self, slope, reps):
         # A constant column's mean and resampling sd carry rounding errors
         # (ten copies of 0.1 do not sum to 1.0), denormals and zero
-        # included; each column is still recognised as noise-free.
+        # included, and on steep lines the square of a rounding-sized
+        # deviation overflows; each column is still recognised as noise-free.
         line = deterministic_oracle(lambda t: slope * float(t[0]))
         est = cor_cfd(line, [0.0], 0, 100, EstimatorConfig(bootstrap_reps=reps), stream(2))
         assert est.constants.noise_var == 0.0 and np.isfinite(est.value)

@@ -112,9 +112,9 @@ class TestSampleBatch:
         assert calls == [points.shape] and got.shape == (5, 7)
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
 
-    # A block of 5 x 7 paths walks each row path by path, as each point
-    # alone does.  At 5 x 60 the block walks customer by customer and each
-    # point alone path by path.  At 600 paths both walk customer by
+    # A block of 5 x 7 paths is one piece of 35 paths, walked path by path,
+    # as each point alone is.  At 5 x 60 the block walks customer by customer
+    # and each point alone path by path.  At 600 paths both walk customer by
     # customer; at horizon 500 each row is a block of its own, walked whole.
     @pytest.mark.parametrize("measure", ["wait", "sojourn"])
     @pytest.mark.parametrize("horizon", [1, 2, 10, 500])
@@ -195,8 +195,8 @@ class TestSampleBatch:
         points = stream(41).normal(0.0, 2.0, size=(5, d))
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
         got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
-        # The one-point draw the line search calls is written apart from the
-        # block; both must equal the mean plus the stream's normals.
+        # Each point alone, as the line search draws it, is a block of one;
+        # the block and the points must equal the mean plus the stream's normals.
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
         ref = {seed: stream(*seed) for seed in set(self.SEEDS)}
         want = [oracle.mean(p) + ref[s].standard_normal(7) for p, s in zip(points, self.SEEDS)]

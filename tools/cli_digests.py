@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 32 commands takes 14 to 26 seconds on 2-core x86-64 machines.
+of 34 commands takes 15 to 27 seconds on 2-core x86-64 machines.
 """
 from __future__ import annotations
 
@@ -78,6 +78,11 @@ COMMANDS = [
     ("estimate-queue10-1e5", "1", _QUEUE_LONG),
     ("estimate-queue500-1e3", "1", _QUEUE500 + ["--pairs", "1000", "--reps", "3"]),
     ("estimate-queue500-1e4", "1", _QUEUE500 + ["--pairs", "10000", "--reps", "1"]),
+    # Two rows of 50 paths at 500 customers share one difference block,
+    # which is walked as one piece of 100 paths.
+    ("estimate-queue500-tra-50", "1", ["estimate", "--problem", "queue@3,5,500,service",
+                                       "--method", "tra", "--pairs", "50", "--reps", "3",
+                                       "--seed", "1"]),
     # Pilots near 1e-6 on a derivative of 1e18: small, but correctly scaled.
     ("estimate-sin1-small-pilots", "1", ["estimate", "--problem", "sin1", "--kappa", "1e18",
                                          "--mu0", "1e-6", "--sigma0", "1e-7", "--L", "1e-8",
@@ -111,6 +116,10 @@ COMMANDS = [
     # d = 100 draws the largest pilot-coefficient block: 100 rows per stage.
     ("dfo-zakharov100", "1", ["dfo", "--problem", "zakharov@100", "--budget", "1000000",
                               "--seed", "0"]),
+    # Each gradient draws 10 pilot rows of 4 paths, and each line-search
+    # trial draws one path.
+    ("dfo-queue10", "1", ["dfo", "--problem", "queue@3,5,10,service", "--budget", "2000",
+                          "--seed", "1"]),
     ("dfo-rosenbrock", "1", ["dfo", "--problem", "rosenbrock", "--budget", "100000", "--seed", "2"]),
     ("diag", "1", ["diag", "--c", "1,1.5,2,2.5,3,3.5,4,4.5,5,5.5", "--fifth-const", "0.1"]),
 ]

@@ -391,8 +391,6 @@ def _pilot_then_fresh(oracle, theta0, coord, n, cfg, rng, budget):
     children = spawn(rng, 2)
     coords, single = _batch(coord, len(children) // 2)
     stage = _pilot_stage(oracle, theta0, coords, n, cfg, children[0::2], budget)
-    if (stage.perturbation == 0).any():
-        raise EstimationError("estimated perturbation is zero")
     n2 = n - stage.samples[0].size
     fresh = None
     if n2 > 0:

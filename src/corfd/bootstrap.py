@@ -19,24 +19,24 @@ __all__ = ["column_moments"]
 def column_moments(
     pilot: np.ndarray,
     I: int | None,
-    rng: np.random.Generator | None,
+    rngs: list | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column moments of a pilot matrix (columns indexed by perturbation,
-    one row per sample: shape ``(K, n_b)``).
+    """Per-column moments of a pilot matrix (one row per column: the ``K``
+    perturbations of each of ``m`` coordinates in turn; shape ``(m K, n_b)``).
 
-    Returns (means, variances), each of length ``K``.  With ``I`` unset the
+    Returns (means, variances), one entry per column.  With ``I`` unset the
     closed form is computed for all columns at once.  A count ``I`` takes
-    that many Monte Carlo resamples per column, drawing one ``(I, n_b)``
-    index block from ``rng`` per column in index order, so the result does
-    not depend on any parallel schedule.  Their variance uses denominator
-    ``I`` (population form); this convention propagates into the
-    noise-variance fit downstream, so it is fixed here rather than left to
-    choice.
+    that many Monte Carlo resamples per column: each coordinate draws one
+    ``(I, n_b)`` index block per column from its own generator of ``rngs``,
+    in index order, so the result does not depend on any parallel schedule.
+    Their variance uses denominator ``I`` (population form); this convention
+    propagates into the noise-variance fit downstream, so it is fixed here
+    rather than left to choice.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.ndim != 2:
         raise ValueError(f"pilot matrix must be 2-D, got shape {pilot.shape}")
-    K, n = pilot.shape
+    columns, n = pilot.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples per column, got {n}")
     if I is None:
@@ -47,11 +47,12 @@ def column_moments(
         return means, (n - 1) / n**2 * ((deviations * deviations).sum(axis=1) / (n - 1))
     if I < 2:
         raise ValueError(f"need I >= 2 resamples, got {I}")
-    if rng is None:
-        raise ValueError("Monte Carlo resampling requires an RNG stream")
-    means = np.empty(K)
-    variances = np.empty(K)
-    for k in range(K):
-        resampled = pilot[k][rng.integers(0, n, size=(I, n), dtype=np.int32)].mean(axis=1)
+    if not rngs or columns % len(rngs):
+        raise ValueError("Monte Carlo resampling requires one generator per coordinate")
+    K = columns // len(rngs)
+    means = np.empty(columns)
+    variances = np.empty(columns)
+    for k in range(columns):
+        resampled = pilot[k][rngs[k // K].integers(0, n, size=(I, n), dtype=np.int32)].mean(axis=1)
         means[k], variances[k] = resampled.mean(), resampled.var(ddof=0)
     return means, variances

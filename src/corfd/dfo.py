@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import EstimatorConfig, cor_cfd, optimal_perturbation, tra_cfd
-from .oracle import SimulationOracle
+from .oracle import DomainError, NonFiniteResponseError, SimulationOracle, draw_responses
 from .sampling import PerturbationGenerator, spawn
 
 __all__ = [
@@ -205,17 +205,22 @@ def stochastic_armijo(
     twice the noise bound.  ``decrease_rate`` is the (positive) model decrease
     rate along ``direction``; the trial is accepted when
     ``y_trial <= y_start - l1*step*decrease_rate + 2*noise_bound``, the
-    noise-tolerant test of Berahas, Byrd & Nocedal (2019).  Gives up after 50
-    backtracks and returns the last (smallest) step, flagged.
+    noise-tolerant test of Berahas, Byrd & Nocedal (2019); a trial outside
+    the oracle's domain or with a non-finite draw is rejected.  Gives up
+    after 50 backtracks and returns the last (smallest) step, flagged.
     """
     if step_init <= 0:
         raise ValueError(f"initial step must be positive, got {step_init}")
-    y_start = oracle.eval(theta, rng)
+    y_start = float(draw_responses(oracle, np.reshape(theta, (1, -1)), [rng], 1)[0, 0])
     evals = 1
     slack = 2.0 * noise_bound
     step = step_init
     for _ in range(_MAX_BACKTRACKS + 1):
-        y_trial = oracle.eval(theta + step * direction, rng)
+        trial = np.reshape(theta + step * direction, (1, -1))
+        try:
+            y_trial = float(draw_responses(oracle, trial, [rng], 1)[0, 0])
+        except (DomainError, NonFiniteResponseError):
+            y_trial = math.inf
         evals += 1
         if y_trial <= y_start - l1 * step * decrease_rate + slack:
             return ArmijoResult(step, evals, False, y_start, y_trial)

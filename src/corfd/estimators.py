@@ -28,7 +28,8 @@ import numpy as np
 from .bootstrap import column_moments
 from .oracle import GroundTruth, SimulationOracle
 from .regression import clamp_bias_constant, clamp_floor, fit_bias_wls, fit_var_wls
-from .sampling import PerturbationGenerator, difference_samples, draw_perturbation_set, spawn
+from .sampling import (EstimationError, PerturbationGenerator, difference_samples,
+                       draw_perturbation_set, spawn)
 
 __all__ = [
     "EstimationError",
@@ -52,10 +53,6 @@ DEFAULT_PILOT_EXPONENT = -0.1
 # A pilot column whose resampling sd is at most this share of its mean's
 # size, or is not finite, is tested for identical samples.
 _ROUNDING_SD = 1e-8
-
-
-class EstimationError(ValueError):
-    """The estimator's constants, estimated or true, give unusable values."""
 
 
 class BudgetError(ValueError):
@@ -232,8 +229,8 @@ def _pilot_stage(
     budget: int,
 ) -> _PilotStage:
     """Run the pilot stage for coordinate ``coords[j]`` on row ``j`` of
-    ``streams``: a :class:`~corfd.sampling.Streams` level with one row per
-    coordinate, or a generator for a single coordinate.
+    ``streams``, a :class:`~corfd.sampling.Streams` level with one row per
+    coordinate.
 
     Each stream spawns its coefficient, pilot and bootstrap streams, and the
     pilot stream one stream per column, as a single-coordinate run does;
@@ -253,18 +250,12 @@ def _pilot_stage(
             f"pilot_exponent (gamma) = {cfg.pilot_exponent}"
         ) from None
     block = difference_samples(oracle, theta0, np.repeat(coords, K), h.ravel(), rngs[m:], n_b)
+    # Each coordinate resamples its own columns from its own stream.
+    boot_rngs = None if cfg.bootstrap_reps is None else children[2::3].generators()
     # On a steep response the square of a rounding-sized deviation can
     # overflow: that column's sd is infinite, and the exact test below runs.
     with np.errstate(over="ignore"):
-        if cfg.bootstrap_reps is None:
-            means, variances = column_moments(block, None, None)
-        else:
-            # Each coordinate resamples its own columns from its own stream.
-            per_coord = [
-                column_moments(rows, cfg.bootstrap_reps, rng)
-                for rows, rng in zip(np.split(block, m), children[2::3].generators())
-            ]
-            means, variances = (np.concatenate(v) for v in zip(*per_coord))
+        means, variances = column_moments(block, cfg.bootstrap_reps, boot_rngs)
     means, variances = means.reshape(m, K), variances.reshape(m, K)
     samples = block.reshape(m, K, n_b)
     sds = np.sqrt(variances)

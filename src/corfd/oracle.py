@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "NonFiniteResponseError",
+    "DomainError",
     "GroundTruth",
     "SimulationOracle",
     "block_sampler",
@@ -38,6 +39,10 @@ DEFAULT_MEASURE = "sojourn"
 
 class NonFiniteResponseError(ValueError):
     """An oracle returned a NaN or infinite response."""
+
+
+class DomainError(ValueError):
+    """A point lies outside the domain of an oracle's response."""
 
 
 @dataclass(frozen=True)
@@ -90,11 +95,6 @@ class SimulationOracle:
     truth: Callable[[np.ndarray], GroundTruth] | None = None
     argmin: np.ndarray | None = None
 
-    def eval(self, theta: np.ndarray | float, rng: np.random.Generator) -> float:
-        """One scalar draw of ``Y(theta)``."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return float(draw_responses(self, theta, rng, 1)[0])
-
 
 def block_sampler(block: Callable) -> Callable:
     """The ``sample`` of an oracle whose ``block(points, rngs, size)`` draws
@@ -110,21 +110,21 @@ def block_sampler(block: Callable) -> Callable:
     return sample
 
 
-def draw_responses(oracle: SimulationOracle, theta: np.ndarray, rng, size: int) -> np.ndarray:
-    """``size`` draws of the response at ``theta``, refusing non-finite ones.
+def draw_responses(oracle: SimulationOracle, points: np.ndarray, rngs, size: int) -> np.ndarray:
+    """``size`` draws of the response at each row of the 2-D block
+    ``points``, refusing non-finite ones.
 
-    ``theta`` is one point and ``rng`` a generator, or ``theta`` is a 2-D
-    block of points and ``rng`` a sequence of generators, one per row; the
-    block has shape ``(m, size)`` and is drawn by one ``oracle.sample``
-    call.  The error names the first point whose draws are not all finite.
+    ``rngs`` holds one generator per row; the ``(m, size)`` block is drawn
+    by one ``oracle.sample`` call.  The error names the first point whose
+    draws are not all finite.
     """
-    theta = np.asarray(theta)
-    if theta.ndim == 2 and len(rng) != len(theta):
-        raise ValueError(f"need one generator per point, got {len(rng)} for {len(theta)}")
-    y = oracle.sample(theta, rng, size)
+    points = np.asarray(points)
+    if points.ndim != 2 or len(rngs) != len(points):
+        raise ValueError(f"need one generator per row, got {len(rngs)} for points {points.shape}")
+    y = oracle.sample(points, rngs, size)
     finite = np.isfinite(y)
     if not finite.all():
-        point = theta if theta.ndim < 2 else theta[np.argmin(finite.all(axis=-1))]
+        point = points[np.argmin(finite.all(axis=-1))]
         raise NonFiniteResponseError(
             f"oracle {oracle.label} returned a non-finite response at theta={point.tolist()}"
         )
@@ -460,7 +460,7 @@ def queue_oracle(
         values = points[:, 0].tolist()
         for t in values:
             if not t > 0:
-                raise ValueError(f"queue rates must be positive, got {t}")
+                raise DomainError(f"queue rates must be positive, got theta={[t]}")
         if parameter == "arrival":
             return [(t, spec.service_rate) for t in values]
         return [(spec.arrival_rate, t) for t in values]

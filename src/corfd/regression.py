@@ -58,7 +58,7 @@ def _spread(wdx: np.ndarray, dx: np.ndarray, wx: np.ndarray, x: np.ndarray) -> n
 class BiasFit:
     """Weighted fit of means against ``intercept + slope * h^2``.
 
-    Floats for one fit; for a stack of fits, arrays with one entry per row.
+    Scalars for one fit; for a stack of fits, arrays with one entry per row.
     ``x`` holds the squared perturbations and ``means`` the means fitted.
     """
 
@@ -75,10 +75,6 @@ class BiasFit:
         return self.means - (intercept[..., None] + slope[..., None] * self.x)
 
 
-def _float_if_scalar(value: np.ndarray) -> float | np.ndarray:
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
     """Weighted least squares of ``means ~ intercept + slope * h^2``, one fit
     along the last axis of each argument.
@@ -86,7 +82,7 @@ def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
     Row ``k`` carries weight ``1 / sds[k]^2``; the two-parameter fit has the
     closed form of a weighted simple regression on ``h^2``.  Squared
     perturbations that barely differ, at any scale of ``h`` and ``sds``, raise
-    :class:`SingularDesignError`.  1-D input gives a float intercept and slope.
+    :class:`SingularDesignError`.
     """
     h = np.asarray(h, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -108,7 +104,7 @@ def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
     wdx = w * dx
     slope = (wdx * (means - y_mean[..., None])).sum(axis=-1) / _spread(wdx, dx, wx, x)
     intercept = y_mean - slope * x_mean
-    return BiasFit(_float_if_scalar(intercept), _float_if_scalar(slope), x, means)
+    return BiasFit(intercept, slope, x, means)
 
 
 def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float | np.ndarray:
@@ -117,21 +113,21 @@ def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float | np.ndarray:
 
     Multiplying the variance relation through by ``h^2`` leaves a constant
     regressor ``(n_b - 1) / (2 n_b^2)``, so the fit reduces to the closed form
-    ``2 n_b^2 / (n_b - 1) * mean(h^2 * s2)``.  1-D input gives a float.
+    ``2 n_b^2 / (n_b - 1) * mean(h^2 * s2)``.
     """
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    s2 = np.atleast_1d(np.asarray(s2, dtype=float))
-    if h.size < 1 or s2.shape != h.shape:
+    h = np.asarray(h, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    if h.ndim == 0 or h.shape[-1] < 1 or s2.shape != h.shape:
         raise ValueError("need matching, nonempty h and s2")
     if n_b < 2:
         raise ValueError(f"need n_b >= 2, got {n_b}")
-    return _float_if_scalar(2.0 * n_b**2 / (n_b - 1) * ((h * h * s2).sum(axis=-1) / h.shape[-1]))
+    return 2.0 * n_b**2 / (n_b - 1) * ((h * h * s2).sum(axis=-1) / h.shape[-1])
 
 
 def clamp_floor(intercept, scale: float) -> float | np.ndarray:
     """Clamp threshold: ``scale`` relative to the fitted derivative, at least
     ``scale``; elementwise on an array of intercepts."""
-    return _float_if_scalar(scale * np.maximum(1.0, np.abs(intercept)))
+    return scale * np.maximum(1.0, np.abs(intercept))
 
 
 def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
@@ -144,7 +140,7 @@ def clamp_bias_constant(bhat, eps) -> float | np.ndarray:
     if not (np.asarray(eps) > 0).all():
         raise ValueError(f"clamp threshold must be positive, got {eps}")
     magnitude = np.maximum(np.abs(bhat), eps)
-    return _float_if_scalar(np.where(np.asarray(bhat) >= 0, magnitude, -magnitude))
+    return np.where(np.asarray(bhat) >= 0, magnitude, -magnitude)
 
 
 @contextmanager

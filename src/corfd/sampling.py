@@ -19,6 +19,7 @@ from .oracle import draw_responses
 
 __all__ = [
     "DegenerateRegionError",
+    "EstimationError",
     "PerturbationGenerator",
     "stream",
     "Streams",
@@ -55,6 +56,10 @@ def _ndtri(p: float) -> float:
     if 0.0 < p < 1.0:
         return _STANDARD_NORMAL.inv_cdf(p)
     return -math.inf if p <= 0.0 else math.inf
+
+
+class EstimationError(ValueError):
+    """The estimator's samples or constants give unusable values."""
 
 
 class DegenerateRegionError(ValueError):
@@ -386,31 +391,20 @@ def draw_perturbation_set(size: int, gen: PerturbationGenerator, rngs: list) -> 
     return out
 
 
-def difference_samples(
-    oracle,
-    theta0: np.ndarray | float,
-    coord,
-    h,
-    rng,
-    size: int,
-) -> np.ndarray:
-    """Draw ``size`` central-difference quotients at perturbation ``h``.
+def difference_samples(oracle, theta0, coords, h, rngs: list, size: int) -> np.ndarray:
+    """Draw ``size`` central-difference quotients per coordinate: row ``j``
+    of the ``(m, size)`` result holds those along ``coords[j]`` at
+    perturbation ``h[j]`` from ``rngs[j]``.
 
     Each quotient consumes one independent sample pair: the two sides never
-    share randomness.  The plus side is drawn before the minus side.
-    ``coord``, ``h`` and ``rng`` may also be equal-length sequences: row
-    ``j`` of the ``(m, size)`` result then holds the quotients along
-    ``coord[j]`` at ``h[j]`` from ``rng[j]``, and all ``2 m`` points are
-    drawn in one oracle batch.
+    share randomness.  The plus side is drawn before the minus side, and all
+    ``2 m`` points are drawn in one oracle batch.  A row whose ``2 h`` or
+    any quotient is not finite raises :class:`EstimationError`.
     """
-    single = isinstance(coord, (int, np.integer))
-    coords = np.asarray(coord).reshape(-1)
-    rngs = [rng] if single else list(rng)
-    h = np.asarray(h, dtype=float).reshape(-1)
+    coords = np.asarray(coords)
+    h = np.asarray(h, dtype=float)
     if not len(coords) == h.size == len(rngs):
         raise ValueError("need one perturbation and one generator per coordinate")
-    if (h == 0.0).any():
-        raise ValueError("perturbation h must be nonzero")
     theta0 = np.asarray(theta0, dtype=float).reshape(-1)
     # Rows 2j and 2j + 1 are the plus and minus sides of quotient row j.
     points = theta0[None, :].repeat(2 * h.size, axis=0)
@@ -418,5 +412,12 @@ def difference_samples(
     points[plus, coords] += h
     points[plus + 1, coords] -= h
     y = draw_responses(oracle, points, [r for r in rngs for _ in (0, 1)], size)
-    quotients = (y[0::2] - y[1::2]) / (2.0 * h[:, None])
-    return quotients[0] if single else quotients
+    with np.errstate(all="ignore"):
+        width = 2.0 * h
+        quotients = (y[0::2] - y[1::2]) / width[:, None]
+    finite = np.isfinite(width) & np.isfinite(quotients).all(axis=-1)
+    if not finite.all():
+        j = int(finite.argmin())
+        raise EstimationError(f"perturbation h = {h[j]:.6g} along coordinate {coords[j]} "
+                              "gives non-finite difference quotients")
+    return quotients

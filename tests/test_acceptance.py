@@ -57,7 +57,7 @@ def test_criterion_1_bootstrap_identities():
     for seed in range(200):
         col = stream(1002, seed).standard_normal(30)
         (exact_mean,), (exact_var,) = column_moments(col[None, :], None, None)
-        (mc_mean,), (mc_var,) = column_moments(col[None, :], I, stream(1003, seed))
+        (mc_mean,), (mc_var,) = column_moments(col[None, :], I, [stream(1003, seed)])
         if abs(mc_mean - exact_mean) > 3 * np.sqrt(exact_var / I):
             mean_misses += 1
         if abs(mc_var - exact_var) > 3 * exact_var * np.sqrt(2.0 / (I - 1)):
@@ -237,10 +237,7 @@ def test_criterion_6_constant_estimator_rates():
         slopes = np.empty(reps)
         noise_fits = np.empty(reps)
         for i, rep in enumerate(stream(61).spawn(reps)):
-            pilot = np.stack([
-                difference_samples(orc, [0.0], 0, float(hk), rep.spawn(1)[0], n_b)
-                for hk in h
-            ])
+            pilot = difference_samples(orc, [0.0], [0] * h.size, h, rep.spawn(h.size), n_b)
             means, variances = column_moments(pilot, None, None)
             slopes[i] = fit_bias_wls(h, means, np.ones(c_fixed.size)).slope
             noise_fits[i] = fit_var_unweighted(h, variances, n_b)

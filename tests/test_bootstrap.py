@@ -20,7 +20,7 @@ def enumerate_resample_moments(column):
 def moments(column, I=None, rng=None):
     """(mean, variance) of one column, as a one-row pilot: the closed form,
     or the Monte Carlo estimate over ``I`` resamples."""
-    (mean,), (variance,) = column_moments(np.asarray(column, dtype=float)[None, :], I, rng)
+    (mean,), (variance,) = column_moments(np.asarray(column, dtype=float)[None, :], I, [rng])
     return mean, variance
 
 
@@ -122,8 +122,8 @@ class TestColumnMoments:
 
     def test_mc_mode_deterministic(self):
         pilot = stream(11).standard_normal((3, 10))
-        a = column_moments(pilot, 200, stream(12))
-        b = column_moments(pilot, 200, stream(12))
+        a = column_moments(pilot, 200, [stream(12)])
+        b = column_moments(pilot, 200, [stream(12)])
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 

@@ -139,6 +139,10 @@ class TestEstimateCommand:
         (["--method", "opt", "--kappa", "1e-160"], "perturbation inf, which is not finite"),
         (["--method", "tra", "--tra-sigma2", "1e300", "--tra-B", "1e-10"],
          "perturbation inf, which is not finite"),
+        # The quotients overflow; 2 * 1e308 overflows the divisor.
+        *((["--method", "tra", "--h", h],
+           f"perturbation h = {h} along coordinate 0 gives non-finite difference quotients")
+          for h in ("1e-310", "1e+308")),
     ])
     def test_perturbation_out_of_range_is_one_error_line(self, tmp_path, capsys, args, message):
         code = main([
@@ -295,6 +299,13 @@ class TestDfoCommand:
                               f"at theta=[{point}")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_trial_outside_the_domain_is_rejected(self, tmp_path, capsys):
+        # The first trial steps of 1e3 give negative service rates.
+        code = main(["dfo", "--problem", "queue@3,5,10,service", "--budget", "2000",
+                     "--a0", "1e3", "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert re.fullmatch(r"theta=\[[^,\]]+\],evals=\d+\n", capsys.readouterr().out)
+
     def test_problem_without_minimizer_prints_final_point(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(["dfo", "--problem", "queue@3,5,10,service", "--budget", "500",
@@ -447,6 +458,19 @@ class TestBenchCommand:
         assert capsys.readouterr().err == (
             "error: sin1/tra/100: EstimationError: bias constant 1e-200 is out of range: "
             "its square overflows or underflows\n"
+        )
+        header, rows = read_csv(tmp_path / "s.csv")
+        assert [row[header.index("method")] for row in rows] == ["cor"]
+
+    def test_non_finite_quotient_fails_only_its_cell(self, tmp_path, capsys):
+        code = main([
+            "bench", "--set", "problem=sin1", "--set", "methods=tra,cor", "--set", "budgets=100",
+            "--set", "reps=2", "--set", "tra_h=1e-310", "--set", f"out={tmp_path / 's.csv'}",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sin1/tra/100: EstimationError: perturbation h = 1e-310 along coordinate 0 "
+            "gives non-finite difference quotients\n"
         )
         header, rows = read_csv(tmp_path / "s.csv")
         assert [row[header.index("method")] for row in rows] == ["cor"]

@@ -14,7 +14,7 @@ from corfd.dfo import (
     two_loop_direction,
 )
 from corfd.estimators import EstimatorConfig, cor_cfd, optimal_perturbation, tra_cfd
-from corfd.oracle import noisy_bench_oracle, parse_problem
+from corfd.oracle import QueueSpec, noisy_bench_oracle, parse_problem, queue_oracle
 from corfd.sampling import stream
 from helpers import deterministic_oracle
 
@@ -146,6 +146,24 @@ class TestStochasticArmijo:
         assert res.gave_up
         assert res.step == pytest.approx(0.5**50)
         assert res.evals == 52  # start draw + 51 trials
+
+    def test_trial_outside_the_queue_domain_is_rejected(self):
+        # Steps from 1e3 down to 1e3 / 2**8 leave mu = 5 for a negative
+        # service rate or an unstable queue; the search goes on past them.
+        orc = queue_oracle(QueueSpec(3.0, 5.0, 10))
+        res = stochastic_armijo(
+            orc, np.array([5.0]), np.array([-1.0]), 1.0, 1e3, 1e-4, 0.5, 1.0, stream(5)
+        )
+        assert not res.gave_up
+        assert res.step == 1e3 * 0.5**9 and res.evals == 11
+
+    def test_non_finite_trial_is_rejected(self):
+        # The full step lands where the response is infinite, the halved one at 0.
+        orc = deterministic_oracle(lambda t: float(t[0]) ** 2 if t[0] > -1 else np.inf)
+        res = stochastic_armijo(
+            orc, np.array([1.0]), np.array([-2.0]), 4.0, 1.0, 1e-4, 0.5, 0.0, stream(3)
+        )
+        assert res.step == 0.5 and res.evals == 3 and not res.gave_up
 
 
 class TestGradient:

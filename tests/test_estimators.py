@@ -67,7 +67,7 @@ class TestTraCfd:
     def test_single_pair_is_one_difference_sample(self):
         orc = sin_oracle(10.0, 1)
         est = tra_cfd(orc, [0.0], 0, 1, 0.3, stream(1))
-        expected = difference_samples(orc, [0.0], 0, 0.3, stream(1), 1)[0]
+        expected = difference_samples(orc, [0.0], [0], [0.3], [stream(1)], 1)[0, 0]
         assert est.value == expected
 
     def test_budget_validation(self):
@@ -258,7 +258,7 @@ class TestCorCfd:
             samples - fitted[:, None]
         ) + fitted_n
         fresh = difference_samples(
-            sin_oracle(10, 1), [0.0], 0, constants.perturbation, fresh_rng, n - 100
+            sin_oracle(10, 1), [0.0], [0], [constants.perturbation], [fresh_rng], n - 100
         )
         expected = (float(transformed.sum()) + float(fresh.sum())) / n
         assert est.value == pytest.approx(expected, abs=1e-14)

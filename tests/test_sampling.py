@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from corfd.estimators import EstimatorConfig, _pilot_stage, boot_cfd, cor_cfd
 from corfd.oracle import parse_problem, poly_oracle, sin_oracle
 from corfd.sampling import (
     DegenerateRegionError,
+    EstimationError,
     PerturbationGenerator,
     Streams,
     _generate_state,
@@ -458,7 +460,7 @@ class TestPerturbationSet:
 class TestDifferenceSample:
     def test_cubic_noise_free(self):
         cube = deterministic_oracle(lambda t: float(t[0]) ** 3)
-        d = difference_samples(cube, [0.0], 0, 0.5, stream(0), 1)[0]
+        d = difference_samples(cube, [0.0], [0], [0.5], [stream(0)], 1)[0, 0]
         assert d == pytest.approx(0.25, abs=1e-15)
 
     def test_poly_surrogate_value(self):
@@ -467,24 +469,32 @@ class TestDifferenceSample:
         expected = (orc.mean([0.2]) - orc.mean([-0.2])) / 0.4
         assert expected == pytest.approx(-6.09984, abs=1e-12)
         noise_free = deterministic_oracle(lambda t: orc.mean(t))
-        got = difference_samples(noise_free, [0.0], 0, 0.2, stream(1), 1)[0]
+        got = difference_samples(noise_free, [0.0], [0], [0.2], [stream(1)], 1)[0, 0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_sin_mean_matches_surrogate(self):
         orc = sin_oracle(10.0, 1)
-        x = difference_samples(orc, [0.0], 0, 0.1, stream(2), 100_000)
+        x = difference_samples(orc, [0.0], [0], [0.1], [stream(2)], 100_000)[0]
         expected = 10.0 * np.sin(0.1) / 0.1
         assert expected == pytest.approx(9.98334, abs=1e-5)
         assert abs(x.mean() - expected) < 0.05
 
     def test_zero_perturbation_rejected(self):
         with pytest.raises(ValueError):
-            difference_samples(poly_oracle(), [0.0], 0, 0.0, stream(3), 1)
+            difference_samples(poly_oracle(), [0.0], [0], [0.0], [stream(3)], 1)
+
+    @pytest.mark.parametrize("h", [1e-310, 1e308, 0.0])
+    def test_non_finite_quotient_is_an_estimation_error(self, h):
+        # 1e-310 overflows the quotient, 2 * 1e308 overflows, and 0 divides
+        # by zero; none of them may warn.
+        assert corfd.estimators.EstimationError is EstimationError
+        with pytest.raises(EstimationError, match=re.escape(f"perturbation h = {h:.6g} along")):
+            difference_samples(sin_oracle(10.0, 1), [0.0], [0], [h], [stream(3)], 100)
 
     def test_unbiased_within_monte_carlo_band(self):
         orc = poly_oracle()
         h = 0.3
-        x = difference_samples(orc, [1.0], 0, h, stream(4), 100_000)
+        x = difference_samples(orc, [1.0], [0], [h], [stream(4)], 100_000)[0]
         expected = (orc.mean([1.0 + h]) - orc.mean([1.0 - h])) / (2 * h)
         se = x.std(ddof=1) / np.sqrt(x.size)
         assert abs(x.mean() - expected) < 4 * se
@@ -492,21 +502,21 @@ class TestDifferenceSample:
     def test_variance_scaling_homoscedastic(self):
         orc = sin_oracle(10.0, 1)
         h = 0.2
-        x = difference_samples(orc, [0.0], 0, h, stream(5), 100_000)
+        x = difference_samples(orc, [0.0], [0], [h], [stream(5)], 100_000)[0]
         assert x.var(ddof=1) == pytest.approx(1 / (2 * h * h), rel=0.05)
-        y = difference_samples(orc, [0.0], 0, h / 2, stream(6), 100_000)
+        y = difference_samples(orc, [0.0], [0], [h / 2], [stream(6)], 100_000)[0]
         assert y.var(ddof=1) / x.var(ddof=1) == pytest.approx(4.0, rel=0.10)
 
     def test_heteroscedastic_variance(self):
         orc = sin_oracle(10.0, 2)
         h = 0.25
-        x = difference_samples(orc, [0.0], 0, h, stream(7), 100_000)
+        x = difference_samples(orc, [0.0], [0], [h], [stream(7)], 100_000)[0]
         expected = (np.exp(-3 * h) + np.exp(3 * h)) / (4 * h * h)
         assert x.var(ddof=1) == pytest.approx(expected, rel=0.05)
 
     def test_coordinate_selection(self):
         quad2 = deterministic_oracle(lambda t: float(t[0] ** 2 + 10 * t[1] ** 2), dim=2)
-        d0 = difference_samples(quad2, [1.0, 1.0], 0, 0.1, stream(8), 1)[0]
-        d1 = difference_samples(quad2, [1.0, 1.0], 1, 0.1, stream(8), 1)[0]
+        d0 = difference_samples(quad2, [1.0, 1.0], [0], [0.1], [stream(8)], 1)[0, 0]
+        d1 = difference_samples(quad2, [1.0, 1.0], [1], [0.1], [stream(8)], 1)[0, 0]
         assert d0 == pytest.approx(2.0, abs=1e-12)
         assert d1 == pytest.approx(20.0, abs=1e-12)

@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 34 commands takes 15 to 27 seconds on 2-core x86-64 machines.
+of 36 commands takes 12 to 27 seconds on 2-core x86-64 machines.
 """
 from __future__ import annotations
 
@@ -87,6 +87,9 @@ COMMANDS = [
     ("estimate-sin1-small-pilots", "1", ["estimate", "--problem", "sin1", "--kappa", "1e18",
                                          "--mu0", "1e-6", "--sigma0", "1e-7", "--L", "1e-8",
                                          "--method", "cor", "--pairs", "1000", "--reps", "20"]),
+    # The quotients at h = 1e-310 overflow: one EstimationError line, exit 1.
+    ("estimate-sin1-tra-h-tiny", "1", ["estimate", "--problem", "sin1", "--method", "tra",
+                                       "--pairs", "100", "--h", "1e-310"]),
     ("bench-default", "1", ["bench", "--set", "reps=5"]),
     ("bench-sin1-serial", "1", _SIN1_GRID),
     ("bench-sin1-threads2", "2", _SIN1_GRID),
@@ -120,6 +123,9 @@ COMMANDS = [
     # trial draws one path.
     ("dfo-queue10", "1", ["dfo", "--problem", "queue@3,5,10,service", "--budget", "2000",
                           "--seed", "1"]),
+    # The first line-search trials of 1e3 leave the queue's domain and are rejected.
+    ("dfo-queue10-a0-1e3", "1", ["dfo", "--problem", "queue@3,5,10,service", "--budget", "2000",
+                                 "--a0", "1e3"]),
     ("dfo-rosenbrock", "1", ["dfo", "--problem", "rosenbrock", "--budget", "100000", "--seed", "2"]),
     ("diag", "1", ["diag", "--c", "1,1.5,2,2.5,3,3.5,4,4.5,5,5.5", "--fifth-const", "0.1"]),
 ]

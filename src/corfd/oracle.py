@@ -148,6 +148,31 @@ def _standard_normal_rows(rngs: Sequence, size: int) -> np.ndarray:
     return y
 
 
+def _gaussian_oracle(
+    dim: int, label: str, mean_rows: Callable, sd_rows: Callable | None = None,
+    truth: Callable | None = None, argmin: np.ndarray | None = None,
+) -> SimulationOracle:
+    """A known mean plus Gaussian noise.  ``mean_rows`` and ``sd_rows`` map
+    a 2-D block of points to one value per row; the noise is standard when
+    ``sd_rows`` is not given.  A block scales its standard normals by the
+    rows' sd and adds their mean; ``mean`` of one point is the mean of a
+    block of one."""
+
+    def block(points, rngs, size):
+        y = _standard_normal_rows(rngs, size)
+        if sd_rows is not None:
+            y *= sd_rows(points)[:, None]
+        y += mean_rows(points)[:, None]
+        return y
+
+    def mean(theta):
+        return float(mean_rows(np.asarray(theta, dtype=float).reshape(1, -1))[0])
+
+    return SimulationOracle(
+        dim=dim, label=label, sample=block_sampler(block), mean=mean, truth=truth, argmin=argmin
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scaled sine (homoscedastic and heteroscedastic noise)
 # ---------------------------------------------------------------------------
@@ -171,21 +196,6 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
     if case not in (1, 2):
         raise ValueError(f"unknown case {case!r}")
 
-    def mean(theta):
-        return float(kappa * np.sin(np.atleast_1d(theta)[0]))
-
-    def sd(theta):
-        t = float(np.atleast_1d(theta)[0])
-        return 1.0 if case == 1 else float(np.exp(-1.5 * t))
-
-    def block(points, rngs, size):
-        t = np.asarray(points, dtype=float)[:, 0]
-        y = _standard_normal_rows(rngs, size)
-        if case == 2:
-            y *= np.exp(-1.5 * t)[:, None]
-        y += (kappa * np.sin(t))[:, None]
-        return y
-
     def truth(theta):
         t = float(np.atleast_1d(theta)[0])
         ct = float(np.cos(t))
@@ -193,11 +203,12 @@ def sin_oracle(kappa: float, case: int = 1) -> SimulationOracle:
             deriv=kappa * ct,
             bias_const=-kappa * ct / 6.0,
             fifth_const=kappa * ct / 120.0,
-            noise_var=sd(t) ** 2,
+            noise_var=1.0 if case == 1 else float(np.exp(-1.5 * t)) ** 2,
         )
 
-    return SimulationOracle(
-        dim=1, label=f"sin{case}", sample=block_sampler(block), mean=mean, truth=truth
+    return _gaussian_oracle(
+        1, f"sin{case}", lambda points: kappa * np.sin(points[:, 0]),
+        sd_rows=(lambda points: np.exp(-1.5 * points[:, 0])) if case == 2 else None, truth=truth,
     )
 
 
@@ -211,16 +222,6 @@ def poly_oracle() -> SimulationOracle:
     def value(t):
         return 1.0 - 6.0 * t + 6.0 * t * t - 2.5 * t**3 + 0.1 * t**5
 
-    def mean(theta):
-        return value(float(np.atleast_1d(theta)[0]))
-
-    def block(points, rngs, size):
-        # Per row on Python floats, so a row's mean is the value ``mean``
-        # gives, and a power past the float range is an infinite row.
-        y = _standard_normal_rows(rngs, size)
-        y += np.array(_rowwise(value, np.asarray(points, dtype=float)[:, 0].tolist()))[:, None]
-        return y
-
     def truth(theta):
         t = float(np.atleast_1d(theta)[0])
         return GroundTruth(
@@ -230,8 +231,8 @@ def poly_oracle() -> SimulationOracle:
             noise_var=1.0,
         )
 
-    return SimulationOracle(
-        dim=1, label="poly", sample=block_sampler(block), mean=mean, truth=truth
+    return _gaussian_oracle(
+        1, "poly", lambda points: np.array(_rowwise(value, points[:, 0].tolist())), truth=truth
     )
 
 
@@ -239,10 +240,11 @@ def poly_oracle() -> SimulationOracle:
 # Noisy optimization benchmarks
 # ---------------------------------------------------------------------------
 
-# The benchmark functions take one point, or a 2-D block with one point per
-# row.  Their powers are taken on Python floats, so a block reproduces the
-# values of its points taken one at a time: numpy's vectorized power rounds
-# 7,004 of 200,000 poly means (uniform on [-5, 5]) differently on AVX-512.
+# The polynomial and the benchmark functions take a 2-D block with one point
+# per row.  Their powers are taken on Python floats, row by row, so a row's
+# value does not depend on the rows beside it: numpy's vectorized power
+# rounds 7,004 of 200,000 poly means (uniform on [-5, 5]) differently on
+# AVX-512.
 
 def _rowwise(value: Callable[..., float], *columns: list[float]) -> list[float]:
     """``value`` of each row of ``columns``.  Python's float power raises
@@ -263,27 +265,20 @@ def _or_inf(value: Callable[..., float], row) -> float:
         return math.inf
 
 
-def rosenbrock(x: np.ndarray) -> float | np.ndarray:
-    x = np.asarray(x, dtype=float)
-    pairs = x.reshape(-1, 2)
-    f = _rowwise(
-        lambda x1, x2: 100.0 * (x2 - x1 * x1) ** 2 + (x1 - 1.0) ** 2,
-        pairs[:, 0].tolist(), pairs[:, 1].tolist(),
-    )
-    return f[0] if x.ndim == 1 else np.array(f)
+def rosenbrock(x: np.ndarray) -> np.ndarray:
+    f = _rowwise(lambda x1, x2: 100.0 * (x2 - x1 * x1) ** 2 + (x1 - 1.0) ** 2,
+                 x[:, 0].tolist(), x[:, 1].tolist())
+    return np.array(f)
 
 
-def zakharov(x: np.ndarray) -> float | np.ndarray:
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, x.shape[-1])
-    weights = 0.5 * np.arange(1, rows.shape[1] + 1)
+def zakharov(x: np.ndarray) -> np.ndarray:
+    weights = 0.5 * np.arange(1, x.shape[1] + 1)
     # A far point's sums overflow to infinity, which the caller refuses as
     # a non-finite response.
     with np.errstate(over="ignore"):
-        squares = (rows * rows).sum(axis=-1).tolist()
-        sums = (weights * rows).sum(axis=-1).tolist()
-    f = _rowwise(lambda q, s: q + s**2 + s**4, squares, sums)
-    return f[0] if x.ndim == 1 else np.array(f)
+        squares = (x * x).sum(axis=-1).tolist()
+        sums = (weights * x).sum(axis=-1).tolist()
+    return np.array(_rowwise(lambda q, s: q + s**2 + s**4, squares, sums))
 
 
 def noisy_bench_oracle(fn: str, d: int) -> SimulationOracle:
@@ -299,16 +294,7 @@ def noisy_bench_oracle(fn: str, d: int) -> SimulationOracle:
         f, argmin = zakharov, np.zeros(d)
     else:
         raise ValueError(f"unknown benchmark function {fn!r}")
-
-    def block(points, rngs, size):
-        y = _standard_normal_rows(rngs, size)
-        y += f(points)[:, None]
-        return y
-
-    return SimulationOracle(
-        dim=d, label=f"{fn}@{d}", sample=block_sampler(block),
-        mean=lambda t: float(f(t)), argmin=argmin,
-    )
+    return _gaussian_oracle(d, f"{fn}@{d}", f, argmin=argmin)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,18 @@ class TestDfoCommand:
         assert code == 0
         assert re.fullmatch(r"theta=\[[^,\]]+\],evals=\d+\n", capsys.readouterr().out)
 
+    def test_line_search_that_gives_up_stays_at_its_point(self, tmp_path, capsys):
+        # Every trial from 1e100 down overflows Zakharov's quartic term, so
+        # each search gives up with step 0 and the run stays at the start.
+        out = tmp_path / "t.csv"
+        code = main(["dfo", "--problem", "zakharov@10", "--budget", "20000", "--a0", "1e100",
+                     "--out", str(out)])
+        assert code == 0
+        # The distance from ones(10) to the minimizer at zero is sqrt(10).
+        assert capsys.readouterr().out.startswith("SG=3.1622776601683795,")
+        _, rows = read_csv(out)
+        assert len(rows) >= 2 and all(row[2] == "0" for row in rows[1:])
+
     def test_problem_without_minimizer_prints_final_point(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(["dfo", "--problem", "queue@3,5,10,service", "--budget", "500",

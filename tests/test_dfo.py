@@ -147,6 +147,18 @@ class TestStochasticArmijo:
         assert res.step == pytest.approx(0.5**50)
         assert res.evals == 52  # start draw + 51 trials
 
+    @pytest.mark.parametrize("orc, theta", [
+        # Every trial, from 1e100 down to 1e100 / 2**50, gives a negative
+        # service rate, or overflows Zakharov's quartic term.
+        (queue_oracle(QueueSpec(3.0, 5.0, 10)), np.array([5.0])),
+        (noisy_bench_oracle("zakharov", 2), np.ones(2)),
+    ], ids=["domain", "non-finite"])
+    def test_give_up_after_rejected_trials_stays_at_the_start(self, orc, theta):
+        res = stochastic_armijo(orc, theta, -np.ones(theta.size), 1.0, 1e100, 1e-4, 0.5, 1.0,
+                                stream(5))
+        assert res.gave_up and res.step == 0.0 and res.evals == 52
+        assert res.y_accepted == res.y_start and np.isfinite(res.y_start)
+
     def test_trial_outside_the_queue_domain_is_rejected(self):
         # Steps from 1e3 down to 1e3 / 2**8 leave mu = 5 for a negative
         # service rate or an unstable queue; the search goes on past them.

@@ -189,28 +189,34 @@ class TestSampleBatch:
         for j in rngs:
             assert rngs[j].bit_generator.state == ref[j].bit_generator.state
 
-    @pytest.mark.parametrize("fn, d", [("zakharov", 10), ("zakharov", 100), ("rosenbrock", 2)])
-    def test_vectorized_rows_equal_per_point_samples(self, fn, d):
-        oracle = noisy_bench_oracle(fn, d)
-        points = stream(41).normal(0.0, 2.0, size=(5, d))
+    @pytest.mark.parametrize("problem, kappa", [
+        ("zakharov@10", 10.0), ("zakharov@100", 10.0), ("rosenbrock", 10.0),
+        ("sin1", 10.0), ("sin2", 3.0), ("poly", 10.0),
+    ], ids=["zakharov-10", "zakharov-100", "rosenbrock-2", "sin1", "sin2", "poly"])
+    def test_vectorized_rows_equal_per_point_samples(self, problem, kappa):
+        oracle = parse_problem(problem, kappa).oracle
+        points = stream(41).normal(0.0, 2.0, size=(5, oracle.dim))
         rngs = {seed: stream(*seed) for seed in set(self.SEEDS)}
         got = draw_responses(oracle, points, [rngs[seed] for seed in self.SEEDS], 7)
         # Each point alone, as the line search draws it, is a block of one;
-        # the block and the points must equal the mean plus the stream's normals.
+        # the block and the points must equal the mean plus the stream's
+        # normals, scaled by sin2's sd.
         np.testing.assert_array_equal(got, per_point(oracle, points, self.SEEDS, 7))
         ref = {seed: stream(*seed) for seed in set(self.SEEDS)}
-        want = [oracle.mean(p) + ref[s].standard_normal(7) for p, s in zip(points, self.SEEDS)]
+        sd = [np.exp(-1.5 * p[0]) if problem == "sin2" else 1.0 for p in points]
+        want = [oracle.mean(p) + sd_p * ref[s].standard_normal(7)
+                for p, sd_p, s in zip(points, sd, self.SEEDS)]
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("d", [10, 100])
     def test_zakharov_rows_equal_the_scalar_function(self, d):
         rng = stream(42, d)
         points = rng.standard_normal((1000, d)) * rng.uniform(0.01, 100.0, size=(1000, 1))
-        np.testing.assert_array_equal(zakharov(points), [zakharov(p) for p in points])
+        np.testing.assert_array_equal(zakharov(points), [zakharov(p[None])[0] for p in points])
 
     def test_rosenbrock_rows_equal_the_scalar_function(self):
         points = stream(43).normal(0.0, 3.0, size=(1000, 2))
-        np.testing.assert_array_equal(rosenbrock(points), [rosenbrock(p) for p in points])
+        np.testing.assert_array_equal(rosenbrock(points), [rosenbrock(p[None])[0] for p in points])
 
     def test_non_finite_row_names_its_point(self):
         def block(points, rngs, size):
@@ -237,16 +243,16 @@ class TestSampleBatch:
         # A power past the float range, where Python raises OverflowError.
         points = np.array([[1.0, 2.0], [far, 1.0], [-3.0, 0.5]])
         values = f(points)
-        assert values[1] == np.inf and f(points[1]) == np.inf
-        np.testing.assert_array_equal(values[[0, 2]], [f(points[0]), f(points[2])])
+        assert values[1] == np.inf and f(points[1:2])[0] == np.inf
+        np.testing.assert_array_equal(values[[0, 2]], [f(points[0:1])[0], f(points[2:3])[0]])
 
 
 class TestBenchFunctions:
     def test_zakharov_values_at_ones(self):
-        assert zakharov(np.ones(1)) == pytest.approx(1.3125, abs=1e-12)
+        assert zakharov(np.ones((1, 1)))[0] == pytest.approx(1.3125, abs=1e-12)
         # Independent arithmetic: sum x^2 = 10, weighted sum = 27.5.
         exact = 10 + 27.5**2 + 27.5**4
-        assert zakharov(np.ones(10)) == pytest.approx(exact, abs=1e-6)
+        assert zakharov(np.ones((1, 10)))[0] == pytest.approx(exact, abs=1e-6)
         # The published rounding keeps the quartic term only.
         assert abs(exact - 5.7191e5) / 5.7191e5 < 2e-3
 

@@ -22,7 +22,7 @@ from corfd.sampling import (
     EstimationError,
     PerturbationGenerator,
     Streams,
-    _generate_state,
+    _pcg64_states,
     _ndtr,
     _ndtri,
     difference_samples,
@@ -94,7 +94,7 @@ class TestStreams:
             level, seq = level.spawn(width), [g for s in seq for g in s.spawn(width)]
             np.testing.assert_array_equal(level.pools, [s.pool for s in seq])
             np.testing.assert_array_equal(
-                _generate_state(level.pools, 4, np.uint64), [s.generate_state(4, np.uint64) for s in seq]
+                _pcg64_states(level.pools), [s.generate_state(4, np.uint64) for s in seq]
             )
             expected = [np.random.Generator(np.random.PCG64(s)) for s in seq]
             assert first_draws(level.generators()) == first_draws(expected)
@@ -106,16 +106,17 @@ class TestStreams:
             np.testing.assert_array_equal(level.spawn(n).pools, [s.pool for s in seq.spawn(n)])
             assert level.spawned == seq.n_children_spawned
 
-    def test_derived_seeds_generate_any_state(self):
+    def test_derived_seeds_answer_only_pcg64(self):
         (derived,) = spawn(stream(4), 1).generators()
         (child,) = stream(4).bit_generator.seed_seq.spawn(1)
-        for n_words, dtype in [(3, np.uint32), (8, np.uint32), (2, np.uint64), (4, np.dtype(np.uint64))]:
-            np.testing.assert_array_equal(
-                derived.bit_generator.seed_seq.generate_state(n_words, dtype),
-                child.generate_state(n_words, dtype),
-            )
-        with pytest.raises(ValueError, match="uint32 or uint64"):
-            derived.bit_generator.seed_seq.generate_state(4, np.int64)
+        seed = derived.bit_generator.seed_seq
+        np.testing.assert_array_equal(seed.generate_state(4, np.uint64),
+                                      child.generate_state(4, np.uint64))
+        # PCG64 asks for the numpy type itself; a dtype instance is another request.
+        for n_words, dtype in [(3, np.uint32), (8, np.uint32), (2, np.uint64),
+                               (4, np.dtype(np.uint64)), (4, np.int64)]:
+            with pytest.raises(TypeError, match="holds PCG64.s state, not"):
+                seed.generate_state(n_words, dtype)
 
     def test_counter_past_uint32_is_refused(self):
         # numpy's counter is a uint32: 2**32 - 1 children at most.

@@ -12,7 +12,8 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 36 commands takes 12 to 27 seconds on 2-core x86-64 machines.
+of 39 commands takes 12 to 14 seconds on a 2-core x86-64 machine, and up
+to 27 seconds on a busy one.
 """
 from __future__ import annotations
 
@@ -127,6 +128,13 @@ COMMANDS = [
     ("dfo-queue10-a0-1e3", "1", ["dfo", "--problem", "queue@3,5,10,service", "--budget", "2000",
                                  "--a0", "1e3"]),
     ("dfo-rosenbrock", "1", ["dfo", "--problem", "rosenbrock", "--budget", "100000", "--seed", "2"]),
+    # The trace's f_true column reads the sine and polynomial mean at each iterate.
+    ("dfo-sin2", "1", ["dfo", "--problem", "sin2", "--budget", "20000", "--seed", "1"]),
+    ("dfo-poly3", "1", ["dfo", "--problem", "poly@3", "--budget", "20000", "--seed", "1"]),
+    # Every line-search trial from 1e100 down overflows Zakharov's quartic
+    # term: each search gives up with step 0 and the run stays at its start.
+    ("dfo-zakharov10-a0-1e100", "1", ["dfo", "--problem", "zakharov@10", "--budget", "20000",
+                                      "--seed", "1", "--a0", "1e100"]),
     ("diag", "1", ["diag", "--c", "1,1.5,2,2.5,3,3.5,4,4.5,5,5.5", "--fifth-const", "0.1"]),
 ]
 

@@ -207,8 +207,7 @@ def stochastic_armijo(
     ``y_trial <= y_start - l1*step*decrease_rate + 2*noise_bound``, the
     noise-tolerant test of Berahas, Byrd & Nocedal (2019); a trial outside
     the oracle's domain or with a non-finite draw is rejected.  Gives up
-    after 50 backtracks, flagged, with the last (smallest) step, or with
-    step 0 and the start draw when that last trial was rejected.
+    after 50 backtracks, flagged, with step 0 and the start draw.
     """
     if step_init <= 0:
         raise ValueError(f"initial step must be positive, got {step_init}")
@@ -226,10 +225,7 @@ def stochastic_armijo(
         if y_trial <= y_start - l1 * step * decrease_rate + slack:
             return ArmijoResult(step, evals, False, y_start, y_trial)
         step *= l2
-    # Loop exhausted: `step` was already shrunk past the last trial.
-    if y_trial == math.inf:
-        return ArmijoResult(0.0, evals, True, y_start, y_start)
-    return ArmijoResult(step / l2, evals, True, y_start, y_trial)
+    return ArmijoResult(0.0, evals, True, y_start, y_start)
 
 
 def gradient_via_corcfd(

@@ -252,10 +252,7 @@ def _rowwise(value: Callable[..., float], *columns: list[float]) -> list[float]:
     numpy's value for the benchmark functions, which are sums of even
     powers; ``poly`` can overflow negative, but every infinite response is
     refused by :func:`draw_responses` whatever its sign."""
-    try:
-        return list(map(value, *columns))
-    except OverflowError:
-        return [_or_inf(value, row) for row in zip(*columns)]
+    return [_or_inf(value, row) for row in zip(*columns)]
 
 
 def _or_inf(value: Callable[..., float], row) -> float:
@@ -388,6 +385,13 @@ def _wait_sums(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=1)
 
 
+def _check_selectors(parameter: str, measure: str) -> None:
+    if parameter not in ("arrival", "service"):
+        raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
+    if measure not in ("wait", "sojourn"):
+        raise ValueError(f"measure must be 'wait' or 'sojourn', got {measure!r}")
+
+
 def _simulate_queue(
     lam: float,
     mu: float,
@@ -434,10 +438,7 @@ def queue_oracle(
     one row; it is reused for the next rows once walked.  Each response
     equals that of its point drawn alone, bit for bit.
     """
-    if parameter not in ("arrival", "service"):
-        raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
-    if measure not in ("wait", "sojourn"):
-        raise ValueError(f"measure must be 'wait' or 'sojourn', got {measure!r}")
+    _check_selectors(parameter, measure)
     horizon = spec.horizon
     n_steps = horizon - 1
     n_svc = horizon if measure == "sojourn" else n_steps
@@ -453,7 +454,7 @@ def queue_oracle(
 
     def block(points, rngs, size):
         rows = rates(points)
-        y = np.empty((len(rows), size))
+        y = np.zeros((len(rows), size))
         per_block = min(len(rows), max(1, _walk_width(n_steps) // max(1, size)))
         diffs = np.empty((per_block * size, n_steps))
         services = np.empty((size, n_svc))
@@ -465,11 +466,7 @@ def queue_oracle(
                 np.subtract(services[:, :n_steps], arrivals, out=arrivals)
                 if measure == "sojourn":
                     services.sum(axis=1, out=y[j])
-            waits = _wait_sums(x).reshape(stop - start, size)
-            if measure == "sojourn":
-                y[start:stop] += waits
-            else:
-                y[start:stop] = waits
+            y[start:stop] += _wait_sums(x).reshape(stop - start, size)
         y /= horizon
         return y
 
@@ -498,8 +495,7 @@ def lr_derivative_oracle(
     simulated response by the log-likelihood derivative of the exponential
     draws the response depends on.
     """
-    if parameter not in ("arrival", "service"):
-        raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
+    _check_selectors(parameter, measure)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     lam, mu = spec.arrival_rate, spec.service_rate

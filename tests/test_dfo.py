@@ -137,14 +137,14 @@ class TestStochasticArmijo:
         assert res.evals == 3  # start draw + two trials
         assert not res.gave_up
 
-    def test_give_up_returns_smallest_step_flagged(self):
+    def test_give_up_takes_no_step_flagged(self):
         # Ascent direction on a noise-free parabola never satisfies the test.
         orc = deterministic_oracle(lambda t: float(t[0]) ** 2)
         res = stochastic_armijo(
             orc, np.array([1.0]), np.array([2.0]), 4.0, 1.0, 1e-4, 0.5, 0.0, stream(4)
         )
         assert res.gave_up
-        assert res.step == pytest.approx(0.5**50)
+        assert res.step == 0.0 and res.y_accepted == res.y_start
         assert res.evals == 52  # start draw + 51 trials
 
     @pytest.mark.parametrize("orc, theta", [

@@ -321,6 +321,9 @@ class TestQueueOracle:
             queue_oracle(QueueSpec(4, 4, 10), "wait_time")
         with pytest.raises(ValueError):
             queue_oracle(QueueSpec(4, 4, 10), "service", measure="holding")
+        with pytest.raises(ValueError):
+            lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 20000, stream(1),
+                                 measure="sojurn")
 
 
 QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300),
@@ -342,21 +345,27 @@ class TestQueueKernel:
         # customer.  1100 paths at horizon 500 walk in pieces of 1050 and 50
         # paths, and 16400 paths at horizons 2 and 10 in pieces of 16384 and
         # 16, the short-horizon cap; each last piece walks path by path.
-        rng, ref_rng = stream(40), stream(40)
+        rng, ref_rng, block_rng = stream(40), stream(40), stream(40)
         response, arrivals, services = _simulate_queue(lam, mu, horizon, measure, rng, size)
         expected, ref_arrivals, ref_services = simulate_queue_loop(
             lam, mu, horizon, measure, ref_rng, size
         )
+        # The oracle's own block, which takes the differences in place in its
+        # shared block and writes each row's service sums into its responses.
+        orc = queue_oracle(QueueSpec(lam, mu, horizon), "service", measure)
+        block = orc.sample(np.array([mu]), block_rng, size)
         # A wait is a difference of partial sums, so its rounding error scales
         # with them: at most horizon * eps times the sum of the path's draws.
         scale = arrivals.sum(axis=1) + services.sum(axis=1)
-        assert np.all(np.abs(response - expected) <= horizon * np.finfo(float).eps * scale)
-        if (horizon, size) in QUEUE_SHAPES:
-            np.testing.assert_allclose(response, expected, rtol=1e-12, atol=0)
+        for got in (response, block):
+            assert np.all(np.abs(got - expected) <= horizon * np.finfo(float).eps * scale)
+            if (horizon, size) in QUEUE_SHAPES:
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
         # Same draws in the same order, bit for bit, and the same stream left.
         np.testing.assert_array_equal(arrivals, ref_arrivals)
         np.testing.assert_array_equal(services, ref_services)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestLrDerivative:

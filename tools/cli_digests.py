@@ -12,7 +12,7 @@ parent:
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  The whole set
-of 39 commands takes 12 to 14 seconds on a 2-core x86-64 machine, and up
+of 40 commands takes 11 to 14 seconds on a 2-core x86-64 machine, and up
 to 27 seconds on a busy one.
 """
 from __future__ import annotations
@@ -84,6 +84,10 @@ COMMANDS = [
     ("estimate-queue500-tra-50", "1", ["estimate", "--problem", "queue@3,5,500,service",
                                        "--method", "tra", "--pairs", "50", "--reps", "3",
                                        "--seed", "1"]),
+    # Arrival rates and the wait measure: the block's other selectors.
+    ("estimate-queue50-arrival-wait", "1", ["estimate", "--problem", "queue@3,5,50,arrival,wait",
+                                            "--method", "cor", "--pairs", "1000", "--reps", "3",
+                                            "--seed", "5"]),
     # Pilots near 1e-6 on a derivative of 1e18: small, but correctly scaled.
     ("estimate-sin1-small-pilots", "1", ["estimate", "--problem", "sin1", "--kappa", "1e18",
                                          "--mu0", "1e-6", "--sigma0", "1e-7", "--L", "1e-8",

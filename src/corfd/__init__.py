@@ -26,7 +26,6 @@ from .oracle import (
     Problem,
     QueueSpec,
     SimulationOracle,
-    lr_derivative_oracle,
     noisy_bench_oracle,
     parse_problem,
     poly_oracle,

@@ -339,6 +339,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy raises a MemoryError subclass for an array too large to allocate.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

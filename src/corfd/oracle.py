@@ -24,7 +24,6 @@ __all__ = [
     "poly_oracle",
     "noisy_bench_oracle",
     "queue_oracle",
-    "lr_derivative_oracle",
     "draw_responses",
     "rosenbrock",
     "zakharov",
@@ -385,41 +384,6 @@ def _wait_sums(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=1)
 
 
-def _check_selectors(parameter: str, measure: str) -> None:
-    if parameter not in ("arrival", "service"):
-        raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
-    if measure not in ("wait", "sojourn"):
-        raise ValueError(f"measure must be 'wait' or 'sojourn', got {measure!r}")
-
-
-def _simulate_queue(
-    lam: float,
-    mu: float,
-    horizon: int,
-    measure: str,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Responses of ``size`` independent paths, with their draws.
-
-    Returns (responses, interarrival draws, service draws); the draws are
-    needed by the score-function derivative estimator.  Interarrivals of
-    customers 2..N are drawn first, then the services in customer order.
-    With ``measure="wait"`` the response is the average waiting time of the
-    first ``horizon`` customers; with ``measure="sojourn"`` their average
-    time in system (wait plus own service), which draws one extra service
-    time.
-    """
-    n_steps = horizon - 1
-    n_svc = horizon if measure == "sojourn" else n_steps
-    arrivals, services = np.empty((size, n_steps)), np.empty((size, n_svc))
-    _draw_paths(rng, lam, mu, arrivals, services)
-    total = _wait_sums(services[:, :n_steps] - arrivals)
-    if measure == "sojourn":
-        total += services.sum(axis=1)
-    return total / horizon, arrivals, services
-
-
 def queue_oracle(
     spec: QueueSpec, parameter: str = "service", measure: str = DEFAULT_MEASURE
 ) -> SimulationOracle:
@@ -429,16 +393,20 @@ def queue_oracle(
     The first customer arrives to an empty system and never waits.  The
     default response is the average time in system; ``measure="wait"``
     restricts it to the average waiting time.  The default (service rate,
-    time in system) pairing is the one validated against the published
-    sensitivity values by :func:`lr_derivative_oracle`; see the README.
+    time in system) pairing is the one that reproduces the published
+    sensitivity values; see the README.
 
-    A block's rows draw their paths as :func:`_simulate_queue` does, each
-    from its own generator, into one difference block that holds as many
-    whole rows as fit in one walk of ``_walk_width`` paths, and at least
-    one row; it is reused for the next rows once walked.  Each response
-    equals that of its point drawn alone, bit for bit.
+    Each row draws its paths from its own generator with
+    :func:`_draw_paths`, every interarrival and then every service, into
+    one difference block that holds as many whole rows as fit in one walk
+    of ``_walk_width`` paths, and at least one row; it is reused for the
+    next rows once walked.  Each response equals that of its point drawn
+    alone, bit for bit.
     """
-    _check_selectors(parameter, measure)
+    if parameter not in ("arrival", "service"):
+        raise ValueError(f"parameter must be 'arrival' or 'service', got {parameter!r}")
+    if measure not in ("wait", "sojourn"):
+        raise ValueError(f"measure must be 'wait' or 'sojourn', got {measure!r}")
     horizon = spec.horizon
     n_steps = horizon - 1
     n_svc = horizon if measure == "sojourn" else n_steps
@@ -472,46 +440,6 @@ def queue_oracle(
 
     label = f"queue@{spec.arrival_rate},{spec.service_rate},{spec.horizon},{parameter},{measure}"
     return SimulationOracle(dim=1, label=label, sample=block_sampler(block))
-
-
-# Paths, and path-steps, per block of the score-function estimator: each
-# block keeps every interarrival and service draw of its paths, so the
-# path-steps bound its memory, about 16 MB per array of draws.
-_LR_BATCH = 200_000
-_LR_STEPS = 2_000_000
-
-
-def lr_derivative_oracle(
-    spec: QueueSpec,
-    parameter: str,
-    reps: int,
-    rng: np.random.Generator,
-    measure: str = DEFAULT_MEASURE,
-) -> float:
-    """Score-function estimate of the derivative of the expected queue
-    response with respect to the chosen rate.
-
-    Used only to validate the queue problems: the estimator multiplies each
-    simulated response by the log-likelihood derivative of the exponential
-    draws the response depends on.
-    """
-    _check_selectors(parameter, measure)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    lam, mu = spec.arrival_rate, spec.service_rate
-    batch = min(_LR_BATCH, max(1, _LR_STEPS // spec.horizon))
-    total = 0.0
-    done = 0
-    while done < reps:
-        m = min(batch, reps - done)
-        response, arrivals, services = _simulate_queue(lam, mu, spec.horizon, measure, rng, m)
-        if parameter == "arrival":
-            score = np.sum(1.0 / lam - arrivals, axis=1)
-        else:
-            score = np.sum(1.0 / mu - services, axis=1)
-        total += float(np.sum(response * score))
-        done += m
-    return total / reps
 
 
 # ---------------------------------------------------------------------------

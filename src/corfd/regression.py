@@ -59,20 +59,10 @@ class BiasFit:
     """Weighted fit of means against ``intercept + slope * h^2``.
 
     Scalars for one fit; for a stack of fits, arrays with one entry per row.
-    ``x`` holds the squared perturbations and ``means`` the means fitted.
     """
 
     intercept: float | np.ndarray
     slope: float | np.ndarray
-    x: np.ndarray
-    means: np.ndarray
-
-    @property
-    def residuals(self) -> np.ndarray:
-        """The residuals on the unweighted scale; with two perturbations the
-        fit interpolates and they vanish."""
-        intercept, slope = np.asarray(self.intercept), np.asarray(self.slope)
-        return self.means - (intercept[..., None] + slope[..., None] * self.x)
 
 
 def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
@@ -104,7 +94,7 @@ def fit_bias_wls(h: np.ndarray, means: np.ndarray, sds: np.ndarray) -> BiasFit:
     wdx = w * dx
     slope = (wdx * (means - y_mean[..., None])).sum(axis=-1) / _spread(wdx, dx, wx, x)
     intercept = y_mean - slope * x_mean
-    return BiasFit(intercept, slope, x, means)
+    return BiasFit(intercept, slope)
 
 
 def fit_var_wls(h: np.ndarray, s2: np.ndarray, n_b: int) -> float | np.ndarray:

@@ -53,8 +53,9 @@ def deterministic_oracle(f, dim: int = 1, label: str = "noise-free") -> Simulati
 
 def simulate_queue_loop(lam, mu, horizon, measure, rng, size):
     """Per-customer Lindley recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)``
-    over ``size`` paths, with the draws of ``corfd.oracle._simulate_queue``
-    in the same order; returns (responses, interarrivals, services)."""
+    over ``size`` paths, with the draws of ``corfd.oracle.queue_oracle``'s
+    block in the same order: every interarrival of customers 2..N, then
+    every service; returns (responses, interarrivals, services)."""
     n_steps = horizon - 1
     n_svc = horizon if measure == "sojourn" else n_steps
     arrivals = -np.log(rng.random((size, n_steps))) / lam if n_steps else np.empty((size, 0))
@@ -67,6 +68,26 @@ def simulate_queue_loop(lam, mu, horizon, measure, rng, size):
     if measure == "sojourn":
         total += services.sum(axis=1)
     return total / horizon, arrivals, services
+
+
+def lr_derivative(spec, parameter, reps, rng):
+    """Score-function estimate (Glynn, Comm. ACM 1990) of the derivative of
+    the expected average time in system with respect to one rate: the mean
+    over ``reps`` paths of each response times the log-likelihood
+    derivative of the exponential draws it depends on.  The paths are drawn
+    by :func:`simulate_queue_loop` in blocks of 200,000."""
+    lam, mu = spec.arrival_rate, spec.service_rate
+    total = 0.0
+    for start in range(0, reps, 200_000):
+        response, arrivals, services = simulate_queue_loop(
+            lam, mu, spec.horizon, "sojourn", rng, min(200_000, reps - start)
+        )
+        if parameter == "arrival":
+            score = np.sum(1.0 / lam - arrivals, axis=1)
+        else:
+            score = np.sum(1.0 / mu - services, axis=1)
+        total += float(np.sum(response * score))
+    return total / reps
 
 
 def fit_var_unweighted(h, s2, n_b):

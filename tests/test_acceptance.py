@@ -16,7 +16,6 @@ from corfd import (
     boot_cfd,
     cor_cfd,
     corcfd_lbfgs,
-    lr_derivative_oracle,
     parse_problem,
     run_replications,
     stream,
@@ -27,7 +26,7 @@ from corfd.estimators import _pilot_stage
 from corfd.oracle import QueueSpec, poly_oracle, sin_oracle
 from corfd.regression import fit_bias_wls, projection_diagnostics
 from corfd.sampling import difference_samples
-from helpers import deterministic_oracle, fit_var_unweighted
+from helpers import deterministic_oracle, fit_var_unweighted, lr_derivative
 
 
 def report(criterion: str, detail: str) -> None:
@@ -201,7 +200,7 @@ def test_criterion_5_queue():
     targets = [(QueueSpec(4, 4, 10), -0.2501), (QueueSpec(3, 5, 10), -0.1136)]
     diffs = []
     for spec, target in targets:
-        est = lr_derivative_oracle(spec, "service", 1_000_000, stream(51))
+        est = lr_derivative(spec, "service", 1_000_000, stream(51))
         assert abs(est - target) <= 0.01, (spec, est)
         diffs.append(abs(est - target))
 

@@ -98,6 +98,20 @@ class TestMonteCarlo:
                 failures += 1
         assert failures <= 1
 
+    def test_variance_divides_by_resample_count(self):
+        # The same index block drawn by hand from the same stream gives the
+        # resampled means; their variance about their mean divides by I, not
+        # I - 1, which at I = 3 would be 1.5 times larger.
+        col = np.array([0.0, 1.0, 4.0, 9.0])
+        I = 3
+        indices = stream(15).integers(0, col.size, size=(I, col.size), dtype=np.int32)
+        resampled = col[indices].mean(axis=1)
+        by_hand = ((resampled - resampled.mean()) ** 2).sum() / I
+        mean, variance = moments(col, I, stream(15))
+        assert by_hand > 0
+        assert mean == pytest.approx(resampled.mean(), rel=1e-12)
+        assert variance == pytest.approx(by_hand, rel=1e-12)
+
     def test_small_replicate_count_rejected(self):
         with pytest.raises(ValueError):
             moments([0.0, 1.0], 1, stream(9))

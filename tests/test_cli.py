@@ -239,6 +239,21 @@ class TestEstimateCommand:
                      "--set", f"out={tmp_path / 's.csv'}"])
         assert code == 2  # tra ran
 
+    @pytest.mark.parametrize("argv", [
+        ["dfo", "--problem", "zakharov@1000000000000000", "--budget", "1"],
+        ["estimate", "--problem", "zakharov@1000000000000000", "--method", "cor", "--pairs", "10"],
+        ["bench", "--set", "problem=zakharov@1000000000000000"],
+    ], ids=["dfo", "estimate", "bench"])
+    def test_problem_too_large_to_build_is_one_error_line(self, argv, tmp_path, monkeypatch,
+                                                          capsys):
+        # Zakharov at d = 10^15 needs a 7.11 PiB start point, whose allocation
+        # fails at once, before any estimate runs.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: MemoryError: Unable to allocate")
+        assert os.listdir(tmp_path) == []
+
     def test_out_of_range_mse_is_inf_without_a_warning(self, tmp_path):
         # The estimates at poly@1e40 are finite, their squared error is not.
         summary = tmp_path / "y.csv"

@@ -13,11 +13,6 @@ ROOT = Path(__file__).parents[1]
 LIBRARY = sorted((ROOT / "src" / "corfd").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
-# Exports kept although no library or benchmark code uses them, with why.
-EXEMPT = {
-    "lr_derivative_oracle": "the README's queue-validation oracle",
-}
-
 
 def exported(tree: ast.Module) -> list[str]:
     for node in tree.body:
@@ -50,11 +45,7 @@ def test_every_export_is_used_outside_the_tests():
         f"{path.stem}.{name}"
         for path in LIBRARY
         for name in exported(trees[path])
-        if name not in used and name not in EXEMPT
+        if name not in used
     ]
     assert unused == []
 
-
-def test_exemptions_are_exported():
-    exports = {name for path in LIBRARY for name in exported(ast.parse(path.read_text()))}
-    assert set(EXEMPT) <= exports

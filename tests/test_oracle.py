@@ -13,7 +13,6 @@ from corfd.oracle import (
     QueueSpec,
     SimulationOracle,
     block_sampler,
-    lr_derivative_oracle,
     noisy_bench_oracle,
     parse_problem,
     poly_oracle,
@@ -22,9 +21,9 @@ from corfd.oracle import (
     sin_oracle,
     zakharov,
 )
-from corfd.oracle import _simulate_queue, _standard_normal_rows, draw_responses
+from corfd.oracle import _standard_normal_rows, draw_responses
 from corfd.sampling import stream
-from helpers import simulate_queue_loop
+from helpers import lr_derivative, simulate_queue_loop
 
 
 class TestSinOracle:
@@ -321,9 +320,6 @@ class TestQueueOracle:
             queue_oracle(QueueSpec(4, 4, 10), "wait_time")
         with pytest.raises(ValueError):
             queue_oracle(QueueSpec(4, 4, 10), "service", measure="holding")
-        with pytest.raises(ValueError):
-            lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 20000, stream(1),
-                                 measure="sojurn")
 
 
 QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300),
@@ -345,11 +341,8 @@ class TestQueueKernel:
         # customer.  1100 paths at horizon 500 walk in pieces of 1050 and 50
         # paths, and 16400 paths at horizons 2 and 10 in pieces of 16384 and
         # 16, the short-horizon cap; each last piece walks path by path.
-        rng, ref_rng, block_rng = stream(40), stream(40), stream(40)
-        response, arrivals, services = _simulate_queue(lam, mu, horizon, measure, rng, size)
-        expected, ref_arrivals, ref_services = simulate_queue_loop(
-            lam, mu, horizon, measure, ref_rng, size
-        )
+        ref_rng, block_rng = stream(40), stream(40)
+        expected, arrivals, services = simulate_queue_loop(lam, mu, horizon, measure, ref_rng, size)
         # The oracle's own block, which takes the differences in place in its
         # shared block and writes each row's service sums into its responses.
         orc = queue_oracle(QueueSpec(lam, mu, horizon), "service", measure)
@@ -357,38 +350,34 @@ class TestQueueKernel:
         # A wait is a difference of partial sums, so its rounding error scales
         # with them: at most horizon * eps times the sum of the path's draws.
         scale = arrivals.sum(axis=1) + services.sum(axis=1)
-        for got in (response, block):
-            assert np.all(np.abs(got - expected) <= horizon * np.finfo(float).eps * scale)
-            if (horizon, size) in QUEUE_SHAPES:
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-        # Same draws in the same order, bit for bit, and the same stream left.
-        np.testing.assert_array_equal(arrivals, ref_arrivals)
-        np.testing.assert_array_equal(services, ref_services)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.all(np.abs(block - expected) <= horizon * np.finfo(float).eps * scale)
+        if (horizon, size) in QUEUE_SHAPES:
+            np.testing.assert_allclose(block, expected, rtol=1e-12, atol=0)
+        # The same draws leave the same stream.
         assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestLrDerivative:
     def test_fixed_seed_bit_reproducible(self):
         spec = QueueSpec(4, 4, 10)
-        a = lr_derivative_oracle(spec, "service", 10, stream(11))
-        b = lr_derivative_oracle(spec, "service", 10, stream(11))
+        a = lr_derivative(spec, "service", 10, stream(11))
+        b = lr_derivative(spec, "service", 10, stream(11))
         assert a == b
 
     def test_service_derivative_sign_and_scale(self):
         spec = QueueSpec(4, 4, 10)
-        d = lr_derivative_oracle(spec, "service", 200_000, stream(12))
+        d = lr_derivative(spec, "service", 200_000, stream(12))
         assert -0.30 < d < -0.20  # full-precision check lives in acceptance
 
     def test_arrival_derivative_positive(self):
         spec = QueueSpec(4, 4, 10)
-        d = lr_derivative_oracle(spec, "arrival", 200_000, stream(13))
+        d = lr_derivative(spec, "arrival", 200_000, stream(13))
         assert d > 0
 
     def test_matches_common_random_number_finite_difference(self):
         # Independent oracle: CRN central difference of the expected response.
         spec = QueueSpec(3, 5, 10)
-        lr = lr_derivative_oracle(spec, "service", 400_000, stream(14))
+        lr = lr_derivative(spec, "service", 400_000, stream(14))
         delta = 1e-3
         orc_hi = queue_oracle(QueueSpec(3, 5 + delta, 10), "service")
         orc_lo = queue_oracle(QueueSpec(3, 5 - delta, 10), "service")
@@ -396,27 +385,6 @@ class TestLrDerivative:
         lo = orc_lo.sample(np.array([5 - delta]), stream(15), 2_000_000)
         fd = (hi - lo).mean() / (2 * delta)
         assert lr == pytest.approx(fd, abs=0.004)
-
-    def test_rep_validation(self):
-        with pytest.raises(ValueError):
-            lr_derivative_oracle(QueueSpec(4, 4, 10), "service", 0, stream(16))
-
-    @pytest.mark.parametrize("horizon, reps, sizes", [
-        (10, 450_000, [200_000, 200_000, 50_000]),
-        (500, 10_001, [4000, 4000, 2001]),
-    ])
-    def test_blocks_are_bounded_by_path_steps(self, horizon, reps, sizes, monkeypatch):
-        # Blocks of at most 2e6 path-steps: at 10 customers the 200,000-path
-        # cap binds, at 500 the path-step cap does.
-        seen, simulate = [], oracle_module._simulate_queue
-
-        def spy(lam, mu, horizon, measure, rng, size):
-            seen.append(size)
-            return simulate(lam, mu, horizon, measure, rng, size)
-
-        monkeypatch.setattr(oracle_module, "_simulate_queue", spy)
-        lr_derivative_oracle(QueueSpec(3, 5, horizon), "service", reps, stream(17))
-        assert seen == sizes
 
 
 class TestGroundTruth:

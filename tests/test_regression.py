@@ -36,7 +36,8 @@ class TestBiasFit:
             fit = fit_bias_wls(h, means, sds)
             assert fit.intercept == pytest.approx(2.0, abs=1e-10)
             assert fit.slope == pytest.approx(3.0, abs=1e-10)
-            np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-10)
+            residuals = means - (fit.intercept + fit.slope * h * h)
+            np.testing.assert_allclose(residuals, 0.0, atol=1e-10)
 
     def test_two_point_system_interpolates(self):
         # Independent oracle: solve the 2x2 linear system directly.
@@ -47,7 +48,8 @@ class TestBiasFit:
         fit = fit_bias_wls(h, means, np.ones(2))
         assert fit.intercept == pytest.approx(2.0, abs=1e-10)
         assert fit.slope == pytest.approx(3.0, abs=1e-10)
-        np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-12)
+        residuals = means - (fit.intercept + fit.slope * h * h)
+        np.testing.assert_allclose(residuals, 0.0, atol=1e-12)
 
     def test_quartic_contamination_matches_theory_slope_bias(self):
         # With a quartic term D*h^4 the slope fit is off by exactly the
@@ -60,6 +62,16 @@ class TestBiasFit:
             fit = fit_bias_wls(h, means, np.ones(c.size))
             predicted = theory_constants(c, D, 0.0).slope_bias * n_b ** (-0.2)
             assert fit.slope - 3.0 == pytest.approx(predicted, rel=1e-10)
+
+    def test_weights_are_inverse_variances(self):
+        # Three columns with sds (1, 2, 1) carry weights 1/sd^2 = (1, 1/4, 1).
+        # At x = h^2 = (1, 4, 9) and means (1, 3, 2) the normal equations are
+        # 9/4 a + 11 b = 15/4 and 11 a + 86 b = 22, so a = 161/145 and
+        # b = 33/290; weights 1/sd would give b = 17/162.
+        fit = fit_bias_wls(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]),
+                           np.array([1.0, 2.0, 1.0]))
+        assert fit.intercept == pytest.approx(161 / 145, rel=1e-12)
+        assert fit.slope == pytest.approx(33 / 290, rel=1e-12)
 
     def test_wls_equals_ols_under_equal_weights(self):
         rng = stream(0)

@@ -11,7 +11,10 @@ parent:
     diff parent.txt change.txt
 
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
-checkout's ``src`` directory, in a fresh temporary directory.  The whole set
+checkout's ``src`` directory, in a fresh temporary directory.  A first line
+names numpy's version and the SIMD targets it dispatches to: the digests
+hold for one host and one numpy SIMD level, so digest files taken at
+different levels differ visibly in that line.  The whole set
 of 40 commands takes 11 to 14 seconds on a 2-core x86-64 machine, and up
 to 27 seconds on a busy one.
 """
@@ -23,6 +26,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 _ESTIMATE = ["estimate", "--pairs", "10000", "--reps", "5", "--seed", "3"]
 _SIN1_GRID = ["bench", "--set", "problem=sin1", "--set", "methods=tra,opt,boot,cor",
@@ -161,10 +167,17 @@ def digest(checkout: str, threads: str, args: list[str]) -> str:
     return h.hexdigest()
 
 
+def simd_level() -> str:
+    """numpy's version and its enabled SIMD dispatch targets, which
+    ``NPY_DISABLE_CPU_FEATURES`` narrows."""
+    return f"numpy {np.__version__} {[t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="repository root whose src/ is run")
     checkout = os.path.abspath(parser.parse_args(argv).checkout)
+    print(f"# {simd_level()}", flush=True)
     for label, threads, args in COMMANDS:
         print(f"{digest(checkout, threads, args)}  {label}", flush=True)
     return 0

@@ -13,7 +13,7 @@ pool of one worker process per other share runs the rest, one task each.
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -50,6 +50,19 @@ METHODS = ("tra", "opt", "boot", "cor")
 # each call's fixed cost over its replications; the cap bounds the memory of
 # a batch, whose arrays grow with the pairs it holds.
 _BATCH_PAIRS = 1 << 16
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: the pool's modules
+    (multiprocessing, socket, subprocess, logging and 28 more) are a third
+    of corfd's import time, and only a grid on several workers needs them.
+    It is cached in this module, where tests and the benchmark's tracer may
+    replace it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -241,7 +254,11 @@ def run_replications(cfg: ExperimentConfig):
     shares = [jobs[k::count] for k in range(count)]
     run_share = partial(_run_share, cfg)
     outcomes = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=count - 1) if count > 1 else nullcontext() as pool:
+    pool = None
+    if count > 1:
+        from concurrent.futures import BrokenExecutor
+        pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=count - 1)
+    with pool or nullcontext():
         # The other shares are submitted first, so that the pool forks before
         # this process allocates anything for share 0.
         others = [] if pool is None else pool.map(run_share, shares[1:])

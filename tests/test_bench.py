@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -378,3 +380,23 @@ class TestRunReplications:
         with pytest.raises(ValueError, match=r"pilot_fraction \(r\).*pilot_size \(n_b\)"):
             small_config(methods=("cor", "boot"))
         small_config(methods=("boot",), estimator=EstimatorConfig(K=5, pilot_fraction=0.5))
+
+
+class TestStartup:
+    def test_import_leaves_the_pool_unloaded(self):
+        # Only a grid on several workers needs the pool: importing corfd and
+        # its CLI loads none of its modules, and the module attribute still
+        # resolves to the real class.
+        pool_modules = ["concurrent.futures", "multiprocessing", "logging", "socket",
+                        "subprocess"]
+        code = (
+            "import sys\n"
+            "import corfd, corfd.cli\n"
+            f"print(sorted(m for m in {pool_modules!r} if m in sys.modules))\n"
+            "import concurrent.futures\n"
+            "print(corfd.bench.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)\n"
+        )
+        src = os.path.dirname(os.path.dirname(bench.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["[]", "True"]

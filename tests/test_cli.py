@@ -685,3 +685,43 @@ class TestDiagCommand:
         assert main(["diag", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestSimdLevels:
+    """numpy's AVX-512 ``log`` and ``exp`` round some values differently from
+    its AVX2 ones, so the queue's draws and ``sin2``'s noise scale move in
+    the last bits with the dispatch level; ``poly`` takes neither."""
+
+    AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"
+
+    @staticmethod
+    def run(argv, work, disabled):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(corfd.__file__))}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        work.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "corfd.cli", *argv, "--out", "out.csv"],
+                              cwd=work, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, (work / "out.csv").read_text()
+
+    @pytest.mark.parametrize("argv,exact", [
+        (["estimate", "--problem", "queue@3,5,50,service", "--method", "cor", "--pairs", "1000",
+          "--reps", "3", "--seed", "5", "--I", "100", "--L", "0.5", "--U", "0.7"], False),
+        (["dfo", "--problem", "sin2", "--budget", "20000", "--seed", "1"], False),
+        (["estimate", "--problem", "poly@3", "--method", "cor", "--pairs", "10000", "--reps", "5",
+          "--seed", "3"], True),
+    ], ids=["queue", "sin2", "poly"])
+    def test_avx2_level_agrees_with_the_default(self, argv, exact, tmp_path):
+        default = self.run(argv, tmp_path / "default", "")
+        avx2 = self.run(argv, tmp_path / "avx2", self.AVX2_ONLY)
+        if exact:
+            assert avx2 == default
+            return
+        for text, other in zip(default, avx2):
+            fields, others = re.split(r"[,=\[\]\n]", text), re.split(r"[,=\[\]\n]", other)
+            assert len(fields) == len(others)
+            for x, y in zip(fields, others):
+                if x != y:
+                    assert abs(float(x) - float(y)) <= 1e-12 * abs(float(x)), (x, y)

@@ -149,12 +149,18 @@ COMMANDS = [
 ]
 
 
+def run_checkout(checkout: str, argv: list[str], cwd: str, **env) -> subprocess.CompletedProcess:
+    """Run this interpreter on ``argv`` with ``PYTHONPATH`` set to the
+    checkout's ``src`` and ``env`` added to the environment, capturing its
+    output as bytes."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), **env}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
+
+
 def digest(checkout: str, threads: str, args: list[str]) -> str:
     """SHA-256 over the exit code, stdout, stderr and written files of one command."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "CORFD_THREADS": threads}
     with tempfile.TemporaryDirectory() as work:
-        proc = subprocess.run([sys.executable, "-m", "corfd.cli", *args], cwd=work, env=env,
-                              capture_output=True)
+        proc = run_checkout(checkout, ["-m", "corfd.cli", *args], work, CORFD_THREADS=threads)
         if proc.returncode:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
         h = hashlib.sha256(b"exit %d\n" % proc.returncode)

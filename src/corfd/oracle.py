@@ -324,13 +324,13 @@ class QueueSpec:
 # customers and 1e3 to 1e5 pairs on a 2-core x86-64 host (see CHANGES.md):
 # 2^15 paths was up to 10% slower at 10 customers, and one flat cap of
 # 2^19 path-steps up to 19% slower.
+# 2^18 path-steps was 14% slower at 500 customers and 2^20 8% slower at 50.
 _SWEEP_PATHS = 1 << 14
 _BLOCK_STEPS = 1 << 19
 
 # Paths from which the waiting-time walk goes customer by customer rather
-# than path by path (see ``_wait_sums``).  Set from timings of 20-row blocks
-# at 10, 50 and 500 customers on a 2-core x86-64 host: 256 was as fast from
-# 256 paths on, but slower on blocks of 128 to 255 paths.
+# than path by path (see ``_wait_sums``); both give the same bits.
+# Per-piece timings put the crossover near 100, 128 and 150 paths at 10, 50 and 500 customers.
 _WALK_PATHS = 128
 
 
@@ -343,45 +343,54 @@ def _draw_paths(
     rng: np.random.Generator, lam: float, mu: float, arrivals: np.ndarray, services: np.ndarray
 ) -> None:
     """Fill ``arrivals`` and then ``services`` (paths by customers) from
-    ``rng`` with inverse-CDF exponential draws, ``-log(u) / rate``,
-    computed in place.  A fixed stream reproduces the paths exactly."""
+    ``rng`` with inverse-CDF exponential draws, ``log(u) * (-1 / rate)``,
+    computed in place: the scale times standard-exponential form of
+    ``Generator.exponential``, one multiply per value where ``-log(u) /
+    rate`` takes a division.  A fixed stream reproduces the paths exactly."""
     for out, rate in ((arrivals, lam), (services, mu)):
         rng.random(out=out)
         np.log(out, out=out)
-        out /= -rate
+        out *= -1.0 / rate
 
 
 def _wait_sums(x: np.ndarray) -> np.ndarray:
     """Each path's sum of waiting times, given its differences ``x = S - A``
-    (paths by customers 2..N), which it overwrites with the waits.
+    (paths by customers 2..N), which it may overwrite.
 
     Lindley's recursion ``W_j = max(W_{j-1} + S_j - A_j, 0)`` from
     ``W_0 = 0`` has the closed form ``W_j = X_j - min(0, X_1, ..., X_j)``,
     where ``X`` is the partial sum of ``S - A``.  The paths are walked in
     pieces of ``_walk_width`` paths.  On a piece under ``_WALK_PATHS``
-    paths, a cumulative sum and a running minimum run along each path;
-    from there on, one pass per customer runs over the piece, three numpy
-    calls per customer however many paths it holds.  Both take the same
-    sequential partial sums, exact minima and subtraction, so they give
-    the same bits, and a path's waits do not depend on the paths beside it.
+    paths, a cumulative sum and a running minimum run along each path, and
+    a second cumulative sum adds up its waits; from there on, one pass per
+    customer runs over the piece, four numpy calls per customer however
+    many paths it holds, and adds each wait to its path's sum as it is
+    walked.  Both take the same sequential partial sums, exact minima and
+    subtractions, and sum the waits in customer order, so they give the
+    same bits, and a path's sum does not depend on the paths beside it.
     """
+    sums = np.zeros(len(x))
+    if not x.shape[1]:
+        return sums
     width = _walk_width(x.shape[1])
     for start in range(0, len(x), width):
         w = x[start : start + width]
+        acc = sums[start : start + width]
         if len(w) < _WALK_PATHS:
-            # One path of 500 customers: 11 us this way, 1,360 us customer by customer.
             np.cumsum(w, axis=1, out=w)
             low = np.minimum.accumulate(w, axis=1)
             np.minimum(low, 0.0, out=low)
             w -= low
+            np.cumsum(w, axis=1, out=w)
+            acc[:] = w[:, -1]
             continue
-        total, low = np.zeros(len(w)), np.zeros(len(w))
+        total, low, wait = np.zeros(len(w)), np.zeros(len(w)), np.empty(len(w))
         for j in range(w.shape[1]):
-            step = w[:, j]
-            total += step
+            total += w[:, j]
             np.minimum(low, total, out=low)
-            np.subtract(total, low, out=step)
-    return x.sum(axis=1)
+            np.subtract(total, low, out=wait)
+            acc += wait
+    return sums
 
 
 def queue_oracle(

@@ -58,8 +58,8 @@ def simulate_queue_loop(lam, mu, horizon, measure, rng, size):
     every service; returns (responses, interarrivals, services)."""
     n_steps = horizon - 1
     n_svc = horizon if measure == "sojourn" else n_steps
-    arrivals = -np.log(rng.random((size, n_steps))) / lam if n_steps else np.empty((size, 0))
-    services = -np.log(rng.random((size, n_svc))) / mu if n_svc else np.empty((size, 0))
+    arrivals = np.log(rng.random((size, n_steps))) * (-1.0 / lam) if n_steps else np.empty((size, 0))
+    services = np.log(rng.random((size, n_svc))) * (-1.0 / mu) if n_svc else np.empty((size, 0))
     wait = np.zeros(size)
     total = np.zeros(size)
     for i in range(n_steps):

@@ -10,6 +10,16 @@ parent:
     python3 tools/cli_digests.py . > change.txt
     diff parent.txt change.txt
 
+Given two checkouts, it runs each command on both and prints, for each
+command whose digest differs, the largest relative difference over the
+numbers in its stdout and its written CSV files, with the two values and
+where they are, so that a change at the rounding level reports its size:
+
+    python3 tools/cli_digests.py <parent checkout> .
+
+A command whose exit code, stderr or text around those numbers differs is
+marked ``text differs``.
+
 Each command runs as ``python -m corfd.cli`` with ``PYTHONPATH`` set to the
 checkout's ``src`` directory, in a fresh temporary directory.  A first line
 names numpy's version and the SIMD targets it dispatches to: the digests
@@ -23,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -157,20 +168,55 @@ def run_checkout(checkout: str, argv: list[str], cwd: str, **env) -> subprocess.
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
 
 
-def digest(checkout: str, threads: str, args: list[str]) -> str:
-    """SHA-256 over the exit code, stdout, stderr and written files of one command."""
+def outputs(checkout: str, threads: str, args: list[str]):
+    """One command's finished process and the files it wrote, by name."""
     with tempfile.TemporaryDirectory() as work:
         proc = run_checkout(checkout, ["-m", "corfd.cli", *args], work, CORFD_THREADS=threads)
         if proc.returncode:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
-        h = hashlib.sha256(b"exit %d\n" % proc.returncode)
-        h.update(proc.stdout)
-        h.update(b"\0stderr\0" + proc.stderr)
+        files = {}
         for name in sorted(os.listdir(work)):
-            h.update(b"\0" + name.encode() + b"\0")
             with open(os.path.join(work, name), "rb") as fh:
-                h.update(fh.read())
+                files[name] = fh.read()
+    return proc, files
+
+
+def digest(proc: subprocess.CompletedProcess, files: dict[str, bytes]) -> str:
+    """SHA-256 over the exit code, stdout, stderr and written files of one command."""
+    h = hashlib.sha256(b"exit %d\n" % proc.returncode)
+    h.update(proc.stdout)
+    h.update(b"\0stderr\0" + proc.stderr)
+    for name, data in files.items():
+        h.update(b"\0" + name.encode() + b"\0")
+        h.update(data)
     return h.hexdigest()
+
+
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_difference(base, changed) -> str:
+    """The largest relative difference between the numbers of two runs'
+    stdout and CSV files, with where it is and its two values; ``text
+    differs`` when their exit codes, stderr, file names or the text around
+    those numbers differ."""
+    (proc_a, files_a), (proc_b, files_b) = base, changed
+    text_differs = (proc_a.returncode, proc_a.stderr, list(files_a)) != (
+        proc_b.returncode, proc_b.stderr, list(files_b))
+    texts = [("stdout", proc_a.stdout, proc_b.stdout)] + [
+        (name, data, files_b.get(name, b"")) for name, data in files_a.items()
+        if name.endswith(".csv")]
+    worst, where = 0.0, ""
+    for name, a, b in texts:
+        if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
+            text_differs = True
+            continue
+        for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+            u, v = float(x), float(y)
+            rel = abs(u - v) / max(abs(u), abs(v)) if u != v else 0.0
+            if rel > worst:
+                worst, where = rel, f"  {name}: {x.decode()} -> {y.decode()}"
+    return f"{worst:.2g}{where}" + ("  text differs" if text_differs else "")
 
 
 def simd_level() -> str:
@@ -182,10 +228,19 @@ def simd_level() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="repository root whose src/ is run")
-    checkout = os.path.abspath(parser.parse_args(argv).checkout)
+    parser.add_argument("changed", nargs="?",
+                        help="a second checkout: print how far each differing command moved")
+    opts = parser.parse_args(argv)
+    checkout = os.path.abspath(opts.checkout)
     print(f"# {simd_level()}", flush=True)
     for label, threads, args in COMMANDS:
-        print(f"{digest(checkout, threads, args)}  {label}", flush=True)
+        base = outputs(checkout, threads, args)
+        if opts.changed is None:
+            print(f"{digest(*base)}  {label}", flush=True)
+            continue
+        changed = outputs(os.path.abspath(opts.changed), threads, args)
+        if digest(*changed) != digest(*base):
+            print(f"{label}  {largest_difference(base, changed)}", flush=True)
     return 0
 
 

@@ -7,16 +7,15 @@ identical whether cells run serially or across processes.  A cell derives
 its replications as one level of ``stream(seed, j)``'s children and cuts it
 once into batches, each one batched estimator call of at most
 ``_BATCH_PAIRS`` pairs (or one replication).  A grid's batches are dealt
-into one share per worker: the calling process runs the first share, and a
-pool of one worker process per other share runs the rest, one task each.
+into one share per worker: the calling process runs the first share, and
+each other share runs in a child forked for it, which sends its rows back
+through a pipe.
 """
 from __future__ import annotations
 
 import os
-import sys
-from contextlib import nullcontext
+import pickle
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -53,11 +52,10 @@ _BATCH_PAIRS = 1 << 16
 
 
 def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use: the pool's modules
-    (multiprocessing, socket, subprocess, logging and 28 more) are a third
-    of corfd's import time, and only a grid on several workers needs them.
-    It is cached in this module, where tests and the benchmark's tracer may
-    replace it."""
+    """``ProcessPoolExecutor``, imported on first use.  Nothing in corfd uses
+    it: the name remains only because the benchmark's tracer
+    (``perfbench/spans.py``) patches it by name, and a traced run raises
+    :class:`AttributeError` without it."""
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
@@ -197,7 +195,7 @@ def _thread_count() -> int:
 
 def _run_share(cfg: ExperimentConfig, jobs):
     """Run one share of a grid's batches in order, in the calling process
-    or in a pool worker: per job ``(cell, method, budget, level)``, its
+    or in a forked child: per job ``(cell, method, budget, level)``, its
     rows, or its cell's ``(error type, message)`` once a batch of that cell
     has failed here, in which case the share skips the cell's later
     batches."""
@@ -215,6 +213,42 @@ def _run_share(cfg: ExperimentConfig, jobs):
     return results
 
 
+def _fork_share(cfg: ExperimentConfig, jobs) -> tuple[int, int]:
+    """Run one share in a forked child; its pid and the read end of the pipe
+    that brings back the pickled ``(True, outcomes)`` or ``(False,
+    exception)``.  The child always ends in ``os._exit``, so it never
+    returns into the caller's stack or flushes the caller's stdio."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = (True, _run_share(cfg, jobs))
+            except BaseException as exc:
+                result = (False, exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _join_share(pid: int, read: int):
+    """Read a forked share's pipe to EOF and reap its child: what the child
+    sent, or ``None`` if the child died or its result does not unpickle."""
+    with open(read, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data) if status == 0 else None
+    except Exception:
+        return None
+
+
 def run_replications(cfg: ExperimentConfig):
     """Run the experiment grid.
 
@@ -228,14 +262,15 @@ def run_replications(cfg: ExperimentConfig):
     of at most ``_BATCH_PAIRS`` pairs (or one replication) and at most
     ``ceil(reps / CORFD_THREADS)`` replications, each one batched estimator
     call, so one error fails the whole cell.  The grid's batches are dealt
-    round-robin into at most ``CORFD_THREADS`` shares, each run in order as
-    one task.  This process runs the first share; the other shares, if any,
-    run on a process pool of one worker per share, submitted before the
-    first share starts.  Rows are put back in replication order, and a
-    failing cell reports its earliest failing batch.  A worker that ends
-    abruptly raises :class:`ChildProcessError`, which names the cells of its
-    share.  An error other than those above propagates once the pool has
-    shut down.
+    round-robin into at most ``CORFD_THREADS`` shares, each run in order.
+    Each share after the first runs in a child forked for it before this
+    process runs the first share; where ``os.fork`` does not exist, the
+    grid runs as one share, with the same outputs.  Rows are put back in
+    replication order, and a failing cell reports its earliest failing
+    batch.  A child that dies, or whose result does not arrive whole,
+    raises :class:`ChildProcessError`, which names the cells of its share.
+    An error other than those above propagates once every child has been
+    reaped: this process's own first, then the children's in share order.
     """
     detail_rows: list[list] = []
     summary_rows: list[list] = []
@@ -250,27 +285,28 @@ def run_replications(cfg: ExperimentConfig):
         size = min(max(1, _BATCH_PAIRS // budget), -(-cfg.reps // workers))
         jobs += [(cell, method, budget, level[start:start + size])
                  for start in range(0, cfg.reps, size)]
-    count = min(workers, len(jobs))
+    count = min(workers, len(jobs)) if hasattr(os, "fork") else 1
     shares = [jobs[k::count] for k in range(count)]
-    run_share = partial(_run_share, cfg)
     outcomes = [None] * len(jobs)
-    pool = None
-    if count > 1:
-        from concurrent.futures import BrokenExecutor
-        pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=count - 1)
-    with pool or nullcontext():
-        # The other shares are submitted first, so that the pool forks before
-        # this process allocates anything for share 0.
-        others = [] if pool is None else pool.map(run_share, shares[1:])
-        outcomes[0::count] = run_share(shares[0])
-        for k in range(1, count):
-            try:
-                outcomes[k::count] = next(others)
-            except BrokenExecutor:
-                lost = dict.fromkeys(f"{cfg.problem}/{m}/{n}" for _, m, n, _ in shares[k])
-                raise ChildProcessError(
-                    f"a bench worker process ended abruptly running cells {', '.join(lost)}"
-                ) from None
+    children = []
+    try:
+        # The other shares fork first, before this process allocates
+        # anything for share 0.
+        for share in shares[1:]:
+            children.append(_fork_share(cfg, share))
+        outcomes[0::count] = _run_share(cfg, shares[0])
+    finally:
+        results = [_join_share(pid, read) for pid, read in children]
+    for k, result in enumerate(results, 1):
+        if result is None:
+            lost = dict.fromkeys(f"{cfg.problem}/{m}/{n}" for _, m, n, _ in shares[k])
+            raise ChildProcessError(
+                f"a bench worker process ended abruptly running cells {', '.join(lost)}"
+            )
+        ok, value = result
+        if not ok:
+            raise value
+        outcomes[k::count] = value
     rows: list[list] = [[] for _ in cells]
     errors: dict[int, tuple[str, str]] = {}
     for (cell, *_), outcome in zip(jobs, outcomes):

@@ -8,7 +8,6 @@ estimate exactly, and seeded values stay where the per-coordinate
 implementation put them: its closed-form bias fit differed from the earlier
 ``lstsq`` solve only by rounding.
 """
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -242,7 +241,6 @@ class TestParity:
     # so that each cell crosses batch boundaries.
     def test_replications_across_batches_and_chunks(self, monkeypatch):
         monkeypatch.setattr(bench, "_BATCH_PAIRS", 300)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setenv("CORFD_THREADS", "2")
         cfg = ExperimentConfig(problem="poly@3", methods=("tra", "opt", "boot", "cor"), budgets=(100,),
                                reps=7, seed=49, estimator=EstimatorConfig(K=5, pilot_fraction=0.5))

@@ -1,9 +1,6 @@
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -122,6 +119,40 @@ def small_config(**overrides):
 ALL_PILOTS = EstimatorConfig(K=5, pilot_size=20, bootstrap_reps=100)
 
 
+def count_forks(monkeypatch):
+    """Wrap ``os.fork``; the returned list gains one entry per child forked."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+class Log:
+    """A file that this process and its forked children append lines to."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, *fields):
+        with open(self.path, "a") as fh:
+            fh.write(" ".join(map(str, fields)) + "\n")
+
+    def lines(self):
+        return [line.split() for line in self.path.read_text().splitlines()]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRunReplications:
     def test_detail_and_summary_shapes(self):
         detail, summary, failures = run_replications(small_config())
@@ -144,84 +175,81 @@ class TestRunReplications:
 
     def test_parallel_schedule_matches_serial(self, monkeypatch):
         # An infeasible cell (boot with every pair a pilot) sits between two
-        # feasible ones, so the grid's one pool keeps serving cells after a
+        # feasible ones, so the grid's one child keeps running cells after a
         # failed cell.
         cfg = small_config(methods=("cor", "boot", "opt"), estimator=ALL_PILOTS)
         serial = run_replications(cfg)
-        pools = []
-
-        class CountingPool(bench.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+        forks = count_forks(monkeypatch)
         monkeypatch.setenv("CORFD_THREADS", "2")
         parallel = run_replications(cfg)
-        assert len(pools) == 1
+        assert len(forks) == 1
         assert len(serial[2]) == 1 and parallel[2] == serial[2]
         assert serial[0] == parallel[0]
         assert serial[1] == parallel[1]
 
     def test_pool_forks_no_idle_workers(self, monkeypatch):
-        sizes = []
-
-        class SizedPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SizedPool)
+        forks = count_forks(monkeypatch)
         monkeypatch.setenv("CORFD_THREADS", "4")
-        # Two batches of one replication need this process and one worker;
-        # one batch runs without a pool.
+        # Two batches of one replication need this process and one child;
+        # one batch runs without a fork.
         run_replications(small_config(methods=("cor",), reps=2))
+        assert len(forks) == 1
         run_replications(small_config(methods=("cor",), reps=1))
-        assert sizes == [1]
+        assert len(forks) == 1
 
-    def test_first_share_runs_in_the_calling_thread(self, monkeypatch):
+    def test_first_share_runs_in_the_calling_process(self, tmp_path, monkeypatch):
         # Three workers deal six batches into three shares: share 0 runs
-        # here, shares 1 and 2 on the pool.
-        calls, run_share = [], bench._run_share
+        # here, shares 1 and 2 each in a child of its own.
+        log, run_share = Log(tmp_path / "shares"), bench._run_share
 
         def spy(cfg, jobs):
-            calls.append((threading.current_thread() is threading.main_thread(), jobs[0][3]))
+            log.add(os.getpid(), bytes(jobs[0][3].pools[0]).hex())
             return run_share(cfg, jobs)
 
         monkeypatch.setattr(bench, "_run_share", spy)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setenv("CORFD_THREADS", "3")
         cfg = small_config(methods=("cor", "opt"), reps=3)
         detail, _, failures = run_replications(cfg)
         assert not failures and len(detail) == 6
         level = spawn(stream(cfg.seed), 2)[0].spawn(cfg.reps)
-        firsts = {bytes(first.pools[0]): here for here, first in calls}
-        assert len(calls) == 3
-        assert firsts == {bytes(level.pools[rep]): rep == 0 for rep in range(3)}
+        pids = {first: int(pid) for pid, first in log.lines()}
+        assert len(log.lines()) == 3
+        assert pids.keys() == {bytes(level.pools[rep]).hex() for rep in range(3)}
+        assert pids[bytes(level.pools[0]).hex()] == os.getpid()
+        assert len(set(pids.values())) == 3
 
     @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "pool"])
     def test_other_errors_propagate_after_the_pool_shuts_down(self, in_caller, monkeypatch):
-        events, cor = [], bench.cor_cfd
-
-        class ClosingPool(ThreadPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                super().shutdown(*args, **kwargs)
-                events.append("shutdown")
+        here, cor = os.getpid(), bench.cor_cfd
 
         def broken(*args):
-            if (threading.current_thread() is threading.main_thread()) == in_caller:
+            if (os.getpid() == here) == in_caller:
                 raise RuntimeError("estimator broke")
             return cor(*args)
 
         monkeypatch.setattr(bench, "cor_cfd", broken)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", ClosingPool)
         monkeypatch.setenv("CORFD_THREADS", "2")
         with pytest.raises(RuntimeError, match="estimator broke"):
             run_replications(small_config(methods=("cor",), reps=2))
-        assert events == ["shutdown"]
+        assert_no_child_left()
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the worker must inherit the patched batch")
+    @pytest.mark.parametrize("methods", [("cor", "opt"), ("boot", "cor")],
+                             ids=["grid", "failing-cell"])
+    def test_no_child_outlives_the_grid(self, methods, monkeypatch):
+        # boot on ALL_PILOTS fails its cell in both shares.
+        monkeypatch.setenv("CORFD_THREADS", "2")
+        _, _, failures = run_replications(small_config(methods=methods, estimator=ALL_PILOTS))
+        assert len(failures) == methods.count("boot")
+        assert_no_child_left()
+
+    def test_without_fork_the_grid_runs_as_one_share(self, monkeypatch):
+        cfg = small_config(methods=("cor", "boot", "opt"), estimator=ALL_PILOTS)
+        serial = run_replications(cfg)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("CORFD_THREADS", "3")
+        assert run_replications(cfg) == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the grid runs as one share")
     def test_dead_worker_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
         # Two threads deal each cell's two replications into two shares, so
         # the worker's share holds a batch of both cells.
@@ -234,9 +262,9 @@ class TestRunReplications:
 
         monkeypatch.setattr(bench, "_run_batch", dying)
         monkeypatch.setenv("CORFD_THREADS", "2")
-        with pytest.raises(ChildProcessError, match="ended abruptly") as caught:
+        with pytest.raises(ChildProcessError, match="ended abruptly"):
             run_replications(small_config(reps=2))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         monkeypatch.chdir(tmp_path)
         code = cli.main(["bench", "--set", "problem=poly@0", "--set", "methods=cor,opt",
                          "--set", "budgets=100", "--set", "reps=2"])
@@ -246,7 +274,7 @@ class TestRunReplications:
             "error: a bench worker process ended abruptly running cells "
             "poly@0/cor/100, poly@0/opt/100"
         ]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("raw", ["two", "0", "-1"])
     def test_bad_thread_count_rejected(self, raw, monkeypatch):
@@ -277,25 +305,17 @@ class TestRunReplications:
         _, summary2, _ = run_replications(cfg2)
         assert summary2 == []  # no truth known, detail only
 
-    def test_estimator_calls_keep_to_the_pair_cap(self, monkeypatch):
-        calls, tasks = [], []
+    def test_estimator_calls_keep_to_the_pair_cap(self, tmp_path, monkeypatch):
+        log, forks = Log(tmp_path / "calls"), count_forks(monkeypatch)
 
         def spy(fn):
             def call(oracle, theta0, coord, n, *args):
-                calls.append((fn.__name__, len(coord), n))
+                log.add(fn.__name__, len(coord), n)
                 return fn(oracle, theta0, coord, n, *args)
             return call
 
-        class SpyPool(ThreadPoolExecutor):
-            # Counts the tasks of each map and runs its shares in order.
-            def map(self, fn, shares, chunksize=1):
-                shares = list(shares)
-                tasks.append(-(-len(shares) // chunksize))
-                return map(fn, shares)
-
         for name in ("tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"):
             monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SpyPool)
         cap = bench._BATCH_PAIRS
         budgets = (100, cap // 2 - 1, cap + 1)
         cfg = small_config(methods=bench.METHODS, budgets=budgets, reps=5,
@@ -306,9 +326,10 @@ class TestRunReplications:
         cor_rows = {1: {100: [5], cap // 2 - 1: [2, 2, 1], cap + 1: [1] * 5},
                     3: {100: [2, 2, 1], cap // 2 - 1: [2, 2, 1], cap + 1: [1] * 5}}
         for workers, expected in cor_rows.items():
-            calls.clear()
+            log.path.write_text("")
             monkeypatch.setenv("CORFD_THREADS", str(workers))
             detail, _, failures = run_replications(cfg)
+            calls = [(name, int(rows), int(n)) for name, rows, n in log.lines()]
             assert not failures and len(detail) == 4 * 3 * 5
             assert {name for name, _, _ in calls} == {"tra_cfd", "opt_cfd", "boot_cfd", "cor_cfd"}
             assert all(rows * n <= cap or rows == 1 for _, rows, n in calls)
@@ -317,10 +338,9 @@ class TestRunReplications:
                         for n in budgets}
             assert per_cell == {n: sorted(sizes) for n, sizes in expected.items()}
         assert max(rows for _, rows, _ in calls) == 2
-        # Only the three-worker run uses the pool: one map for the whole
-        # grid, at most one task per worker, and this process runs a third
-        # share itself.
-        assert tasks == [2]
+        # Only the three-worker run forks: one child for each share but the
+        # first, which this process runs itself.
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("failing", [{2}, {2, 4}], ids=["second", "second-third"])
@@ -331,7 +351,6 @@ class TestRunReplications:
         # the cell reports its earliest failing batch, and the other cells
         # are as without the failure.
         monkeypatch.setattr(bench, "_BATCH_PAIRS", 200)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
         cfg = small_config(methods=("cor", "opt", "tra"), budgets=(100, 200), reps=5)
         reference = run_replications(cfg)
         level = spawn(stream(cfg.seed), 6)[2].spawn(cfg.reps)
@@ -360,7 +379,6 @@ class TestRunReplications:
         # batch that starts mid-cell: batches of 2 replications over three
         # workers cut each cell's 7 replications unevenly.
         monkeypatch.setattr(bench, "_BATCH_PAIRS", 200)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setenv("CORFD_THREADS", "3")
         cfg = small_config(methods=("cor",), budgets=(100, 200), reps=7)
         problem = parse_problem(cfg.problem)
@@ -384,8 +402,8 @@ class TestRunReplications:
 
 class TestStartup:
     def test_import_leaves_the_pool_unloaded(self):
-        # Only a grid on several workers needs the pool: importing corfd and
-        # its CLI loads none of its modules, and the module attribute still
+        # Importing corfd and its CLI loads none of the pool's modules, and
+        # the module attribute, which the benchmark's tracer patches, still
         # resolves to the real class.
         pool_modules = ["concurrent.futures", "multiprocessing", "logging", "socket",
                         "subprocess"]
@@ -400,3 +418,22 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines() == ["[]", "True"]
+
+    def test_two_share_bench_loads_no_pool_modules(self, tmp_path):
+        # A grid on two shares forks its worker: it loads none of the
+        # process pool's modules, nor subprocess.
+        pool_modules = ["concurrent.futures", "multiprocessing", "subprocess"]
+        code = (
+            "import os, sys\n"
+            "from corfd import cli\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "status = cli.main(['bench', '--set', 'problem=poly@0', '--set', 'methods=cor,opt',\n"
+            "                   '--set', 'budgets=100', '--set', 'reps=2'])\n"
+            f"print(status, len(forks), sorted(m for m in {pool_modules!r} if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(bench.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "CORFD_THREADS": "2"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["0 1 []"]

@@ -325,7 +325,7 @@ class TestQueueOracle:
 QUEUE_SHAPES = [(1, 50), (2, 50), (3, 50), (10, 50), (500, 50), (500, 1), (500, 7), (500, 300),
                 (500, 1100), (2, 16400), (10, 16400)]
 # One path of this shape waits about 1e-5 beside partial sums of order 1:
-# its response is off by 2.4e-12 relative, within the partial-sum bound.
+# its response is off by 2.1e-12 relative, within the partial-sum bound.
 SUM_BOUND_SHAPES = [(10, 300)]
 
 

@@ -27,7 +27,7 @@ from .estimators import (
     optimal_perturbation,
     tra_cfd,
 )
-from .oracle import DEFAULT_KAPPA, parse_problem
+from .oracle import DEFAULT_KAPPA, GroundTruth, Problem, parse_problem
 from .sampling import Streams, spawn, stream
 
 __all__ = [
@@ -52,10 +52,8 @@ _BATCH_PAIRS = 1 << 16
 
 
 def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use.  Nothing in corfd uses
-    it: the name remains only because the benchmark's tracer
-    (``perfbench/spans.py``) patches it by name, and a traced run raises
-    :class:`AttributeError` without it."""
+    """``ProcessPoolExecutor``, imported on first use.  corfd does not use it,
+    but the benchmark's tracer (``perfbench/spans.py``) patches it by name."""
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
@@ -93,7 +91,8 @@ def summarize(estimates, truth: float) -> SummaryStats:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment grid: a problem, methods, budgets, and replication count.
+    """One experiment grid's settings, checked alone: a problem id, which
+    :func:`run_replications` parses, methods, budgets and replication count.
 
     Replication ``i`` of cell ``j`` runs on child ``i`` of ``stream(seed,
     j)``.  ``kappa`` scales the sine problems' mean response
@@ -129,13 +128,6 @@ class ExperimentConfig:
                 "boot discards its pilots, so it needs pilot_fraction (r) below 1 or "
                 "pilot_size (n_b) set: at r = 1 the pilots leave fewer than K fresh pairs"
             )
-        if "opt" in self.methods:
-            truth = parse_problem(self.problem, self.kappa).truth
-            if truth is None or truth.bias_const is None or truth.noise_var is None:
-                raise ValueError(
-                    f"opt needs the true bias constant and noise variance, which problem "
-                    f"{self.problem} does not know"
-                )
         if not self.budgets or min(self.budgets) < 1:
             raise ValueError(f"budgets must be one or more values >= 1, got {list(self.budgets)}")
         if not 0 < abs(self.tra_bias_const) < np.inf:
@@ -153,20 +145,11 @@ class ExperimentConfig:
         if self.truth_override is not None and not np.isfinite(self.truth_override):
             raise ValueError(f"truth_override (truth) must be finite, got {self.truth_override}")
 
-    def truth(self) -> float | None:
-        if self.truth_override is not None:
-            return self.truth_override
-        problem = parse_problem(self.problem, self.kappa)
-        if problem.truth is not None and problem.truth.deriv is not None:
-            return problem.truth.deriv
-        return None
 
-
-def _run_batch(cfg: ExperimentConfig, method: str, budget: int, level: Streams):
-    """One batched estimator call, one replication per row of the
-    :class:`~corfd.sampling.Streams` level ``level``: ``(value, pairs_used,
-    perturbation)`` per row."""
-    problem = parse_problem(cfg.problem, cfg.kappa)
+def _run_batch(cfg: ExperimentConfig, problem: Problem, method: str, budget: int, level: Streams):
+    """One batched estimator call on ``problem``, one replication per row of
+    the :class:`~corfd.sampling.Streams` level ``level``: ``(value,
+    pairs_used, perturbation)`` per row."""
     oracle, theta0, coords = problem.oracle, problem.theta0, [0] * len(level)
     if method == "tra":
         h = cfg.tra_perturbation
@@ -193,17 +176,17 @@ def _thread_count() -> int:
     return count
 
 
-def _run_share(cfg: ExperimentConfig, jobs):
-    """Run one share of a grid's batches in order, in the calling process
-    or in a forked child: per job ``(cell, method, budget, level)``, its
-    rows, or its cell's ``(error type, message)`` once a batch of that cell
-    has failed here, in which case the share skips the cell's later
-    batches."""
+def _run_share(cfg: ExperimentConfig, problem: Problem, jobs):
+    """Run one share of a grid's batches on ``problem`` in order, in the
+    calling process or in a forked child, which inherits ``problem``: per
+    job ``(cell, method, budget, level)``, its rows, or its cell's ``(error
+    type, message)`` once a batch of that cell has failed here, in which
+    case the share skips the cell's later batches."""
     results, failed = [], {}
     for cell, method, budget, level in jobs:
         if cell not in failed:
             try:
-                results.append(_run_batch(cfg, method, budget, level))
+                results.append(_run_batch(cfg, problem, method, budget, level))
                 continue
             except (ValueError, MemoryError) as exc:
                 # numpy raises a MemoryError subclass for an array too large to allocate.
@@ -213,7 +196,7 @@ def _run_share(cfg: ExperimentConfig, jobs):
     return results
 
 
-def _fork_share(cfg: ExperimentConfig, jobs) -> tuple[int, int]:
+def _fork_share(cfg: ExperimentConfig, problem: Problem, jobs) -> tuple[int, int]:
     """Run one share in a forked child; its pid and the read end of the pipe
     that brings back the pickled ``(True, outcomes)`` or ``(False,
     exception)``.  The child always ends in ``os._exit``, so it never
@@ -225,7 +208,7 @@ def _fork_share(cfg: ExperimentConfig, jobs) -> tuple[int, int]:
         try:
             os.close(read)
             try:
-                result = (True, _run_share(cfg, jobs))
+                result = (True, _run_share(cfg, problem, jobs))
             except BaseException as exc:
                 result = (False, exc)
             with open(write, "wb") as pipe:
@@ -250,9 +233,11 @@ def _join_share(pid: int, read: int):
 
 
 def run_replications(cfg: ExperimentConfig):
-    """Run the experiment grid.
+    """Run the experiment grid on its problem, which is parsed once, here.
 
-    Returns ``(detail_rows, summary_rows, failures)``: one detail row per
+    ``opt`` on a problem that does not know its bias constant and noise
+    variance raises :class:`ValueError` before any cell runs.  Otherwise
+    returns ``(detail_rows, summary_rows, failures)``: one detail row per
     replication, one summary row per feasible cell when the truth is known,
     and one ``(cell, error type, message)`` entry per cell that is
     infeasible, whose constant estimation fails or whose arrays do not fit
@@ -272,10 +257,14 @@ def run_replications(cfg: ExperimentConfig):
     An error other than those above propagates once every child has been
     reaped: this process's own first, then the children's in share order.
     """
-    detail_rows: list[list] = []
-    summary_rows: list[list] = []
-    failures: list[tuple[str, str, str]] = []
-    truth = cfg.truth()
+    problem = parse_problem(cfg.problem, cfg.kappa)
+    known = problem.truth or GroundTruth()
+    if "opt" in cfg.methods and (known.bias_const is None or known.noise_var is None):
+        raise ValueError(
+            f"opt needs the true bias constant and noise variance, which problem "
+            f"{cfg.problem} does not know"
+        )
+    truth = known.deriv if cfg.truth_override is None else cfg.truth_override
     workers = _thread_count()
     cells = [(m, n) for m in cfg.methods for n in cfg.budgets]
     roots = spawn(stream(cfg.seed), len(cells))
@@ -293,8 +282,8 @@ def run_replications(cfg: ExperimentConfig):
         # The other shares fork first, before this process allocates
         # anything for share 0.
         for share in shares[1:]:
-            children.append(_fork_share(cfg, share))
-        outcomes[0::count] = _run_share(cfg, shares[0])
+            children.append(_fork_share(cfg, problem, share))
+        outcomes[0::count] = _run_share(cfg, problem, shares[0])
     finally:
         results = [_join_share(pid, read) for pid, read in children]
     for k, result in enumerate(results, 1):
@@ -314,6 +303,9 @@ def run_replications(cfg: ExperimentConfig):
             rows[cell] += outcome
         else:
             errors.setdefault(cell, outcome)
+    detail_rows: list[list] = []
+    summary_rows: list[list] = []
+    failures: list[tuple[str, str, str]] = []
     for cell, (method, budget) in enumerate(cells):
         if cell in errors:
             failures.append((f"{cfg.problem}/{method}/{budget}", *errors[cell]))
@@ -321,10 +313,8 @@ def run_replications(cfg: ExperimentConfig):
         for rep, (value, pairs_used, perturbation) in enumerate(rows[cell]):
             detail_rows.append([cfg.problem, method, budget, rep, value, pairs_used, perturbation])
         if truth is not None:
-            stats = summarize([row[0] for row in rows[cell]], truth)
-            summary_rows.append(
-                [cfg.problem, method, budget, stats.reps, stats.bias, stats.variance, stats.mse]
-            )
+            s = summarize([row[0] for row in rows[cell]], truth)
+            summary_rows.append([cfg.problem, method, budget, s.reps, s.bias, s.variance, s.mse])
     return detail_rows, summary_rows, failures
 
 

@@ -33,6 +33,9 @@ __all__ = [
 # coefficients, and such a generator draws them too close to tell apart.
 _SQUARE_TIE_RTOL = 1e-6
 
+# No normal numpy draws (at most 12.3), nor any normal quantile of a positive double, is larger.
+_Z_REACH = 38.5
+
 # A rejection draw tries batches of ``_BATCH`` normals for each value, and
 # takes at most ``_NORMALS_PER_CHUNK`` normals per row in one round of
 # batches, so that its memory stays bounded whatever the sample size.
@@ -77,6 +80,8 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     of ``stream(seed, *path)`` draws: row ``i`` of
     ``spawn(stream(seed, *path), n)`` for any ``n > i``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
@@ -264,11 +269,12 @@ class PerturbationGenerator:
     Draws from Normal(mu0, sigma0^2) conditioned on [lower, upper] (the CLI
     keys ``mu0``, ``sigma0``, ``L`` and ``U``).  The support must sit
     strictly inside the positive axis so that every coefficient is bounded
-    away from zero.  It must carry probability mass, and the squares of the
-    distribution's quartiles must differ by more than ``_SQUARE_TIE_RTOL``
-    relative; a generator that fails either test raises
-    :class:`DegenerateRegionError` when it is built.  Its coefficients are
-    drawn by :func:`draw_perturbation_set`.
+    away from zero, and ``mu0 + sigma0 * z`` must stay in the float range
+    for every standard normal ``z`` of size up to ``_Z_REACH``.  It must
+    carry probability mass, and the squares of the distribution's quartiles
+    must differ by more than ``_SQUARE_TIE_RTOL`` relative; a generator
+    that fails either test raises :class:`DegenerateRegionError` when it is
+    built.  Its coefficients are drawn by :func:`draw_perturbation_set`.
     """
 
     mu0: float = 0.0
@@ -281,20 +287,23 @@ class PerturbationGenerator:
             raise ValueError(f"mu0 must be finite, got {self.mu0}")
         if not 0 < self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
-        if not 0 < self.lower < self.upper:
+        mu0, sigma0 = float(self.mu0), float(self.sigma0)
+        if not math.isfinite(abs(mu0) + _Z_REACH * sigma0):
             raise ValueError(
-                f"need 0 < lower < upper, got [{self.lower}, {self.upper}]"
+                f"perturbation generator mu0 = {mu0}, sigma0 = {sigma0} overflows: mu0 + "
+                f"sigma0 * z leaves the float range for a standard normal |z| <= {_Z_REACH}"
             )
+        if not 0 < self.lower < self.upper:
+            raise ValueError(f"need 0 < lower < upper, got [{self.lower}, {self.upper}]")
         if self.acceptance_probability <= 1e-12:
             raise DegenerateRegionError(
-                f"truncation interval [{self.lower}, {self.upper}] has acceptance "
-                f"probability {self.acceptance_probability:.3e} under "
-                f"Normal({self.mu0}, {self.sigma0}^2)"
+                f"truncation interval [{self.lower}, {self.upper}] has acceptance probability "
+                f"{self.acceptance_probability:.3e} under Normal({self.mu0}, {self.sigma0}^2)"
             )
         q1, q3 = sorted(self._quantiles([0.25, 0.75]).tolist())
         spread = 1.0 - (q1 / q3) ** 2  # a ratio, so that no square overflows
         if spread <= _SQUARE_TIE_RTOL:
-            mu0, sigma0, L, U = map(float, (self.mu0, self.sigma0, self.lower, self.upper))
+            L, U = float(self.lower), float(self.upper)
             raise DegenerateRegionError(
                 f"perturbation generator mu0 = {mu0}, sigma0 = {sigma0}, L = {L}, U = {U} has "
                 f"too little spread: the squares of its quartiles differ by {spread:.1e} "

@@ -202,9 +202,9 @@ class TestRunReplications:
         # here, shares 1 and 2 each in a child of its own.
         log, run_share = Log(tmp_path / "shares"), bench._run_share
 
-        def spy(cfg, jobs):
+        def spy(cfg, problem, jobs):
             log.add(os.getpid(), bytes(jobs[0][3].pools[0]).hex())
-            return run_share(cfg, jobs)
+            return run_share(cfg, problem, jobs)
 
         monkeypatch.setattr(bench, "_run_share", spy)
         monkeypatch.setenv("CORFD_THREADS", "3")
@@ -217,6 +217,26 @@ class TestRunReplications:
         assert pids.keys() == {bytes(level.pools[rep]).hex() for rep in range(3)}
         assert pids[bytes(level.pools[0]).hex()] == os.getpid()
         assert len(set(pids.values())) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_parses_the_problem_once(self, workers, tmp_path, monkeypatch):
+        # Six cells of one batch each: the caller parses the grid's problem
+        # once, and a forked share runs on the caller's problem without
+        # parsing it again.
+        log, parse = Log(tmp_path / "parses"), bench.parse_problem
+
+        def spy(*args):
+            log.add(os.getpid())
+            return parse(*args)
+
+        monkeypatch.setattr(bench, "parse_problem", spy)
+        forks = count_forks(monkeypatch)
+        monkeypatch.setenv("CORFD_THREADS", str(workers))
+        cfg = small_config(methods=("tra", "opt", "cor"), budgets=(100, 1000))
+        detail, summary, failures = run_replications(cfg)
+        assert not failures and len(detail) == 6 * 8 and len(summary) == 6
+        assert len(forks) == workers - 1
+        assert log.lines() == [[str(os.getpid())]]
 
     @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "pool"])
     def test_other_errors_propagate_after_the_pool_shuts_down(self, in_caller, monkeypatch):

@@ -587,6 +587,35 @@ class TestUsageErrors:
         assert err.startswith("usage: corfd estimate") and "required" in err
         assert build_parser().parse_args(["bench"]).set is None
 
+    @pytest.mark.parametrize("argv,seed", [
+        (["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100", "--seed", "-1"],
+         -1),
+        (["dfo", "--problem", "sin1", "--budget", "1000", "--seed", "-1"], -1),
+        (["bench", "--set", "seed=-5", "--set", "reps=2"], -5),
+    ], ids=["estimate", "dfo", "bench"])
+    def test_negative_seed_names_the_setting(self, argv, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_overflowing_generator_is_one_error_line(self, tmp_path):
+        # Coefficients mu0 + sigma0 * z overflow: refused when the generator
+        # is built, without numpy's RuntimeWarnings.
+        proc = subprocess.run(
+            [sys.executable, "-m", "corfd.cli", "estimate", "--problem", "sin1", "--method", "cor",
+             "--pairs", "1000", "--mu0", "1e308", "--sigma0", "1e308"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(corfd.__file__))},
+        )
+        assert proc.returncode == 1 and "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: perturbation generator mu0 = 1e+308, sigma0 = 1e+308 overflows: mu0 + "
+            "sigma0 * z leaves the float range for a standard normal |z| <= 38.5"
+        ]
+        assert os.listdir(tmp_path) == []
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dfo", "--help"])

@@ -447,6 +447,24 @@ class TestPerturbationSet:
         assert named in message and "too little spread" in message
         assert "np.float64" not in message
 
+    @pytest.mark.parametrize("mu0,sigma0", [
+        (1e308, 1e308), (0.0, 1e307), (np.float64(1.7e308), np.float64(1e306)),
+    ], ids=["both", "sigma0", "numpy-scalars"])
+    def test_overflowing_generator_fails_when_built(self, mu0, sigma0):
+        # No RuntimeWarning either: the test suite turns them into errors.
+        named = re.escape(f"mu0 = {float(mu0)}, sigma0 = {float(sigma0)} overflows")
+        with pytest.raises(ValueError, match=named):
+            PerturbationGenerator(mu0=mu0, sigma0=sigma0)
+
+    @pytest.mark.parametrize("upper", [np.inf, 1.7002e308], ids=["normals", "inverse-cdf"])
+    def test_generator_within_reach_draws_finite_coefficients(self, upper):
+        # Just inside the reach, 1.7e308 + 38.5 * 2e305 < 1.8e308: the scaled
+        # normals and the quantiles draw without overflow.
+        gen = PerturbationGenerator(mu0=1.7e308, sigma0=2e305, lower=1.7e308, upper=upper)
+        assert (gen.acceptance_probability < 0.1) == (upper < np.inf)
+        x = draw_perturbation_set(10_000, gen, [stream(4)])[0]
+        assert np.all((x >= gen.lower) & (x <= gen.upper))
+
     def test_far_generator_spread_check_does_not_overflow(self):
         # Quartiles near 1e200 have squares beyond the float range.
         gen = PerturbationGenerator(mu0=1e200, sigma0=1e199)

@@ -25,7 +25,7 @@ checkout's ``src`` directory, in a fresh temporary directory.  A first line
 names numpy's version and the SIMD targets it dispatches to: the digests
 hold for one host and one numpy SIMD level, so digest files taken at
 different levels differ visibly in that line.  The whole set
-of 40 commands takes 11 to 14 seconds on a 2-core x86-64 machine, and up
+of 41 commands takes 11 to 14 seconds on a 2-core x86-64 machine, and up
 to 27 seconds on a busy one.
 """
 from __future__ import annotations
@@ -125,6 +125,11 @@ COMMANDS = [
     ("bench-partial-failure-serial", "1", _PARTIAL_FAILURE),
     ("bench-partial-failure-threads2", "2", _PARTIAL_FAILURE),
     ("bench-queue-threads2", "2", _QUEUE_GRID),
+    # zakharov knows no derivative: the summary is taken against truth=.
+    ("bench-zakharov2-truth", "1", ["bench", "--set", "problem=zakharov@2", "--set",
+                                    "methods=tra,cor", "--set", "budgets=100,1000",
+                                    "--set", "reps=5", "--set", "truth=10.25",
+                                    "--set", "detail_out=detail.csv"]),
     # Rows whose batches miss [1.2, inf) finish in later rounds than the rest.
     ("bench-many-rows-sparse-L-threads2", "2", _MANY_ROWS_GRID + ["--set", "L=1.2"]),
     # [0.5, 0.7] holds under 0.1 of the normal's mass: inverse-CDF coefficients.

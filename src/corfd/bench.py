@@ -50,6 +50,10 @@ METHODS = ("tra", "opt", "boot", "cor")
 # a batch, whose arrays grow with the pairs it holds.
 _BATCH_PAIRS = 1 << 16
 
+# tra's assumed constants when "no model information" sets its perturbation.
+_TRA_BIAS_CONST = 5.0
+_TRA_NOISE_VAR = 1.0
+
 
 def __getattr__(name: str):
     """``ProcessPoolExecutor``, imported on first use.  corfd does not use it,
@@ -97,7 +101,8 @@ class ExperimentConfig:
     Replication ``i`` of cell ``j`` runs on child ``i`` of ``stream(seed,
     j)``.  ``kappa`` scales the sine problems' mean response
     ``kappa * sin(theta)``.  ``truth_override`` replaces the problem's true
-    derivative, against which the summary rows are taken.
+    derivative, against which the summary rows are taken.  ``tra_perturbation``
+    overrides ``tra``'s, by default optimal at bias 5 and unit noise variance.
     """
 
     problem: str
@@ -108,10 +113,6 @@ class ExperimentConfig:
     kappa: float = DEFAULT_KAPPA
     truth_override: float | None = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    # Assumed constants of the no-information baseline, and an optional
-    # explicit perturbation that overrides them.
-    tra_bias_const: float = 5.0
-    tra_noise_var: float = 1.0
     tra_perturbation: float | None = None
 
     def __post_init__(self) -> None:
@@ -130,14 +131,6 @@ class ExperimentConfig:
             )
         if not self.budgets or min(self.budgets) < 1:
             raise ValueError(f"budgets must be one or more values >= 1, got {list(self.budgets)}")
-        if not 0 < abs(self.tra_bias_const) < np.inf:
-            raise ValueError(
-                f"tra_bias_const (tra_B) must be finite and nonzero, got {self.tra_bias_const}"
-            )
-        if not 0 < self.tra_noise_var < np.inf:
-            raise ValueError(
-                f"tra_noise_var (tra_sigma2) must be finite and positive, got {self.tra_noise_var}"
-            )
         if self.tra_perturbation is not None and not 0 < abs(self.tra_perturbation) < np.inf:
             raise ValueError(
                 f"tra_perturbation (tra_h) must be finite and nonzero, got {self.tra_perturbation}"
@@ -154,7 +147,7 @@ def _run_batch(cfg: ExperimentConfig, problem: Problem, method: str, budget: int
     if method == "tra":
         h = cfg.tra_perturbation
         if h is None:
-            h = optimal_perturbation(cfg.tra_noise_var, cfg.tra_bias_const, budget)
+            h = optimal_perturbation(_TRA_NOISE_VAR, _TRA_BIAS_CONST, budget)
         estimates = tra_cfd(oracle, theta0, coords, budget, h, level)
     elif method == "opt":
         estimates = opt_cfd(oracle, theta0, coords, budget, problem.truth, level)

@@ -44,10 +44,6 @@ _KEYS = {
     "I": ("bootstrap_reps", int,
           "Monte Carlo bootstrap resamples per column (unset: closed-form moments)"),
     "gamma": ("pilot_exponent", float, "pilot perturbation exponent: h_k = c_k * n_b**gamma"),
-    "clamp_scale": (
-        "clamp_scale", float,
-        "least magnitude of the fitted bias constant, relative to the fitted derivative",
-    ),
     # PerturbationGenerator
     "mu0": ("mu0", float, "mean of the normal the pilot coefficients c_k are drawn from"),
     "sigma0": ("sigma0", float,
@@ -58,10 +54,8 @@ _KEYS = {
     "seed": ("seed", int, "root seed of every random stream"),
     "kappa": ("kappa", float, "amplitude of the sine problems' mean response kappa*sin(theta)"),
     "truth": ("truth_override", float, "override the reference derivative"),
-    "tra_B": ("tra_bias_const", float, "bias constant that tra assumes"),
-    "tra_sigma2": ("tra_noise_var", float, "noise variance that tra assumes"),
     "tra_h": ("tra_perturbation", float,
-              "explicit perturbation of tra (overrides --tra-B and --tra-sigma2)"),
+              "perturbation of tra (unset: optimal for bias constant 5 and unit noise)"),
     # DfoConfig
     "T0": ("batch_init", int, "starting pair batch per coordinate"),
     "l1": ("l1", float, "line search: sufficient-decrease constant"),
@@ -78,8 +72,7 @@ _KEYS = {
 }
 _GENERATOR_KEYS = ("mu0", "sigma0", "L", "U")
 _ESTIMATE_KEYS = (
-    "seed", "kappa", "truth", "tra_B", "tra_sigma2", "tra_h",
-    "K", "r", "n_b", "I", "gamma", "clamp_scale",
+    "seed", "kappa", "truth", "tra_h", "K", "r", "n_b", "I", "gamma",
 ) + _GENERATOR_KEYS
 _DFO_KEYS = (
     "K", "T0", "l1", "l2", "a0", "sigma", "memory", "gradient_method",

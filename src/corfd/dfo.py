@@ -215,16 +215,18 @@ def stochastic_armijo(
     evals = 1
     slack = 2.0 * noise_bound
     step = step_init
-    for _ in range(_MAX_BACKTRACKS + 1):
-        trial = np.reshape(theta + step * direction, (1, -1))
-        try:
-            y_trial = float(draw_responses(oracle, trial, [rng], 1)[0, 0])
-        except (DomainError, NonFiniteResponseError):
-            y_trial = math.inf
-        evals += 1
-        if y_trial <= y_start - l1 * step * decrease_rate + slack:
-            return ArmijoResult(step, evals, False, y_start, y_trial)
-        step *= l2
+    # A trial point past the float range is drawn and refused, without a warning.
+    with np.errstate(over="ignore"):
+        for _ in range(_MAX_BACKTRACKS + 1):
+            trial = np.reshape(theta + step * direction, (1, -1))
+            try:
+                y_trial = float(draw_responses(oracle, trial, [rng], 1)[0, 0])
+            except (DomainError, NonFiniteResponseError):
+                y_trial = math.inf
+            evals += 1
+            if y_trial <= y_start - l1 * step * decrease_rate + slack:
+                return ArmijoResult(step, evals, False, y_start, y_trial)
+            step *= l2
     return ArmijoResult(0.0, evals, True, y_start, y_start)
 
 

@@ -54,6 +54,9 @@ DEFAULT_PILOT_EXPONENT = -0.1
 # size, or is not finite, is tested for identical samples.
 _ROUNDING_SD = 1e-8
 
+# The slope clamp's relative floor (``clamp_floor``'s scale).
+_CLAMP_SCALE = 1e-4
+
 
 class BudgetError(ValueError):
     """The sample-pair budget cannot accommodate the requested split."""
@@ -73,8 +76,8 @@ class EstimatorConfig:
     ``I`` Monte Carlo resamples per column instead, as in the paper.  The
     bias constant is always fitted by weighted least squares, each pilot
     column weighted by its bootstrap standard deviation, and its magnitude
-    is then raised to at least ``clamp_scale`` times the fitted derivative's
-    magnitude (and at least ``clamp_scale``).  ``pilot_exponent`` is the
+    is then raised to at least ``_CLAMP_SCALE`` = 1e-4 times the fitted
+    derivative's magnitude (and at least 1e-4).  ``pilot_exponent`` is the
     exponent ``gamma`` in the pilot perturbations ``c_k * n_b**gamma``, and
     ``coeff_gen`` draws the coefficients ``c_k``.
     """
@@ -85,7 +88,6 @@ class EstimatorConfig:
     bootstrap_reps: int | None = None
     pilot_exponent: float = DEFAULT_PILOT_EXPONENT
     coeff_gen: PerturbationGenerator = field(default_factory=PerturbationGenerator)
-    clamp_scale: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -98,8 +100,6 @@ class EstimatorConfig:
             raise ValueError(f"bootstrap_reps (I) must be >= 2, got {self.bootstrap_reps}")
         if not np.isfinite(self.pilot_exponent):
             raise ValueError(f"pilot_exponent (gamma) must be finite, got {self.pilot_exponent}")
-        if not 0 < self.clamp_scale < np.inf:
-            raise ValueError(f"clamp_scale must be finite and positive, got {self.clamp_scale}")
 
     def resolve_pilot_size(self, n: int) -> int:
         """Pairs per pilot perturbation for a total budget of ``n`` pairs."""
@@ -291,7 +291,7 @@ def _pilot_stage(
             f"pilot_exponent (gamma) = {cfg.pilot_exponent}): {exc}"
         ) from None
     noise_var[noise_free] = 0.0
-    clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, cfg.clamp_scale))
+    clamped = clamp_bias_constant(bias_fit.slope, clamp_floor(bias_fit.intercept, _CLAMP_SCALE))
     # Zero estimated noise makes the error-optimal perturbation degenerate.
     # The largest pilot perturbation keeps every transform ratio at most
     # one, so the downstream error stays within the clamped-slope times

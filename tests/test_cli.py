@@ -137,8 +137,6 @@ class TestEstimateCommand:
         (["--method", "opt", "--kappa", "1e-200"], "square overflows or underflows"),
         # A denormal square, or a huge noise variance, gives an infinite perturbation.
         (["--method", "opt", "--kappa", "1e-160"], "perturbation inf, which is not finite"),
-        (["--method", "tra", "--tra-sigma2", "1e300", "--tra-B", "1e-10"],
-         "perturbation inf, which is not finite"),
         # The quotients overflow; 2 * 1e308 overflows the divisor.
         *((["--method", "tra", "--h", h],
            f"perturbation h = {h} along coordinate 0 gives non-finite difference quotients")
@@ -153,6 +151,20 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: sin1/")
         assert "EstimationError" in err and message in err
+
+    def test_overflowing_noise_scale_is_one_error_line(self, tmp_path, capsys):
+        # A pilot far out on sin2's steep side has an sd exp(-1.5 theta) past
+        # the float range: one error line, without numpy's RuntimeWarning,
+        # which the test configuration turns into an exception.
+        code = main([
+            "estimate", "--problem", "sin2", "--method", "cor", "--pairs", "1000",
+            "--mu0", "2", "--sigma0", "1e8",
+            "--out", str(tmp_path / "x.csv"), "--summary-out", str(tmp_path / "y.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: sin2/cor/1000: NonFiniteResponseError: oracle sin2 returned")
 
     def test_degenerate_generator_is_config_error(self, tmp_path, capsys):
         # Coefficients confined to a sliver of [4, 6] would tie: the generator
@@ -333,6 +345,18 @@ class TestDfoCommand:
         _, rows = read_csv(out)
         assert len(rows) >= 2 and all(row[2] == "0" for row in rows[1:])
 
+    @pytest.mark.parametrize("method,evals", [("cor", 1018), ("tra", 1028)])
+    def test_overflowing_trial_is_rejected_without_a_warning(self, method, evals, tmp_path,
+                                                              capsys):
+        # Trial points from a step of 1e308 leave the float range; the line
+        # search rejects them, and numpy's RuntimeWarning, which the test
+        # configuration turns into an exception, is never raised.
+        code = main(["dfo", "--problem", "sin1", "--budget", "500", "--seed", "1",
+                     "--a0", "1e308", "--gradient-method", method,
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert capsys.readouterr() == (f"theta=[0.0],evals={evals}\n", "")
+
     def test_problem_without_minimizer_prints_final_point(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(["dfo", "--problem", "queue@3,5,10,service", "--budget", "500",
@@ -423,8 +447,6 @@ class TestBenchCommand:
         ("r", "0", "pilot_fraction (r) must be in (0, 1], got 0.0"),
         ("n_b", "1", "pilot_size (n_b) must be >= 2, got 1"),
         ("I", "1", "bootstrap_reps (I) must be >= 2, got 1"),
-        ("clamp_scale", "-1", "clamp_scale must be finite and positive, got -1.0"),
-        ("clamp_scale", "inf", "clamp_scale must be finite and positive, got inf"),
         ("mu0", "nan", "mu0 must be finite, got nan"),
         ("mu0", "inf", "mu0 must be finite, got inf"),
         ("sigma0", "inf", "sigma0 must be finite and positive, got inf"),
@@ -440,16 +462,14 @@ class TestBenchCommand:
         ("tra_h", "nan", "tra_perturbation (tra_h) must be finite and nonzero, got nan"),
         ("tra_h", "0", "tra_perturbation (tra_h) must be finite and nonzero, got 0.0"),
         ("truth", "nan", "truth_override (truth) must be finite, got nan"),
-        ("tra_B", "0", "tra_bias_const (tra_B) must be finite and nonzero, got 0.0"),
-        ("tra_sigma2", "nan", "tra_noise_var (tra_sigma2) must be finite and positive, got nan"),
         ("reps", "abc", "reps: 'abc' is not an integer"),
         ("budgets", "1e3", "budgets: '1e3' is not an integer"),
         ("K", "2.5", "K: '2.5' is not an integer"),
         ("seed", "x", "seed: 'x' is not an integer"),
-    ], ids=["K", "r", "n_b", "I", "clamp_scale", "clamp_scale_inf", "mu0_nan", "mu0_inf",
+    ], ids=["K", "r", "n_b", "I", "mu0_nan", "mu0_inf",
             "sigma0_inf", "poly_nan", "gamma", "massless_L", "default_r_boot", "kappa",
             "methods", "budgets",
-            "budget_zero", "tra_h_nan", "tra_h_zero", "truth", "tra_B", "tra_sigma2",
+            "budget_zero", "tra_h_nan", "tra_h_zero", "truth",
             "reps_text", "budgets_float", "K_float", "seed_text"])
     def test_bad_setting_rejected_before_any_cell(self, key, value, message, tmp_path, capsys):
         out = tmp_path / "summary.csv"
@@ -459,6 +479,13 @@ class TestBenchCommand:
         ])
         assert code == 1 and not out.exists()
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("tra_B", "5"), ("tra_sigma2", "1"), ("clamp_scale", "1e-4"),
+    ])
+    def test_retired_key_is_unknown(self, key, value, capsys):
+        assert main(["bench", "--set", f"{key}={value}"]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys [{key!r}]\n"
 
     def test_opt_without_known_constants_is_one_config_error(self, tmp_path, capsys):
         # One line for the whole grid, not one failed cell per budget.
@@ -476,14 +503,14 @@ class TestBenchCommand:
         assert set(re.findall(r"`(\w+)`", listed)) == set(_BENCH_DEFAULTS) | set(_ESTIMATE_KEYS)
 
     def test_perturbation_out_of_range_fails_only_its_cell(self, tmp_path, capsys):
-        # tra's assumed bias constant squares to zero; the cor cell still runs.
+        # opt's true bias constant, -kappa/6, squares to zero; the cor cell still runs.
         code = main([
-            "bench", "--set", "problem=sin1", "--set", "methods=tra,cor", "--set", "budgets=100",
-            "--set", "reps=2", "--set", "tra_B=1e-200", "--set", f"out={tmp_path / 's.csv'}",
+            "bench", "--set", "problem=sin1", "--set", "methods=opt,cor", "--set", "budgets=100",
+            "--set", "reps=2", "--set", "kappa=1e-200", "--set", f"out={tmp_path / 's.csv'}",
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: sin1/tra/100: EstimationError: bias constant 1e-200 is out of range: "
+            "error: sin1/opt/100: EstimationError: bias constant -1.66667e-201 is out of range: "
             "its square overflows or underflows\n"
         )
         header, rows = read_csv(tmp_path / "s.csv")
@@ -548,6 +575,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["dfo", "--problem", "sin1", "--budget", "10", "--gradient-method", "foo"],
         ["dfo", "--problem", "sin1", "--budget", "10", "--bogus"],
+        ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100",
+         "--clamp-scale", "1e-4"],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -567,6 +596,24 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--set", "reps=0"], "reps must be >= 1, got 0"),
+        (["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100", "--reps", "0"],
+         "reps must be >= 1, got 0"),
+        (["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100", "--n-b", "20"],
+         "sin1/cor/100: BudgetError: pilot stage needs 200 pairs but the budget is 100"),
+        (["dfo", "--problem", "sin1", "--budget", "100", "--memory", "0"],
+         "memory depth must be >= 1, got 0"),
+        (["estimate", "--problem", "queue@3,5,0,service", "--method", "cor", "--pairs", "100"],
+         "horizon must be >= 1, got 0"),
+    ], ids=["bench_reps", "estimate_reps", "n_b", "memory", "queue_horizon"])
+    def test_setting_out_of_range_is_one_error_line(self, argv, message, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
         # The parser is built once and shared: a call leaves nothing behind
@@ -639,7 +686,6 @@ class TestUsageErrors:
 class TestSettings:
     FLAGS = [
         "--K", "6", "--r", "0.5", "--n-b", "40", "--I", "200", "--gamma", "-0.2",
-        "--clamp-scale", "1e-3",
         "--mu0", "0.5", "--sigma0", "2", "--L", "0.2", "--U", "5",
     ]
     ESTIMATE = ["estimate", "--problem", "sin1", "--method", "cor", "--pairs", "100"]

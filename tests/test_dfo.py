@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corfd import dfo
+from corfd import dfo, estimators
 from corfd.dfo import (
     DfoConfig,
     LbfgsMemory,
@@ -201,7 +201,7 @@ class TestGradient:
         for i, gi in enumerate(g):
             coeff_rng = coords[i].spawn(2)[0].spawn(3)[0]
             h = draw_perturbation_set(5, cfg.coeff_gen, [coeff_rng]) * 4.0**cfg.pilot_exponent
-            bound = clamp_floor(2.0, cfg.clamp_scale) * float(np.max(h)) ** 2
+            bound = clamp_floor(2.0, estimators._CLAMP_SCALE) * float(np.max(h)) ** 2
             assert gi == pytest.approx(2.0, abs=bound + 1e-9)
 
     def test_steep_noisy_start_is_not_noise_free(self):

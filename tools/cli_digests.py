@@ -25,7 +25,7 @@ checkout's ``src`` directory, in a fresh temporary directory.  A first line
 names numpy's version and the SIMD targets it dispatches to: the digests
 hold for one host and one numpy SIMD level, so digest files taken at
 different levels differ visibly in that line.  The whole set
-of 41 commands takes 11 to 14 seconds on a 2-core x86-64 machine, and up
+of 42 commands takes 11 to 14 seconds on a 2-core x86-64 machine, and up
 to 27 seconds on a busy one.
 """
 from __future__ import annotations
@@ -161,6 +161,10 @@ COMMANDS = [
     # term: each search gives up with step 0 and the run stays at its start.
     ("dfo-zakharov10-a0-1e100", "1", ["dfo", "--problem", "zakharov@10", "--budget", "20000",
                                       "--seed", "1", "--a0", "1e100"]),
+    # Line-search trial points from 1e308 leave the float range; each is
+    # drawn, refused as a non-finite response and rejected.
+    ("dfo-sin1-a0-1e308", "1", ["dfo", "--problem", "sin1", "--budget", "500", "--seed", "1",
+                                "--a0", "1e308"]),
     ("diag", "1", ["diag", "--c", "1,1.5,2,2.5,3,3.5,4,4.5,5,5.5", "--fifth-const", "0.1"]),
 ]
 
